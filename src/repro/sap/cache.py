@@ -9,7 +9,7 @@ and exposes the (address, ttl) view the allocator consumes.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Tuple
+from typing import Callable, Dict, List, Optional, Tuple
 
 import numpy as np
 
@@ -21,6 +21,16 @@ from repro.units.types import Duration, SimTime, SlotIndex, Ttl
 #: Default: an entry missing this many seconds of announcements dies.
 DEFAULT_TIMEOUT = 3600.0
 
+#: Cache identity of an announcement: (origin, message id hash).
+CacheKey = Tuple[int, int]
+
+#: One logical session at one origin: (origin, SDP username, session id).
+SessionKey = Tuple[int, str, int]
+
+#: Maps a parsed description to its group's space index (None if the
+#: address is outside the space).
+AddressOf = Callable[[SessionDescription], Optional[SlotIndex]]
+
 
 @dataclass
 class CacheEntry:
@@ -29,8 +39,10 @@ class CacheEntry:
     Attributes:
         message: the most recent SAP message.
         description: parsed SDP (None if unparseable).
-        address_index: group address as a space index, filled by the
-            directory when it can map the address.
+        address_index: group address as a space index, mapped by the
+            cache from the directory's ``address_of`` (None when the
+            address is outside the directory's space).  The cache
+            indexes entries by it, so only the cache assigns it.
         first_heard: when the announcement was first received.
         last_heard: most recent reception.
         times_heard: number of receptions.
@@ -49,13 +61,22 @@ class CacheEntry:
 
 
 class SessionCache:
-    """Announcement cache keyed by (origin, message id hash)."""
+    """Announcement cache keyed by (origin, message id hash).
+
+    Two indexes sit beside the entries so that per-packet work scales
+    with the entries sharing an address or a session, not with the
+    cache: address -> keys, and (origin, SDP username, session id) ->
+    keys.  Every bucket lists its keys in ``_entries`` insertion
+    order, which is the order a full scan would visit them.
+    """
 
     def __init__(self, timeout: Duration = DEFAULT_TIMEOUT) -> None:
         if timeout <= 0:
             raise ValueError(f"timeout must be positive: {timeout}")
         self.timeout = timeout
-        self._entries: Dict[Tuple[int, int], CacheEntry] = {}
+        self._entries: Dict[CacheKey, CacheEntry] = {}
+        self._by_address: Dict[SlotIndex, List[CacheKey]] = {}
+        self._by_session: Dict[SessionKey, List[CacheKey]] = {}
         #: Optional profiling probe (see :mod:`repro.obs`).  None in
         #: normal operation; one attribute check per observe() when
         #: observability is off.
@@ -65,7 +86,7 @@ class SessionCache:
         return len(self._entries)
 
     def observe(self, message: SapMessage, now: SimTime,
-                address_index: Optional[SlotIndex] = None
+                address_of: Optional[AddressOf] = None
                 ) -> Optional[CacheEntry]:
         """Record a received SAP message.
 
@@ -76,22 +97,31 @@ class SessionCache:
         retreat) would leave the old address looking occupied until
         timeout.  Returns the affected entry (None for deletions and
         unparseable announcements).
+
+        The SDP is parsed once per miss, and ``address_of`` maps the
+        entry's address from that parse.  A hit parses nothing,
+        except when its entry still has no address: then the new
+        payload is parsed and mapped, as a hash-colliding announcement
+        may carry one.
         """
         # Observation outcomes are inlined slot increments against the
         # probe's shared handle table — observe() runs once per
         # delivered announcement, the hottest SAP path.
         obs = self._obs
+        key = message.key()
         if message.msg_type is SapMessageType.DELETE:
-            self._entries.pop(message.key(), None)
+            self._remove(key)
             if obs is not None:
                 obs.slots[obs.h_delete] += 1.0
             return None
-        entry = self._entries.get(message.key())
+        entry = self._entries.get(key)
         if entry is not None:
             entry.last_heard = now
             entry.times_heard += 1
             if obs is not None:
                 obs.slots[obs.h_hit] += 1.0
+            if entry.address_index is None and address_of is not None:
+                self._late_fill(key, entry, message.payload, address_of)
             return entry
         try:
             description = SessionDescription.parse(message.payload)
@@ -105,32 +135,72 @@ class SessionCache:
         entry = CacheEntry(
             message=message,
             description=description,
-            address_index=address_index,
+            address_index=(None if address_of is None
+                           else address_of(description)),
             first_heard=now,
             last_heard=now,
         )
-        self._entries[message.key()] = entry
+        self._insert(key, entry)
         return entry
+
+    def _late_fill(self, key: CacheKey, entry: CacheEntry, payload: str,
+                   address_of: AddressOf) -> None:
+        """Map the address of an entry cached without one.
+
+        The key joins its address bucket at its ``_entries`` position,
+        not at the end.  That costs a scan of the cache, at most once
+        per entry: an entry with an address is never filled again.
+        """
+        try:
+            address = address_of(SessionDescription.parse(payload))
+        except ValueError:
+            return
+        if address is None:
+            return
+        entry.address_index = address
+        members = set(self._by_address.get(address, ()))
+        members.add(key)
+        self._by_address[address] = [k for k in self._entries
+                                     if k in members]
+
+    def _insert(self, key: CacheKey, entry: CacheEntry) -> None:
+        """Add a new entry, appending its key to both indexes."""
+        self._entries[key] = entry
+        if entry.address_index is not None:
+            self._by_address.setdefault(entry.address_index, []).append(key)
+        if entry.description is not None:
+            self._by_session.setdefault(
+                _session_key(key[0], entry.description), []).append(key)
+
+    def _remove(self, key: CacheKey) -> None:
+        """Drop an entry, if present, from the cache and both indexes."""
+        entry = self._entries.pop(key, None)
+        if entry is None:
+            return
+        if entry.address_index is not None:
+            _unlink(self._by_address, entry.address_index, key)
+        if entry.description is not None:
+            _unlink(self._by_session,
+                    _session_key(key[0], entry.description), key)
 
     def _supersede(self, origin: int,
                    description: SessionDescription) -> None:
         """Drop older versions of the same logical session."""
-        stale = [
-            key for key, entry in self._entries.items()
-            if key[0] == origin
-            and entry.description is not None
-            and entry.description.origin_key() == description.origin_key()
-            and entry.description.version < description.version
-        ]
+        stale = []
+        for key in self._by_session.get(_session_key(origin, description),
+                                        ()):
+            cached = self._entries[key].description
+            if cached is not None and cached.version < description.version:
+                stale.append(key)
         for key in stale:
-            del self._entries[key]
+            self._remove(key)
 
     def expire(self, now: SimTime) -> int:
         """Drop entries not refreshed within the timeout; returns count."""
         stale = [key for key, entry in self._entries.items()
                  if now - entry.last_heard > self.timeout]
         for key in stale:
-            del self._entries[key]
+            self._remove(key)
         return len(stale)
 
     def entries(self) -> List[CacheEntry]:
@@ -141,9 +211,17 @@ class SessionCache:
 
     def entries_for_address(self,
                             address_index: SlotIndex) -> List[CacheEntry]:
-        """Cached announcements using a given group address."""
-        return [entry for entry in self._entries.values()
-                if entry.address_index == address_index]
+        """Cached announcements using a given group address.
+
+        Served from the address index: the cost is the number of
+        entries at that address, not the size of the cache.  They come
+        in ``_entries`` insertion order, the order of a full scan,
+        because callers draw from an RNG once per returned entry.
+        Entries without a mapped address are never returned.
+        """
+        entries = self._entries
+        return [entries[key]
+                for key in self._by_address.get(address_index, ())]
 
     # ------------------------------------------------------------------
     # Persistence (proxy caches surviving restarts)
@@ -210,14 +288,14 @@ class SessionCache:
                 continue
             address = (None if fields.get("address", "-") == "-"
                        else int(fields["address"]))
-            self._entries[message.key()] = CacheEntry(
+            self._insert(message.key(), CacheEntry(
                 message=message,
                 description=description,
                 address_index=address,
                 first_heard=float(fields["first"]),
                 last_heard=float(fields["last"]),
                 times_heard=int(fields.get("heard", 1)),
-            )
+            ))
             added += 1
         return added
 
@@ -235,3 +313,15 @@ class SessionCache:
             ttls.append(entry.ttl)
         return VisibleSet(np.asarray(addresses, dtype=np.int64),
                           np.asarray(ttls, dtype=np.int64))
+
+
+def _session_key(origin: int, description: SessionDescription) -> SessionKey:
+    return (origin, description.username, description.session_id)
+
+
+def _unlink(index: Dict, bucket: object, key: CacheKey) -> None:
+    """Remove ``key`` from ``index[bucket]``; drop the bucket if empty."""
+    keys = index[bucket]
+    keys.remove(key)
+    if not keys:
+        del index[bucket]

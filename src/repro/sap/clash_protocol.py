@@ -117,9 +117,9 @@ class ClashHandler:
 
     def _check_own_sessions(self, entry: CacheEntry) -> None:
         now = self.scheduler.now
-        for own in self.directory.own_sessions():
-            if own.session.address != entry.address_index:
-                continue
+        clashing = [own for own in self.directory.own_sessions()
+                    if own.session.address == entry.address_index]
+        for own in clashing:
             own_key = own.message_key()
             if own_key == entry.message.key():
                 continue

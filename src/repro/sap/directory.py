@@ -214,7 +214,13 @@ class SessionDirectory:
         return list(self._own.values())
 
     def owns(self, message_key: Tuple[int, int]) -> bool:
-        """True if a cache key corresponds to one of our sessions."""
+        """True if a cache key corresponds to one of our sessions.
+
+        Our keys always carry this node as origin, so a foreign key is
+        answered without formatting any SDP.
+        """
+        if message_key[0] != self.node:
+            return False
         return any(own.message_key() == message_key
                    for own in self._own.values())
 
@@ -328,11 +334,8 @@ class SessionDirectory:
         if self._drop_self_origin(message):
             return
         self.announcements_received += 1
-        address_index = self._address_index_of(message)
         entry = self.cache.observe(message, self.scheduler.now,
-                                   address_index=address_index)
-        if entry is not None and entry.address_index is None:
-            entry.address_index = address_index
+                                   address_of=self._address_of)
         if entry is not None and self.clash_handler is not None:
             self.clash_handler.on_announcement(entry)
 
@@ -346,11 +349,10 @@ class SessionDirectory:
         """
         return message.origin == self.node
 
-    def _address_index_of(self, message: SapMessage) -> Optional[int]:
-        if message.msg_type is not SapMessageType.ANNOUNCE:
-            return None
+    def _address_of(self, description: SessionDescription
+                    ) -> Optional[int]:
+        """A description's group address as a space index, or None."""
         try:
-            description = SessionDescription.parse(message.payload)
             return self.address_space.ip_to_index(
                 description.connection_address
             )

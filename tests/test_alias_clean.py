@@ -119,7 +119,9 @@ def test_session_cache_ledger_entry(src_report):
     cache = entries["repro.sap.cache.SessionCache"]
     assert cache["verdict"] == "soa-safe"
     assert cache["escape"] == "module"
-    assert cache["container_attrs"] == {"_entries": "dict"}
+    assert cache["container_attrs"] == {"_by_address": "dict",
+                                        "_by_session": "dict",
+                                        "_entries": "dict"}
     assert cache["hot"]["sites"] > 0, (
         "SessionCache fell off the flow hot-path join")
 

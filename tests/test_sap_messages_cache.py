@@ -1,6 +1,7 @@
 """SAP message codec and session cache tests."""
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from repro.core.allocator import VisibleSet
 from repro.sap.cache import SessionCache
@@ -10,6 +11,11 @@ from repro.sap.sdp import SessionDescription
 PAYLOAD = SessionDescription(
     name="demo", session_id=7, connection_address="224.2.128.9", ttl=63
 ).format()
+
+
+def at(index):
+    """An ``address_of`` mapper that puts every description at ``index``."""
+    return lambda description: index
 
 
 class TestSapMessage:
@@ -81,7 +87,7 @@ class TestSessionCache:
     def test_observe_announcement(self):
         cache = SessionCache()
         msg = SapMessage.announce(1, PAYLOAD)
-        entry = cache.observe(msg, now=5.0, address_index=9)
+        entry = cache.observe(msg, now=5.0, address_of=at(9))
         assert len(cache) == 1
         assert entry.first_heard == 5.0
         assert entry.address_index == 9
@@ -129,10 +135,10 @@ class TestSessionCache:
     def test_entries_for_address(self):
         cache = SessionCache()
         cache.observe(SapMessage.announce(1, PAYLOAD), now=0.0,
-                      address_index=9)
+                      address_of=at(9))
         other = SessionDescription(name="other").format()
         cache.observe(SapMessage.announce(2, other), now=0.0,
-                      address_index=4)
+                      address_of=at(4))
         hits = cache.entries_for_address(9)
         assert len(hits) == 1
         assert hits[0].description.name == "demo"
@@ -140,7 +146,7 @@ class TestSessionCache:
     def test_visible_set(self):
         cache = SessionCache()
         cache.observe(SapMessage.announce(1, PAYLOAD), now=0.0,
-                      address_index=9)
+                      address_of=at(9))
         unmapped = SessionDescription(name="unmapped").format()
         cache.observe(SapMessage.announce(2, unmapped), now=0.0)
         vs = cache.visible_set()
@@ -165,9 +171,9 @@ class TestSessionCache:
                                 connection_address="224.2.128.9",
                                 ttl=63)
         cache.observe(SapMessage.announce(1, v1.format()), now=0.0,
-                      address_index=5)
+                      address_of=at(5))
         cache.observe(SapMessage.announce(1, v2.format()), now=10.0,
-                      address_index=9)
+                      address_of=at(9))
         assert len(cache) == 1
         entry = cache.entries()[0]
         assert entry.description.version == 2
@@ -205,7 +211,7 @@ class TestCachePersistence:
                 connection_address=f"224.2.128.{i + 1}",
             )
             cache.observe(SapMessage.announce(i, desc.format()),
-                          now=float(i), address_index=i + 1)
+                          now=float(i), address_of=at(i + 1))
 
     def test_export_import_roundtrip(self):
         cache = SessionCache()
@@ -253,3 +259,159 @@ class TestCachePersistence:
         restored.import_text(cache.export_text())
         assert sorted(restored.visible_set().addresses.tolist()) == \
             [1, 2, 3]
+
+
+# --------------------------------------------------------------------
+# The address and session indexes against a full-scan reference.
+# --------------------------------------------------------------------
+
+MAPPED = {"224.2.128.1": 1, "224.2.128.2": 2, "224.2.128.3": 3}
+UNMAPPED = "239.255.0.1"
+TIMEOUT = 6.0
+
+
+def address_of(description):
+    return MAPPED.get(description.connection_address)
+
+
+def sdp(origin_key, version, address):
+    username, session_id = origin_key
+    return SessionDescription(name="s", username=username,
+                              session_id=session_id, version=version,
+                              connection_address=address).format()
+
+
+class FullScanCache:
+    """The cache's rules written as scans over every entry, the way the
+    cache worked before it kept indexes.  Rows are [address, origin
+    key, version, last heard], keyed and ordered like the cache."""
+
+    def __init__(self):
+        self.rows = {}
+
+    def observe(self, message, now):
+        key = message.key()
+        if message.msg_type is SapMessageType.DELETE:
+            self.rows.pop(key, None)
+            return
+        if key in self.rows:
+            row = self.rows[key]
+            row[3] = now
+            if row[0] is None:
+                row[0] = address_of(SessionDescription.parse(message.payload))
+            return
+        description = SessionDescription.parse(message.payload)
+        stale = [other for other, row in self.rows.items()
+                 if other[0] == key[0]
+                 and row[1] == description.origin_key()
+                 and row[2] < description.version]
+        for other in stale:
+            del self.rows[other]
+        self.rows[key] = [address_of(description),
+                          description.origin_key(), description.version,
+                          now]
+
+    def expire(self, now):
+        for key in [key for key, row in self.rows.items()
+                    if now - row[3] > TIMEOUT]:
+            del self.rows[key]
+
+    def import_entries(self, entries):
+        for entry in entries:
+            self.rows.setdefault(entry.message.key(), [
+                entry.address_index, entry.description.origin_key(),
+                entry.description.version, entry.last_heard])
+
+
+ORIGIN_KEYS = st.tuples(st.sampled_from("ab"), st.integers(1, 3))
+ADDRESSES = st.sampled_from(sorted(MAPPED) + [UNMAPPED])
+ANNOUNCED = st.tuples(st.integers(0, 2), ORIGIN_KEYS, st.integers(1, 4),
+                      ADDRESSES)
+PICK = st.integers(0, 63)
+STEPS = st.lists(st.one_of(
+    st.tuples(st.just("announce"), ANNOUNCED),
+    st.tuples(st.just("reversion"),
+              st.tuples(PICK, st.sampled_from((-1, 1)), ADDRESSES)),
+    st.tuples(st.just("delete"), st.tuples(PICK)),
+    st.tuples(st.just("expire"), st.none()),
+    st.tuples(st.just("import"), st.lists(ANNOUNCED, max_size=4)),
+    st.tuples(st.just("collide"), st.tuples(PICK, ADDRESSES)),
+), max_size=40)
+
+
+def apply_step(cache, reference, step, now):
+    kind, arg = step
+    entries = cache.entries()
+    picked = None
+    if entries and kind in ("reversion", "delete", "collide"):
+        picked = entries[arg[0] % len(entries)]
+    messages = []
+    if kind == "announce":
+        origin, origin_key, version, address = arg
+        messages.append(SapMessage.announce(
+            origin, sdp(origin_key, version, address)))
+    elif kind == "reversion" and picked is not None:
+        # The same session one version newer, or one older arriving
+        # after the newer one.
+        __, delta, address = arg
+        description = picked.description
+        messages.append(SapMessage.announce(picked.message.origin, sdp(
+            description.origin_key(),
+            max(1, description.version + delta), address)))
+    elif kind == "delete" and picked is not None:
+        messages.append(SapMessage.delete(picked.message.origin,
+                                          picked.message.payload))
+    elif kind == "collide" and picked is not None:
+        # Another payload under an existing key: a hit, which late-fills
+        # the entry's address if it had none.
+        messages.append(SapMessage(SapMessageType.ANNOUNCE,
+                                   *picked.message.key(),
+                                   sdp(("c", 9), 1, arg[1])))
+    elif kind == "expire":
+        cache.expire(now)
+        reference.expire(now)
+    elif kind == "import":
+        peer = SessionCache()
+        for origin, origin_key, version, address in arg:
+            peer.observe(SapMessage.announce(
+                origin, sdp(origin_key, version, address)), now,
+                address_of=address_of)
+        cache.import_text(peer.export_text())
+        reference.import_entries(peer.entries())
+    for message in messages:
+        cache.observe(message, now, address_of=address_of)
+        reference.observe(message, now)
+
+
+class TestCacheIndexes:
+    @given(STEPS)
+    @settings(max_examples=150, deadline=None)
+    def test_indexes_match_full_scans(self, steps):
+        cache = SessionCache(timeout=TIMEOUT)
+        reference = FullScanCache()
+        for now, step in enumerate(steps):
+            apply_step(cache, reference, step, float(now))
+            entries = cache.entries()
+            assert [e.message.key() for e in entries] == \
+                list(reference.rows)
+            assert [e.address_index for e in entries] == \
+                [row[0] for row in reference.rows.values()]
+            for address in sorted(MAPPED.values()):
+                expected = [e for e in entries if e.address_index == address]
+                assert [id(e) for e in cache.entries_for_address(address)] \
+                    == [id(e) for e in expected]
+
+    def test_late_fill_keeps_scan_order(self):
+        cache = SessionCache()
+        early = SapMessage.announce(1, sdp(("a", 1), 1, UNMAPPED))
+        cache.observe(early, 0.0, address_of=address_of)
+        cache.observe(SapMessage.announce(2, sdp(("a", 2), 1,
+                                                 "224.2.128.1")),
+                      1.0, address_of=address_of)
+        collision = SapMessage(SapMessageType.ANNOUNCE, *early.key(),
+                               sdp(("c", 9), 1, "224.2.128.1"))
+        entry = cache.observe(collision, 2.0, address_of=address_of)
+        assert entry.address_index == 1
+        assert entry.description.origin_key() == ("a", 1)
+        assert [e.message.origin for e in cache.entries_for_address(1)] \
+            == [1, 2]
