@@ -28,9 +28,17 @@ from repro.sim.trace import Tracer, trace_directory
 SPACE = MulticastAddressSpace.abstract(256)
 NUM_SITES = 30
 
+#: The two §3.1 suppression timers, by name.
+TIMERS = {
+    "uniform": lambda rng: UniformDelayTimer(0.5, 6.4, rng),
+    "exponential": lambda rng: ExponentialDelayTimer(0.5, 6.4, rtt=0.2,
+                                                     rng=rng),
+}
+
 
 def run_scenario(timer_name: str, timer_factory,
-                 show_timeline: bool = False) -> None:
+                 show_timeline: bool = False) -> bool:
+    """Run the partition scenario; True if the newcomer moved away."""
     scheduler = EventScheduler()
     network = NetworkModel(
         scheduler,
@@ -60,15 +68,15 @@ def run_scenario(timer_name: str, timer_factory,
     network.unlisten(owner.node)  # the origin site is partitioned away
     clasher = newcomer.create_session("newcomer", ttl=127)
     own = newcomer.own_sessions()[0]
-    own.session.address = session.address
-    own.description.connection_address = SPACE.index_to_ip(session.address)
+    newcomer.relocate(own, session.address)
     own.announcer.announce_now()
     started = scheduler.now
     scheduler.run(until=started + 60.0)
 
     defences = sum(d.clash_handler.defences_sent for d in directories[2:])
+    moved = own.session.address != session.address
     print(f"{timer_name:12s} third-party defences sent: {defences:2d}  "
-          f"newcomer moved: {own.session.address != session.address}  "
+          f"newcomer moved: {moved}  "
           f"(now at {SPACE.index_to_ip(own.session.address)})")
     if show_timeline:
         interesting = [r for r in tracer.records(since=started)
@@ -78,20 +86,14 @@ def run_scenario(timer_name: str, timer_factory,
             for record in interesting:
                 print("    " + record.format())
         print()
+    return moved
 
 
 def main() -> None:
     print(f"{NUM_SITES} sites; origin partitioned; newcomer steals the "
           f"address\n")
-    run_scenario(
-        "uniform",
-        lambda rng: UniformDelayTimer(0.5, 6.4, rng),
-    )
-    run_scenario(
-        "exponential",
-        lambda rng: ExponentialDelayTimer(0.5, 6.4, rtt=0.2, rng=rng),
-        show_timeline=True,
-    )
+    run_scenario("uniform", TIMERS["uniform"])
+    run_scenario("exponential", TIMERS["exponential"], show_timeline=True)
     print("\nthe exponential timer keeps the defence storm small even "
           "as the group grows (paper figs. 18/19).")
 

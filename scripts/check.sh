@@ -66,6 +66,14 @@ echo "== repro.scenario (bounded smoke fuzz, SCN9xx invariants) =="
 # in seconds.
 python -m repro.scenario fuzz --runs 25 --seed 0x19980902
 
+echo "== examples (every script runs to completion) =="
+# The examples are documentation that executes; any non-zero exit
+# fails the gate.  The whole set takes a few seconds.
+for example in examples/*.py; do
+    echo "-- $example"
+    python "$example" > /dev/null
+done
+
 if command -v ruff >/dev/null 2>&1; then
     echo "== ruff =="
     ruff check src tests

@@ -31,6 +31,10 @@ SessionKey = Tuple[int, str, int]
 #: address is outside the space).
 AddressOf = Callable[[SessionDescription], Optional[SlotIndex]]
 
+#: Rows allocated up front for the (address, ttl) columns; they double
+#: when full.
+_INITIAL_ROWS = 16
+
 
 @dataclass
 class CacheEntry:
@@ -68,6 +72,11 @@ class SessionCache:
     cache: address -> keys, and (origin, SDP username, session id) ->
     keys.  Every bucket lists its keys in ``_entries`` insertion
     order, which is the order a full scan would visit them.
+
+    The mapped entries' (address, ttl) pairs also sit in two numpy
+    columns, one row per entry, so the allocator's view is a copy of
+    two arrays.  Row order is unspecified: removing a row moves the
+    last row into its place.
     """
 
     def __init__(self, timeout: Duration = DEFAULT_TIMEOUT) -> None:
@@ -77,6 +86,10 @@ class SessionCache:
         self._entries: Dict[CacheKey, CacheEntry] = {}
         self._by_address: Dict[SlotIndex, List[CacheKey]] = {}
         self._by_session: Dict[SessionKey, List[CacheKey]] = {}
+        self._row_of: Dict[CacheKey, int] = {}
+        self._row_keys: List[CacheKey] = []
+        self._addresses = np.empty(_INITIAL_ROWS, dtype=np.int64)
+        self._ttls = np.empty(_INITIAL_ROWS, dtype=np.int64)
         #: Optional profiling probe (see :mod:`repro.obs`).  None in
         #: normal operation; one attribute check per observe() when
         #: observability is off.
@@ -162,26 +175,56 @@ class SessionCache:
         members.add(key)
         self._by_address[address] = [k for k in self._entries
                                      if k in members]
+        self._add_row(key, address, entry.ttl)
 
     def _insert(self, key: CacheKey, entry: CacheEntry) -> None:
-        """Add a new entry, appending its key to both indexes."""
+        """Add a new entry, appending its key to both indexes and, if
+        it has an address, its (address, ttl) row to the columns."""
         self._entries[key] = entry
         if entry.address_index is not None:
             self._by_address.setdefault(entry.address_index, []).append(key)
+            self._add_row(key, entry.address_index, entry.ttl)
         if entry.description is not None:
             self._by_session.setdefault(
                 _session_key(key[0], entry.description), []).append(key)
 
     def _remove(self, key: CacheKey) -> None:
-        """Drop an entry, if present, from the cache and both indexes."""
+        """Drop an entry, if present, from the cache, both indexes and
+        the columns."""
         entry = self._entries.pop(key, None)
         if entry is None:
             return
         if entry.address_index is not None:
             _unlink(self._by_address, entry.address_index, key)
+            self._drop_row(key)
         if entry.description is not None:
             _unlink(self._by_session,
                     _session_key(key[0], entry.description), key)
+
+    def _add_row(self, key: CacheKey, address: SlotIndex, ttl: Ttl) -> None:
+        """Append a mapped entry's (address, ttl) to the columns."""
+        row = len(self._row_keys)
+        if row == len(self._addresses):
+            self._addresses = np.concatenate(
+                (self._addresses, np.empty(row, dtype=np.int64)))
+            self._ttls = np.concatenate(
+                (self._ttls, np.empty(row, dtype=np.int64)))
+        self._addresses[row] = address
+        self._ttls[row] = ttl
+        self._row_of[key] = row
+        self._row_keys.append(key)
+
+    def _drop_row(self, key: CacheKey) -> None:
+        """Remove a mapped entry's row; the last row fills the hole."""
+        row = self._row_of.pop(key)
+        last_key = self._row_keys.pop()
+        if last_key == key:
+            return
+        last = len(self._row_keys)
+        self._addresses[row] = self._addresses[last]
+        self._ttls[row] = self._ttls[last]
+        self._row_keys[row] = last_key
+        self._row_of[last_key] = row
 
     def _supersede(self, origin: int,
                    description: SessionDescription) -> None:
@@ -302,17 +345,15 @@ class SessionCache:
     def visible_set(self) -> VisibleSet:
         """The allocator's view: (address, ttl) of cached sessions.
 
-        Entries without a mapped address index are skipped.
+        An unordered multiset: one pair per entry with a mapped
+        address, in no particular order, which every allocator
+        tolerates because it only counts or deduplicates the pairs.
+        Entries without a mapped address are not in it.  The result
+        copies the cache's two columns; no entry is visited.
         """
-        addresses = []
-        ttls = []
-        for entry in self._entries.values():
-            if entry.address_index is None:
-                continue
-            addresses.append(entry.address_index)
-            ttls.append(entry.ttl)
-        return VisibleSet(np.asarray(addresses, dtype=np.int64),
-                          np.asarray(ttls, dtype=np.int64))
+        rows = len(self._row_keys)
+        return VisibleSet(self._addresses[:rows].copy(),
+                          self._ttls[:rows].copy())
 
 
 def _session_key(origin: int, description: SessionDescription) -> SessionKey:

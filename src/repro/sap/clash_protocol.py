@@ -117,9 +117,7 @@ class ClashHandler:
 
     def _check_own_sessions(self, entry: CacheEntry) -> None:
         now = self.scheduler.now
-        clashing = [own for own in self.directory.own_sessions()
-                    if own.session.address == entry.address_index]
-        for own in clashing:
+        for own in self.directory.own_sessions_at(entry.address_index):
             own_key = own.message_key()
             if own_key == entry.message.key():
                 continue

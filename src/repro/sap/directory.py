@@ -32,6 +32,7 @@ from repro.sap.messages import SapMessage, SapMessageType
 from repro.sap.sdp import MediaStream, SessionDescription
 from repro.sim.events import EventHandle, EventScheduler
 from repro.sim.network import NetworkModel, Packet
+from repro.units.types import SlotIndex
 
 #: Conventional "group" carried in simulated SAP packets; the network
 #: model routes on (source, ttl), so this is informational only.
@@ -99,6 +100,10 @@ class SessionDirectory:
         self.cache = cache if cache is not None else SessionCache()
         self.rng = rng if rng is not None else np.random.default_rng(node)
         self._own: Dict[Tuple[int, int], OwnSession] = {}
+        #: Own sessions by address.  Each bucket keeps ``_own`` order,
+        #: which is SDP session-id order: clashing own sessions each
+        #: may retreat, drawing from the allocator's RNG, in that order.
+        self._own_by_address: Dict[SlotIndex, List[OwnSession]] = {}
         self._session_ids = itertools.count(1)
         #: Optional shadow-state observer (see :mod:`repro.sanitize`).
         #: None in normal operation; one attribute check per session
@@ -176,6 +181,7 @@ class SessionDirectory:
             first_announced=self.scheduler.now,
         )
         self._own[(self.node, description.session_id)] = own
+        self._index_own(own)
         if self._sanitizer is not None:
             self._sanitizer.on_session_created(self, own)
         own.announcer.start()
@@ -208,10 +214,38 @@ class SessionDirectory:
         message = SapMessage.delete(self.node, own.description.format())
         self._multicast(message, session.ttl)
         del self._own[(self.node, own.description.session_id)]
+        self._unindex_own(own)
 
     def own_sessions(self) -> List[OwnSession]:
         """Sessions created at this site, with announcement state."""
         return list(self._own.values())
+
+    def own_sessions_at(self, address: SlotIndex) -> List[OwnSession]:
+        """This site's sessions at ``address``, in creation order.
+
+        Served from the own-session index, so the cost is the number
+        of own sessions at that address, not the number this site
+        holds.  The order is that of :meth:`own_sessions` (creation,
+        i.e. SDP session-id order), because the clash handler draws
+        from the allocator's RNG once per retreating session in it.
+        Returns a copy.
+        """
+        return list(self._own_by_address.get(address, ()))
+
+    def relocate(self, own: OwnSession, address: SlotIndex) -> None:
+        """Move an own session to ``address``.
+
+        Every change of an own session's address goes through here:
+        it sets the session's address and its SDP connection address
+        together and moves the session to its new index bucket.  It
+        neither bumps the SDP version nor announces; callers do.
+        """
+        self._unindex_own(own)
+        own.session.address = address
+        own.description.connection_address = (
+            self.address_space.index_to_ip(address)
+        )
+        self._index_own(own)
 
     def owns(self, message_key: Tuple[int, int]) -> bool:
         """True if a cache key corresponds to one of our sessions.
@@ -253,10 +287,7 @@ class SessionDirectory:
         visible = self._allocation_view()
         result = self.allocator.allocate(own.session.ttl, visible)
         old_address = own.session.address
-        own.session.address = result.address
-        own.description.connection_address = (
-            self.address_space.index_to_ip(result.address)
-        )
+        self.relocate(own, result.address)
         own.description.version += 1
         self.address_changes += 1
         if self._sanitizer is not None:
@@ -291,6 +322,26 @@ class SessionDirectory:
             cached.ttls, np.asarray(own_ttls, dtype=np.int64)
         ])
         return VisibleSet(addresses, ttls)
+
+    def _index_own(self, own: OwnSession) -> None:
+        """Put ``own`` in its address bucket at its session-id place."""
+        bucket = self._own_by_address.setdefault(own.session.address, [])
+        session_id = own.description.session_id
+        place = len(bucket)
+        while place and bucket[place - 1].description.session_id > session_id:
+            place -= 1
+        bucket.insert(place, own)
+
+    def _unindex_own(self, own: OwnSession) -> None:
+        """Take ``own`` out of its address bucket, if it is there."""
+        address = own.session.address
+        bucket = self._own_by_address.get(address, [])
+        for place, member in enumerate(bucket):
+            if member is own:
+                del bucket[place]
+                if not bucket:
+                    del self._own_by_address[address]
+                return
 
     def _make_announcer(self, session: Session,
                         description: SessionDescription) -> Announcer:

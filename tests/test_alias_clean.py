@@ -121,7 +121,9 @@ def test_session_cache_ledger_entry(src_report):
     assert cache["escape"] == "module"
     assert cache["container_attrs"] == {"_by_address": "dict",
                                         "_by_session": "dict",
-                                        "_entries": "dict"}
+                                        "_entries": "dict",
+                                        "_row_keys": "list",
+                                        "_row_of": "dict"}
     assert cache["hot"]["sites"] > 0, (
         "SessionCache fell off the flow hot-path join")
 

@@ -146,15 +146,13 @@ class TestDirectoryInternals:
         sched.run(until=40.0)
         newcomer = bob.create_session("new", ttl=63)
         own_bob = bob.own_sessions()[0]
-        own_bob.session.address = session.address
-        own_bob.description.connection_address = space.index_to_ip(
-            session.address
-        )
+        bob.relocate(own_bob, session.address)
         own_bob.description.version += 1
         own_bob.announcer.announce_now()
         sched.run(until=80.0)
         # Bob retreated; carol's cache has exactly one entry for bob's
         # session, at the new address.
+        assert bob.address_changes == 1
         bob_entries = [
             e for e in carol.cache.entries()
             if e.message.origin == 1

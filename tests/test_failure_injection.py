@@ -92,10 +92,7 @@ class TestPartitionHealingClash:
         b = bob.create_session("east", ttl=63)
         # Force the same address (each side believes it is free).
         bob_own = bob.own_sessions()[0]
-        bob_own.session.address = a.address
-        bob_own.description.connection_address = SPACE.index_to_ip(
-            a.address
-        )
+        bob.relocate(bob_own, a.address)
         sched.run(until=60.0)  # both sessions become established
         net.heal()
         alice.own_sessions()[0].announcer.announce_now()

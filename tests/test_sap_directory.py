@@ -2,6 +2,7 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from repro.core.address_space import MulticastAddressSpace
 from repro.core.informed import InformedRandomAllocator
@@ -95,8 +96,7 @@ class TestDiscovery:
 def rig_clash(directory, address):
     """Point a directory's (single) own session at ``address``."""
     own = directory.own_sessions()[0]
-    own.session.address = address
-    own.description.connection_address = SPACE.index_to_ip(address)
+    directory.relocate(own, address)
     own.description.version += 1
     return own
 
@@ -223,3 +223,58 @@ class TestClashPhases:
         # 20 provocations in ~2 s, defend_interval 1 s => at most 3-4
         # defences (plus nothing else).
         assert 1 <= defences <= 4
+
+
+# --------------------------------------------------------------------
+# The own-session index against a filter of own_sessions().
+# --------------------------------------------------------------------
+
+#: A space this small puts several own sessions at one address.
+TINY = MulticastAddressSpace.abstract(4)
+
+OWN_STEPS = st.lists(st.tuples(
+    st.sampled_from(("create", "retreat", "relocate", "delete")),
+    st.integers(0, 15),
+    st.integers(0, TINY.size - 1),
+), max_size=30)
+
+
+class TestOwnSessionIndex:
+    @given(OWN_STEPS)
+    @settings(max_examples=150, deadline=None)
+    def test_index_matches_filtered_scan(self, steps):
+        sched = EventScheduler()
+        net = NetworkModel(sched, lambda source, ttl: [])
+        rng = np.random.default_rng(0)
+        directory = SessionDirectory(
+            0, sched, net, InformedRandomAllocator(TINY.size, rng), TINY,
+            rng=rng)
+        for kind, pick, address in steps:
+            owns = directory.own_sessions()
+            if kind == "create":
+                directory.create_session("s", ttl=63)
+            elif owns:
+                own = owns[pick % len(owns)]
+                if kind == "retreat":
+                    directory.retreat(own)
+                elif kind == "relocate":
+                    directory.relocate(own, address)
+                else:
+                    directory.delete_session(own.session)
+            for at in range(TINY.size):
+                expected = [own for own in directory.own_sessions()
+                            if own.session.address == at]
+                assert [id(own) for own in directory.own_sessions_at(at)] \
+                    == [id(own) for own in expected]
+
+    def test_relocate_sets_both_addresses_only(self, sched, net):
+        alice = make_directory(0, sched, net)
+        alice.create_session("talk", ttl=63)
+        own = alice.own_sessions()[0]
+        alice.relocate(own, 5)
+        assert own.session.address == 5
+        assert own.description.connection_address == SPACE.index_to_ip(5)
+        assert own.description.version == 1
+        assert alice.address_changes == 0
+        [moved] = alice.own_sessions_at(5)
+        assert moved is own

@@ -275,10 +275,20 @@ def address_of(description):
 
 
 def sdp(origin_key, version, address):
+    # The TTL varies with the session and version, so that a column
+    # row that kept another entry's TTL would show.
     username, session_id = origin_key
     return SessionDescription(name="s", username=username,
                               session_id=session_id, version=version,
-                              connection_address=address).format()
+                              connection_address=address,
+                              ttl=16 * session_id + version).format()
+
+
+def scanned_visible_pairs(entries):
+    """The allocator's view built by the loop the cache used before it
+    kept columns, as sorted (address, ttl) pairs."""
+    return sorted((entry.address_index, entry.ttl) for entry in entries
+                  if entry.address_index is not None)
 
 
 class FullScanCache:
@@ -400,6 +410,10 @@ class TestCacheIndexes:
                 expected = [e for e in entries if e.address_index == address]
                 assert [id(e) for e in cache.entries_for_address(address)] \
                     == [id(e) for e in expected]
+            visible = cache.visible_set()
+            assert sorted(zip(visible.addresses.tolist(),
+                              visible.ttls.tolist())) == \
+                scanned_visible_pairs(entries)
 
     def test_late_fill_keeps_scan_order(self):
         cache = SessionCache()

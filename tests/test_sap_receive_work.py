@@ -1,11 +1,13 @@
-"""SDP work per delivered SAP announcement.
+"""Work per delivered SAP announcement and per allocation.
 
 The receive path parses an announcement's SDP once, on a cache miss,
 and maps the group address from that parse; a hit on an entry that
 already has its address parses nothing.  ``owns()`` answers a key of
-another origin without formatting any SDP.  The counts are pinned
-here because they are the per-packet cost the benchmark's SAP
-workloads measure.
+another origin without formatting any SDP.  The clash check reads the
+own sessions at the announced address, never the site's full list,
+and the allocator's view copies the cache's columns without visiting
+an entry.  The counts are pinned here because they are the per-packet
+and per-allocation cost the benchmark's SAP workloads measure.
 """
 
 from collections import Counter
@@ -16,6 +18,7 @@ import pytest
 from repro.core.address_space import MulticastAddressSpace
 from repro.core.informed import InformedRandomAllocator
 from repro.modelcheck.harness import GhostResurrectionDirectory
+from repro.sap.cache import CacheEntry, SessionCache
 from repro.sap.directory import SAP_GROUP, SessionDirectory
 from repro.sap.messages import SapMessage
 from repro.sap.sdp import SessionDescription
@@ -108,3 +111,44 @@ def test_owns_still_matches_a_cached_own_origin_key(world, calls):
     assert calls["format"] == 1
     other = (bob.node, (echo.message.msg_id_hash + 1) % 2 ** 16)
     assert not bob.owns(other)
+
+
+def test_delivery_never_lists_all_own_sessions(world, monkeypatch):
+    bob = world(1)
+    for index in range(50):
+        bob.create_session(f"mine{index}", ttl=63)
+    # A newcomer from node 0 at the address of bob's eighth session.
+    taken = bob.own_sessions()[7].session.address
+    theirs = SessionDescription(name="theirs", session_id=1, ttl=63,
+                                connection_address=SPACE.index_to_ip(taken))
+    packet = Packet(source=0, group=SAP_GROUP, ttl=63,
+                    payload=SapMessage.announce(0, theirs.format()).encode())
+
+    def listed(directory):
+        raise AssertionError("own_sessions() called on delivery")
+
+    monkeypatch.setattr(SessionDirectory, "own_sessions", listed)
+    bob._on_packet(bob.node, packet)  # a miss: the clash, bob retreats
+    bob._on_packet(bob.node, packet)  # a hit: no clash left
+    assert bob.clash_handler.clashes_seen == 1
+    assert bob.address_changes == 1
+
+
+def test_visible_set_reads_no_cache_entry(monkeypatch):
+    cache = SessionCache()
+    for index in range(5):
+        description = SessionDescription(
+            name=f"s{index}", session_id=index, ttl=15 + index,
+            connection_address=SPACE.index_to_ip(index))
+        cache.observe(SapMessage.announce(2, description.format()), 0.0,
+                      address_of=lambda d: SPACE.ip_to_index(
+                          d.connection_address))
+
+    def read(entry):
+        raise AssertionError("visible_set() read CacheEntry.ttl")
+
+    monkeypatch.setattr(CacheEntry, "ttl", property(read))
+    visible = cache.visible_set()
+    assert sorted(zip(visible.addresses.tolist(),
+                      visible.ttls.tolist())) == \
+        [(index, 15 + index) for index in range(5)]

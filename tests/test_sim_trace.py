@@ -99,10 +99,7 @@ class TestTraceDirectory:
         # Rig a clash so the protocol acts.
         own_bob = bob.create_session("new", ttl=63)
         bob_own = bob.own_sessions()[0]
-        bob_own.session.address = session.address
-        bob_own.description.connection_address = SPACE.index_to_ip(
-            session.address
-        )
+        bob.relocate(bob_own, session.address)
         bob_own.announcer.announce_now()
         sched.run(until=60.0)
 
