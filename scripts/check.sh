@@ -45,12 +45,6 @@ echo "== repro.flow (whole-program RNG provenance & job purity) =="
 # whole-tree digest, so an untouched tree re-checks in milliseconds.
 python -m repro.flow src
 
-echo "== repro.units (semantic units & value-range bounds proofs) =="
-# Abstract interpretation over the same call graph: no Addr/SlotIndex
-# or SimTime/Duration mix-ups, and every index the checker can decide
-# stays inside 0..size-1.  Shares the flow cache discipline.
-python -m repro.units src
-
 echo "== repro.alias (escape/aliasing proofs & SoA ledger) =="
 # Interprocedural escape and mutability analysis over the same call
 # graph: no leaked live containers, aliased mutation, iterator

@@ -1,8 +1,8 @@
 """Orchestrator: graph -> engine -> ledger -> report, cached.
 
 ``analyze_paths`` is the programmatic entry the CLI and the tier-1
-tests share.  It reuses the shared flow graph (one parse for flow /
-units / alias in the same process), runs the escape/aliasing engine,
+tests share.  It reuses the shared flow graph (one parse for flow
+and alias in the same process), runs the escape/aliasing engine,
 joins the ledger against the flow hot-path ranking, emits the
 ALIAS812 per-class rollup advisories for blocked ``core/``/``sim/``
 classes, applies ``# simlint: disable=<rule>`` suppressions at the

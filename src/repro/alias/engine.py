@@ -1,6 +1,6 @@
 """The ALIAS801–814 escape/aliasing engine over the flow call graph.
 
-Two passes, same shape as the units interpreter:
+Two passes over the whole program:
 
 * **Pass A** walks every function's own body once: leak checks on
   ``return`` statements (801/802), aliased stores (803), iterator

@@ -4,8 +4,8 @@ Kept free of imports so :mod:`repro.lint.registry` can list these
 codes without pulling in the escape/aliasing engine (the registry is
 imported by every CLI, including ones that never run this pass).
 
-Like FLOW6xx and UNIT7xx, ALIAS8xx rules are *whole-program*: whether
-a leaked container is ever mutated, or a class's instances escape to
+Like FLOW6xx, ALIAS8xx rules are *whole-program*: whether a leaked
+container is ever mutated, or a class's instances escape to
 module-global state, depends on call edges files away, so they run
 from :mod:`repro.alias.analysis`, not from the lint engine.
 

@@ -16,7 +16,6 @@ Exposes the library's main workflows without writing Python:
     python -m repro obs --scenario steady --format json
     python -m repro fleet fig5 --jobs 4 --checkpoint .fleet
     python -m repro flow src --hotpaths-out flow-hotpaths.json
-    python -m repro units src --strict
     python -m repro alias src --ledger-out alias-ledger.json
     python -m repro scenario fuzz --runs 100 --seed 0x19980902
 
@@ -238,23 +237,6 @@ def build_parser() -> argparse.ArgumentParser:
     flow.add_argument("--no-cache", action="store_true",
                       help="bypass the whole-tree flow cache")
     flow.add_argument("--list-rules", action="store_true")
-
-    units = sub.add_parser(
-        "units",
-        help="semantic-unit checking and value-range bounds proofs "
-             "(python -m repro.units)",
-    )
-    units.add_argument("paths", nargs="*", default=["src"])
-    units.add_argument("--format", choices=("text", "json", "github"),
-                       default="text")
-    units.add_argument("--select", action="append", metavar="RULE")
-    units.add_argument("--ignore", action="append", metavar="RULE")
-    units.add_argument("--strict", action="store_true",
-                       help="advisory proof obligations also fail "
-                            "the run")
-    units.add_argument("--no-cache", action="store_true",
-                       help="bypass the whole-tree units cache")
-    units.add_argument("--list-rules", action="store_true")
 
     alias = sub.add_parser(
         "alias",
@@ -578,24 +560,6 @@ def cmd_flow(args) -> int:
     return flow_main(argv)
 
 
-def cmd_units(args) -> int:
-    from repro.units.cli import main as units_main
-
-    argv: List[str] = list(args.paths)
-    argv += ["--format", args.format]
-    for name in args.select or []:
-        argv += ["--select", name]
-    for name in args.ignore or []:
-        argv += ["--ignore", name]
-    if args.strict:
-        argv.append("--strict")
-    if args.no_cache:
-        argv.append("--no-cache")
-    if args.list_rules:
-        argv.append("--list-rules")
-    return units_main(argv)
-
-
 def cmd_alias(args) -> int:
     from repro.alias.cli import main as alias_main
 
@@ -746,7 +710,6 @@ COMMANDS = {
     "obs": cmd_obs,
     "fleet": cmd_fleet,
     "flow": cmd_flow,
-    "units": cmd_units,
     "alias": cmd_alias,
     "scenario": cmd_scenario,
 }

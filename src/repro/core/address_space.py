@@ -16,7 +16,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from repro.units.types import Addr, Count, SlotIndex
+from repro.sim.types import Addr, Count, SlotIndex
 
 #: First IPv4 multicast address.
 MULTICAST_BASE = 0xE0000000  # 224.0.0.0

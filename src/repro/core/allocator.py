@@ -19,7 +19,7 @@ import numpy as np
 
 from repro.core.session import Session
 from repro.sim.rng import derived_stream
-from repro.units.types import Count, SlotIndex, Ttl
+from repro.sim.types import Count, SlotIndex, Ttl
 
 
 @dataclass

@@ -12,7 +12,7 @@ import itertools
 from dataclasses import dataclass
 from typing import Any, Optional
 
-from repro.units.types import Duration, SimTime, SlotIndex, Ttl
+from repro.sim.types import Duration, SimTime, SlotIndex, Ttl
 
 _session_ids = itertools.count(1)
 

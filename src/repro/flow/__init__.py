@@ -12,7 +12,7 @@ Three passes over one shared call graph of ``src/``:
   the simulator's hot paths, ranked into ``flow-hotpaths.json``.
 
 Run as ``python -m repro.flow`` or ``repro flow``; shares the
-six-tool registry and exit-code contract in :mod:`repro.lint.registry`.
+eight-tool registry and exit-code contract in :mod:`repro.lint.registry`.
 """
 
 from repro.flow.analysis import (  # noqa: F401

@@ -1,6 +1,6 @@
 """``python -m repro.flow`` — the whole-program analysis CLI.
 
-Same contract as the other five tools: exit 0 clean, 1 findings,
+Same contract as the other seven tools: exit 0 clean, 1 findings,
 2 usage error; ``--list-rules`` prints the shared registry;
 ``--format github`` emits Actions annotations.  Flow-specific flags:
 ``--strict`` promotes advisory FLOW615/62x findings to errors, and

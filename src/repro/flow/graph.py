@@ -163,9 +163,6 @@ class CallSite:
     #: qualname), so aliasing clients can attribute the edge to the
     #: class whose internal state it may touch.
     receiver_class: Optional[str] = None
-    #: Dotted text of each positional argument ("" for non-chains):
-    #: which caller access paths flow into the callee.
-    arg_texts: Tuple[str, ...] = ()
 
     @property
     def resolved(self) -> bool:
@@ -791,7 +788,6 @@ class _Resolver:
             col=node.col_offset, callee_text=text or "<expr>",
             targets=real_targets, kind=kind,
             receiver_class=receiver_cls,
-            arg_texts=tuple(dotted(arg) or "" for arg in node.args),
         ))
         # Function-valued arguments become callback edges.
         callback_targets: Set[str] = set()
@@ -1034,10 +1030,11 @@ _SHARED_GRAPH: Optional[Tuple[str, CallGraph]] = None
 def shared_graph(sources: Sequence[Tuple[str, str]]) -> CallGraph:
     """Build-or-reuse one :class:`CallGraph` per identical tree.
 
-    The flow and units analyses need the same whole-program graph;
-    when both run in one process (tests, combined gates) the second
-    request costs a digest pass instead of a full re-parse.  Both
-    clients treat the graph as read-only, so sharing is safe.
+    The flow and alias analyses need the same whole-program graph,
+    and the flow tests analyse ``src/`` several times in one process;
+    every request after the first on an unchanged tree costs a digest
+    pass instead of a full re-parse.  Callers treat the graph as
+    read-only, so sharing is safe.
     """
     global _SHARED_GRAPH
     from repro.flow.cache import tree_digest

@@ -1,30 +1,26 @@
-"""Shared two-pass interprocedural re-reporting machinery.
+"""Two-pass interprocedural re-reporting machinery.
 
-Two analyses on the flow call graph re-interpret functions with facts
-their call sites supplied — the units abstract interpreter (caller
-argument values rerooted onto callee parameters) and the alias pass
-(callers that mutate a container a callee leaked).  Both used to grow
-their own ``callee -> param -> [(fact, caller, path, line)]`` tables
-and their own ``[reached via ...]`` label formatting; this module is
-the one copy.
+The alias pass re-examines functions with facts their call sites
+supplied: callers that mutate a container a callee leaked.  This
+module holds its ``callee -> slot -> [(fact, caller, path, line)]``
+table and the ``[reached via ...]`` label formatting.
 
-The contract both passes follow:
+The contract the pass follows:
 
 * **pass A** interprets every function in isolation and records, per
   resolved call edge, the facts the caller established
   (:meth:`CallIndex.record`);
-* **pass B** walks the recorded callees, joins the per-parameter
-  facts across all call sites (:meth:`CallIndex.join_params`), and
-  re-interprets the callee with the enriched environment, tagging any
-  new finding with the :func:`via_label` of the call site that
-  supplied the first useful fact — so a whole-program finding names
-  the concrete path that justifies it.
+* **pass B** walks the recorded callees (:meth:`CallIndex.callees`),
+  reads each callee's facts back (:meth:`CallIndex.entries`), and
+  tags any new finding with the :func:`via_label` of the call site
+  that justifies it — so a whole-program finding names the concrete
+  path behind it.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Any, Callable, Dict, List, Optional
+from typing import Any, Dict, List
 
 
 def via_label(caller: str, path: str, line: int) -> str:
@@ -42,18 +38,13 @@ class CallEntry:
     path: str
     line: int
 
-    @property
-    def via(self) -> str:
-        return via_label(self.caller, self.path, self.line)
-
 
 class CallIndex:
     """``callee -> slot -> [CallEntry]`` across the whole program.
 
-    A *slot* is whatever the client pass keys facts by: a parameter
-    name for the units interpreter, the ``RETURN_SLOT`` sentinel for
-    the alias pass (facts about what callers do with the returned
-    value).
+    A *slot* is whatever the client pass keys facts by; the alias pass
+    uses the ``RETURN_SLOT`` sentinel (facts about what callers do
+    with the returned value).
     """
 
     #: Slot name for facts about a callee's returned value.
@@ -71,49 +62,5 @@ class CallIndex:
         """Every callee with recorded facts, in stable sorted order."""
         return sorted(self._by_callee)
 
-    def entries(self, callee: str,
-                slot: Optional[str] = None) -> List[CallEntry]:
-        slots = self._by_callee.get(callee, {})
-        if slot is not None:
-            return list(slots.get(slot, []))
-        out: List[CallEntry] = []
-        for name in slots:
-            out.extend(slots[name])
-        return out
-
-    def slots(self, callee: str) -> Dict[str, List[CallEntry]]:
-        return {slot: list(entries) for slot, entries
-                in self._by_callee.get(callee, {}).items()}
-
-    def join_params(
-            self, callee: str,
-            join: Callable[[Any, Any], Any],
-            adjust: Optional[Callable[[str, Any], Any]] = None,
-            keep: Optional[Callable[[str, Any], bool]] = None,
-    ) -> tuple:
-        """Join each slot's facts across every recorded call site.
-
-        ``join`` folds two facts into one (the lattice join);
-        ``adjust`` may refine the joined fact per slot (e.g. backfill
-        a declared unit); ``keep`` decides whether the joined fact is
-        informative enough to re-interpret with.  Returns
-        ``(facts, via)`` where ``facts`` maps the kept slots to their
-        joined values and ``via`` is the label of the call site behind
-        the first kept slot (empty when nothing was kept).
-        """
-        facts: Dict[str, Any] = {}
-        via = ""
-        for slot, entries in self._by_callee.get(callee, {}).items():
-            value = entries[0].value
-            for entry in entries[1:]:
-                value = join(value, entry.value)
-            if adjust is not None:
-                value = adjust(slot, value)
-                if value is None:
-                    continue
-            if keep is not None and not keep(slot, value):
-                continue
-            facts[slot] = value
-            if not via:
-                via = entries[0].via
-        return facts, via
+    def entries(self, callee: str, slot: str) -> List[CallEntry]:
+        return list(self._by_callee.get(callee, {}).get(slot, []))

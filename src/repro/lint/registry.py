@@ -1,34 +1,32 @@
-"""One registry for every check the repo's nine analysis tools run.
+"""One registry for every check the repo's eight analysis tools run.
 
 The static linter (SIM1xx), the runtime sanitizer (SAN2xx), the
 model-check spec cross-checker (MC301–MC304), the model-check runtime
 invariants (MC31x), the observability self-checks (OBS4xx), the
 fleet execution diagnostics (FLT5xx), the whole-program flow
-analyses (FLOW6xx), the unit & value-range abstract interpreter
-(UNIT7xx), the escape/aliasing analysis (ALIAS8xx) and the scenario
-engine's workload invariants (SCN9xx) each grew their own code
-space; this module is the single
-place that enumerates all of them, so
+analyses (FLOW6xx), the escape/aliasing analysis (ALIAS8xx) and the
+scenario engine's workload invariants (SCN9xx) each grew their own
+code space; this module is the single place that enumerates all of
+them, so
 
 * ``--list-rules`` prints the same registry from ``repro.lint``,
   ``repro.sanitize``, ``repro.modelcheck``, ``repro.obs``,
-  ``repro.fleet``, ``repro.flow``, ``repro.units``, ``repro.alias``
-  and ``repro.scenario`` alike;
-* the nine CLIs share one exit-code contract
+  ``repro.fleet``, ``repro.flow``, ``repro.alias`` and
+  ``repro.scenario`` alike;
+* the eight CLIs share one exit-code contract
   (:data:`EXIT_CLEAN` / :data:`EXIT_FINDINGS` / :data:`EXIT_USAGE`)
   and one reporting surface (:func:`add_report_arguments`);
 * the static rule set the engine runs is assembled here (SIM rules
   plus the MC spec rules), so "lint the tree" always means the full
-  static contract.  FLOW6xx, UNIT7xx and ALIAS8xx rules are listed
-  here but run from :mod:`repro.flow.analysis` /
-  :mod:`repro.units.analysis` / :mod:`repro.alias.analysis` — they
-  need the whole program, not one file at a time;
+  static contract.  FLOW6xx and ALIAS8xx rules are listed here but
+  run from :mod:`repro.flow.analysis` / :mod:`repro.alias.analysis`
+  — they need the whole program, not one file at a time;
 * every per-tool on-disk cache filename lives in
   :data:`CACHE_FILES`, so tool code and ``.gitignore`` cannot drift.
 
 Import direction: ``lint.rules`` and ``lint.engine`` stay free of
-modelcheck/flow/units imports; this module sits above both and is
-what the CLIs consume.
+modelcheck/flow imports; this module sits above both and is what the
+CLIs consume.
 """
 
 from __future__ import annotations
@@ -41,8 +39,8 @@ from repro.lint.rules import ALL_RULES, Rule
 
 #: Shared CLI exit-code contract for repro.lint / repro.sanitize /
 #: repro.modelcheck / repro.obs / repro.fleet / repro.flow /
-#: repro.units / repro.alias / repro.scenario: clean, findings
-#: reported, usage error.
+#: repro.alias / repro.scenario: clean, findings reported, usage
+#: error.
 EXIT_CLEAN = 0
 EXIT_FINDINGS = 1
 EXIT_USAGE = 2
@@ -54,7 +52,6 @@ EXIT_USAGE = 2
 CACHE_FILES = {
     "lint": ".repro-lint-cache.json",
     "flow": ".repro-flow-cache.json",
-    "units": ".repro-units-cache.json",
     "alias": ".repro-alias-cache.json",
     "scenario": ".repro-scenario-cache.json",
 }
@@ -135,7 +132,7 @@ class RegistryEntry:
     code: str
     name: str
     kind: str  # "static" | "runtime"
-    tool: str  # lint|sanitize|modelcheck|obs|fleet|flow|units|alias
+    tool: str  # lint|sanitize|modelcheck|obs|fleet|flow|alias
                # |scenario
     description: str
     scope: Optional[frozenset] = None
@@ -148,7 +145,7 @@ def add_report_arguments(
         default: str = "text") -> None:
     """The reporting flags every tool CLI shares.
 
-    Each of the nine CLIs used to wire ``--format``/``--list-rules``
+    Each of the eight CLIs used to wire ``--format``/``--list-rules``
     by hand, slightly different ways; this is the one place the
     contract lives now.  Tools with an extra format (obs adds
     ``prom``) pass their own ``formats``.
@@ -194,7 +191,7 @@ def get_static_rules(select: Optional[List[str]] = None,
 
 
 def all_entries() -> Tuple[RegistryEntry, ...]:
-    """Every check across the nine tools, in code order."""
+    """Every check across the eight tools, in code order."""
     from repro.alias.rules import ALIAS_RULES
     from repro.flow.rules import FLOW_RULES
     from repro.sanitize.report import VIOLATION_CODES
@@ -203,7 +200,6 @@ def all_entries() -> Tuple[RegistryEntry, ...]:
         SCENARIO_RULE_DESCRIPTIONS,
         SCENARIO_RUNTIME_CODES,
     )
-    from repro.units.rules import UNIT_RULES
 
     entries = [
         RegistryEntry(
@@ -239,11 +235,6 @@ def all_entries() -> Tuple[RegistryEntry, ...]:
             code=code, name=name, kind="static", tool="flow",
             description=description, advisory=advisory,
         ))
-    for code, name, advisory, description in UNIT_RULES:
-        entries.append(RegistryEntry(
-            code=code, name=name, kind="static", tool="units",
-            description=description, advisory=advisory,
-        ))
     for code, name, advisory, description in ALIAS_RULES:
         entries.append(RegistryEntry(
             code=code, name=name, kind="static", tool="alias",
@@ -259,7 +250,7 @@ def all_entries() -> Tuple[RegistryEntry, ...]:
 
 
 def render_registry() -> str:
-    """``--list-rules`` text, shared by all nine CLIs."""
+    """``--list-rules`` text, shared by all eight CLIs."""
     lines = []
     for entry in all_entries():
         if entry.kind == "static":

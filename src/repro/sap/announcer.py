@@ -19,7 +19,7 @@ import numpy as np
 from repro.analysis.announcement import ExponentialBackoffSchedule
 from repro.sim.events import EventHandle, EventScheduler
 from repro.sim.rng import derived_stream
-from repro.units.types import Duration, SimTime
+from repro.sim.types import Duration, SimTime
 
 
 class AnnouncementStrategy(abc.ABC):

@@ -16,7 +16,7 @@ import numpy as np
 from repro.core.allocator import VisibleSet
 from repro.sap.messages import SapMessage, SapMessageType
 from repro.sap.sdp import SessionDescription
-from repro.units.types import Duration, SimTime, SlotIndex, Ttl
+from repro.sim.types import Duration, SimTime, SlotIndex, Ttl
 
 #: Default: an entry missing this many seconds of announcements dies.
 DEFAULT_TIMEOUT = 3600.0

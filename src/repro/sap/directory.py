@@ -32,7 +32,7 @@ from repro.sap.messages import SapMessage, SapMessageType
 from repro.sap.sdp import MediaStream, SessionDescription
 from repro.sim.events import EventHandle, EventScheduler
 from repro.sim.network import NetworkModel, Packet
-from repro.units.types import SlotIndex
+from repro.sim.types import SlotIndex
 
 #: Conventional "group" carried in simulated SAP packets; the network
 #: model routes on (source, ttl), so this is informational only.

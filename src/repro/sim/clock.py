@@ -9,7 +9,7 @@ from __future__ import annotations
 
 from typing import Any, Optional
 
-from repro.units.types import SimTime
+from repro.sim.types import SimTime
 
 
 class SimClock:

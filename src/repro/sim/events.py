@@ -11,7 +11,7 @@ import heapq
 from typing import Any, Callable, List, Optional, Tuple
 
 from repro.sim.clock import SimClock
-from repro.units.types import Duration, SimTime
+from repro.sim.types import Duration, SimTime
 
 Callback = Callable[[], Any]
 

@@ -17,7 +17,7 @@ from typing import Any, Callable, Dict, Iterable, Optional, Tuple
 
 from repro.sim.events import EventScheduler
 from repro.sim.rng import RandomStreams
-from repro.units.types import Duration, SimTime, Ttl
+from repro.sim.types import Duration, SimTime, Ttl
 
 # A routing oracle: (source, ttl) -> iterable of (receiver, delay_seconds).
 ReceiverMap = Callable[[int, int], Iterable[Tuple[int, float]]]

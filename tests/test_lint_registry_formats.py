@@ -30,8 +30,8 @@ class TestRegistry:
             assert entry.description, entry.code
             assert entry.kind in ("static", "runtime")
             assert entry.tool in ("lint", "sanitize", "modelcheck",
-                                  "obs", "fleet", "flow", "units",
-                                  "alias", "scenario")
+                                  "obs", "fleet", "flow", "alias",
+                                  "scenario")
 
     def test_static_rules_include_mc_spec_rules(self):
         names = {rule.name for rule in registry.static_rules()}

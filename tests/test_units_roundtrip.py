@@ -1,10 +1,9 @@
 """Round-trip laws for the int-level address mapping.
 
-The array-backed core works in dense indices and absolute 32-bit
-ints; these tests pin the conversion laws at exactly the block edges
-the UNIT711/713 rules police — index 0, ``size - 1``, one past the
-end, and the 224/4 boundary itself — plus seeded property-style
-sweeps over random interior points.
+The allocators work in dense indices and absolute 32-bit ints; these
+tests pin the conversion laws at exactly the block edges — index 0,
+``size - 1``, one past the end, and the 224/4 boundary itself — plus
+seeded property-style sweeps over random interior points.
 """
 
 import random
