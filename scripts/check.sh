@@ -45,13 +45,6 @@ echo "== repro.flow (whole-program RNG provenance & job purity) =="
 # whole-tree digest, so an untouched tree re-checks in milliseconds.
 python -m repro.flow src
 
-echo "== repro.alias (escape/aliasing proofs & SoA ledger) =="
-# Interprocedural escape and mutability analysis over the same call
-# graph: no leaked live containers, aliased mutation, iterator
-# invalidation or mutation-after-publish; per-class SoA-safe /
-# SoA-blocked verdicts roll up into alias-ledger.json.
-python -m repro.alias src
-
 echo "== repro.scenario (bounded smoke fuzz, SCN9xx invariants) =="
 # 25 sampled workloads through the full sanitizer + monitor stack;
 # found violations are the campaign's product (exit 0), only an

@@ -15,19 +15,21 @@ Exposes the library's main workflows without writing Python:
     python -m repro modelcheck smoke
     python -m repro obs --scenario steady --format json
     python -m repro fleet fig5 --jobs 4 --checkpoint .fleet
-    python -m repro flow src --hotpaths-out flow-hotpaths.json
-    python -m repro alias src --ledger-out alias-ledger.json
+    python -m repro flow src
     python -m repro scenario fuzz --runs 100 --seed 0x19980902
 
 Every simulation is deterministic for a given ``--seed``; the ``lint``
 subcommand statically enforces the invariants that make that true, and
 ``modelcheck`` exhausts small protocol configurations against the
-paper's safety claims.
+paper's safety claims.  The six analysis tools in :data:`TOOLS` own
+their command lines: ``python -m repro <tool> ARGS`` hands ARGS
+unchanged to ``python -m repro.<tool>``'s ``main``.
 """
 
 from __future__ import annotations
 
 import argparse
+import importlib
 import sys
 from typing import List, Optional
 
@@ -57,9 +59,18 @@ from repro.topology.mapfile import load_map, save_map
 from repro.topology.mbone import MboneParams, generate_mbone
 from repro.topology.stats import format_summary, summarize
 
-def _seed_value(text: str) -> int:
-    """Seed argument: decimal or prefixed (0x/0o/0b) literal."""
-    return int(text, 0)
+#: Analysis tools with their own CLI, ``repro.<tool>.cli.main``; the
+#: umbrella lists them in ``--help`` and passes their arguments through.
+TOOLS = {
+    "lint": "determinism & simulation-correctness linter",
+    "modelcheck": "bounded explicit-state model checker",
+    "obs": "observability: instrumented scenarios, metrics and "
+           "benchmarks",
+    "fleet": "parallel sweep execution with checkpoint/resume",
+    "flow": "whole-program RNG-provenance and purity analyses",
+    "scenario": "declarative workload/adversary scenarios and the "
+                "deterministic fuzzing loop",
+}
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -138,149 +149,8 @@ def build_parser() -> argparse.ArgumentParser:
     reproduce.add_argument("--seed", type=int, default=1998)
     reproduce.add_argument("--out", help="also write the report here")
 
-    lint = sub.add_parser(
-        "lint",
-        help="determinism & simulation-correctness linter "
-             "(python -m repro.lint)",
-    )
-    lint.add_argument("paths", nargs="*", default=["src"])
-    lint.add_argument("--format", choices=("text", "json", "github"),
-                      default="text")
-    lint.add_argument("--select", nargs="+", metavar="RULE")
-    lint.add_argument("--ignore", nargs="+", metavar="RULE")
-    lint.add_argument("--list-rules", action="store_true")
-    lint.add_argument("--no-cache", action="store_true",
-                      help="bypass the incremental lint cache")
-    lint.add_argument("--determinism", action="store_true")
-    lint.add_argument("--sanitize", action="store_true",
-                      help="also run the runtime sanitizer scenarios")
-    lint.add_argument("--lint-seed", type=int, default=1998,
-                      help="seed for --determinism / --sanitize")
-
-    modelcheck = sub.add_parser(
-        "modelcheck",
-        help="bounded explicit-state model checker "
-             "(python -m repro.modelcheck)",
-    )
-    modelcheck.add_argument("scenarios", nargs="*", default=["smoke"])
-    modelcheck.add_argument("--format",
-                            choices=("text", "json", "github"),
-                            default="text")
-    modelcheck.add_argument("--mutation")
-    modelcheck.add_argument("--mc-seed", type=int, default=0,
-                            help="world seed for the explorer")
-    modelcheck.add_argument("--depth", type=int, default=None)
-    modelcheck.add_argument("--keep-going", action="store_true")
-    modelcheck.add_argument("--list-scenarios", action="store_true")
-    modelcheck.add_argument("--list-rules", action="store_true")
-
-    obs = sub.add_parser(
-        "obs",
-        help="observability: instrumented scenarios, metrics and "
-             "benchmarks (python -m repro.obs)",
-    )
-    obs.add_argument("scenarios", nargs="*", default=[])
-    obs.add_argument("--scenario", action="append", default=[],
-                     metavar="NAME")
-    obs.add_argument("--format",
-                     choices=("text", "json", "prom", "github"),
-                     default="text")
-    obs.add_argument("--obs-seed", type=int, default=1998,
-                     help="scenario seed")
-    obs.add_argument("--bench", action="store_true",
-                     help="collect the BENCH_obs baseline")
-    obs.add_argument("--out", help="also write the report here")
-    obs.add_argument("--list-scenarios", action="store_true")
-    obs.add_argument("--list-rules", action="store_true")
-
-    fleet = sub.add_parser(
-        "fleet",
-        help="parallel sweep execution with checkpoint/resume "
-             "(python -m repro.fleet)",
-    )
-    fleet.add_argument("sweeps", nargs="*", default=[])
-    fleet.add_argument("--sweep", action="append", default=[],
-                       metavar="NAME")
-    fleet.add_argument("--jobs", type=int, default=1)
-    fleet.add_argument("--fleet-seed", type=int, default=1998,
-                       help="master sweep seed")
-    fleet.add_argument("--format",
-                       choices=("text", "json", "github"),
-                       default="text")
-    fleet.add_argument("--checkpoint", metavar="DIR")
-    fleet.add_argument("--resume", action="store_true")
-    fleet.add_argument("--timeout", type=float)
-    fleet.add_argument("--retries", type=int)
-    fleet.add_argument("--backoff", type=float)
-    fleet.add_argument("--nodes", type=int)
-    fleet.add_argument("--trials", type=int)
-    fleet.add_argument("--bench", action="store_true",
-                       help="collect the BENCH_fleet baseline")
-    fleet.add_argument("--out", help="also write the report here")
-    fleet.add_argument("--list-sweeps", action="store_true")
-    fleet.add_argument("--list-rules", action="store_true")
-
-    flow = sub.add_parser(
-        "flow",
-        help="whole-program RNG-provenance, purity and hot-path "
-             "analyses (python -m repro.flow)",
-    )
-    flow.add_argument("paths", nargs="*", default=["src"])
-    flow.add_argument("--format", choices=("text", "json", "github"),
-                      default="text")
-    flow.add_argument("--select", action="append", metavar="RULE")
-    flow.add_argument("--ignore", action="append", metavar="RULE")
-    flow.add_argument("--strict", action="store_true",
-                      help="advisory findings also fail the run")
-    flow.add_argument("--hotpaths-out", metavar="FILE",
-                      help="write the ranked flow-hotpaths.json")
-    flow.add_argument("--no-cache", action="store_true",
-                      help="bypass the whole-tree flow cache")
-    flow.add_argument("--list-rules", action="store_true")
-
-    alias = sub.add_parser(
-        "alias",
-        help="interprocedural escape/aliasing analysis and per-class "
-             "SoA migration verdicts (python -m repro.alias)",
-    )
-    alias.add_argument("paths", nargs="*", default=["src"])
-    alias.add_argument("--format", choices=("text", "json", "github"),
-                       default="text")
-    alias.add_argument("--select", action="append", metavar="RULE")
-    alias.add_argument("--ignore", action="append", metavar="RULE")
-    alias.add_argument("--strict", action="store_true",
-                       help="advisory SoA blockers also fail the run")
-    alias.add_argument("--ledger-out", metavar="FILE",
-                       help="write the per-class alias-ledger.json")
-    alias.add_argument("--no-cache", action="store_true",
-                       help="bypass the whole-tree alias cache")
-    alias.add_argument("--list-rules", action="store_true")
-
-    scenario = sub.add_parser(
-        "scenario",
-        help="declarative workload/adversary scenarios and the "
-             "deterministic fuzzing loop (python -m repro.scenario)",
-    )
-    scenario.add_argument("verb", nargs="?",
-                          choices=("run", "replay", "fuzz"),
-                          default="fuzz")
-    scenario.add_argument("--format",
-                          choices=("text", "json", "github"),
-                          default="text")
-    scenario.add_argument("--spec", metavar="FILE")
-    scenario.add_argument("--artifact", metavar="FILE")
-    scenario.add_argument("--seed", type=_seed_value, default=None,
-                          help="campaign/run seed (decimal or 0x hex)")
-    scenario.add_argument("--runs", type=int, default=None)
-    scenario.add_argument("--max-events", type=int, default=None)
-    scenario.add_argument("--jobs", type=int, default=1)
-    scenario.add_argument("--corpus-out", metavar="DIR")
-    scenario.add_argument("--no-shrink", action="store_true")
-    scenario.add_argument("--trace", action="store_true")
-    scenario.add_argument("--out", help="also write the report here")
-    scenario.add_argument("--no-cache", action="store_true",
-                          help="bypass the scenario run cache")
-    scenario.add_argument("--list-rules", action="store_true")
+    for name, summary in TOOLS.items():
+        sub.add_parser(name, help=f"{summary} (python -m repro.{name})")
 
     analyze = sub.add_parser("analyze", help="closed-form models")
     analyze_sub = analyze.add_subparsers(dest="model", required=True)
@@ -451,166 +321,6 @@ def cmd_request_response(args) -> int:
     return 0
 
 
-def cmd_lint(args) -> int:
-    from repro.lint.cli import main as lint_main
-
-    argv: List[str] = list(args.paths)
-    argv += ["--format", args.format, "--seed", str(args.lint_seed)]
-    if args.select:
-        argv += ["--select", *args.select]
-    if args.ignore:
-        argv += ["--ignore", *args.ignore]
-    if args.list_rules:
-        argv.append("--list-rules")
-    if args.no_cache:
-        argv.append("--no-cache")
-    if args.determinism:
-        argv.append("--determinism")
-    if args.sanitize:
-        argv.append("--sanitize")
-    return lint_main(argv)
-
-
-def cmd_modelcheck(args) -> int:
-    from repro.modelcheck.cli import main as modelcheck_main
-
-    argv: List[str] = list(args.scenarios)
-    argv += ["--format", args.format, "--seed", str(args.mc_seed)]
-    if args.mutation:
-        argv += ["--mutation", args.mutation]
-    if args.depth is not None:
-        argv += ["--depth", str(args.depth)]
-    if args.keep_going:
-        argv.append("--keep-going")
-    if args.list_scenarios:
-        argv.append("--list-scenarios")
-    if args.list_rules:
-        argv.append("--list-rules")
-    return modelcheck_main(argv)
-
-
-def cmd_obs(args) -> int:
-    from repro.obs.cli import main as obs_main
-
-    argv: List[str] = list(args.scenarios)
-    for name in args.scenario:
-        argv += ["--scenario", name]
-    argv += ["--format", args.format, "--seed", str(args.obs_seed)]
-    if args.bench:
-        argv.append("--bench")
-    if args.out:
-        argv += ["--out", args.out]
-    if args.list_scenarios:
-        argv.append("--list-scenarios")
-    if args.list_rules:
-        argv.append("--list-rules")
-    return obs_main(argv)
-
-
-def cmd_fleet(args) -> int:
-    from repro.fleet.cli import main as fleet_main
-
-    argv: List[str] = list(args.sweeps)
-    for name in args.sweep:
-        argv += ["--sweep", name]
-    argv += ["--format", args.format, "--seed", str(args.fleet_seed),
-             "--jobs", str(args.jobs)]
-    if args.checkpoint:
-        argv += ["--checkpoint", args.checkpoint]
-    if args.resume:
-        argv.append("--resume")
-    if args.timeout is not None:
-        argv += ["--timeout", str(args.timeout)]
-    if args.retries is not None:
-        argv += ["--retries", str(args.retries)]
-    if args.backoff is not None:
-        argv += ["--backoff", str(args.backoff)]
-    if args.nodes is not None:
-        argv += ["--nodes", str(args.nodes)]
-    if args.trials is not None:
-        argv += ["--trials", str(args.trials)]
-    if args.bench:
-        argv.append("--bench")
-    if args.out:
-        argv += ["--out", args.out]
-    if args.list_sweeps:
-        argv.append("--list-sweeps")
-    if args.list_rules:
-        argv.append("--list-rules")
-    return fleet_main(argv)
-
-
-def cmd_flow(args) -> int:
-    from repro.flow.cli import main as flow_main
-
-    argv: List[str] = list(args.paths)
-    argv += ["--format", args.format]
-    for name in args.select or []:
-        argv += ["--select", name]
-    for name in args.ignore or []:
-        argv += ["--ignore", name]
-    if args.strict:
-        argv.append("--strict")
-    if args.hotpaths_out:
-        argv += ["--hotpaths-out", args.hotpaths_out]
-    if args.no_cache:
-        argv.append("--no-cache")
-    if args.list_rules:
-        argv.append("--list-rules")
-    return flow_main(argv)
-
-
-def cmd_alias(args) -> int:
-    from repro.alias.cli import main as alias_main
-
-    argv: List[str] = list(args.paths)
-    argv += ["--format", args.format]
-    for name in args.select or []:
-        argv += ["--select", name]
-    for name in args.ignore or []:
-        argv += ["--ignore", name]
-    if args.strict:
-        argv.append("--strict")
-    if args.ledger_out:
-        argv += ["--ledger-out", args.ledger_out]
-    if args.no_cache:
-        argv.append("--no-cache")
-    if args.list_rules:
-        argv.append("--list-rules")
-    return alias_main(argv)
-
-
-def cmd_scenario(args) -> int:
-    from repro.scenario.cli import main as scenario_main
-
-    argv: List[str] = [args.verb, "--format", args.format]
-    if args.seed is not None:
-        argv += ["--seed", str(args.seed)]
-    if args.runs is not None:
-        argv += ["--runs", str(args.runs)]
-    if args.max_events is not None:
-        argv += ["--max-events", str(args.max_events)]
-    if args.spec:
-        argv += ["--spec", args.spec]
-    if args.artifact:
-        argv += ["--artifact", args.artifact]
-    if args.jobs != 1:
-        argv += ["--jobs", str(args.jobs)]
-    if args.corpus_out:
-        argv += ["--corpus-out", args.corpus_out]
-    if args.no_shrink:
-        argv.append("--no-shrink")
-    if args.trace:
-        argv.append("--trace")
-    if args.out:
-        argv += ["--out", args.out]
-    if args.no_cache:
-        argv.append("--no-cache")
-    if args.list_rules:
-        argv.append("--list-rules")
-    return scenario_main(argv)
-
-
 def cmd_analyze(args) -> int:
     if args.model == "birthday":
         p = clash_probability(args.space, args.allocations)
@@ -705,17 +415,15 @@ COMMANDS = {
     "steady-state": cmd_steady_state,
     "request-response": cmd_request_response,
     "analyze": cmd_analyze,
-    "lint": cmd_lint,
-    "modelcheck": cmd_modelcheck,
-    "obs": cmd_obs,
-    "fleet": cmd_fleet,
-    "flow": cmd_flow,
-    "alias": cmd_alias,
-    "scenario": cmd_scenario,
 }
 
 
 def main(argv: Optional[List[str]] = None) -> int:
+    if argv is None:
+        argv = sys.argv[1:]
+    if argv and argv[0] in TOOLS:
+        tool = importlib.import_module(f"repro.{argv[0]}.cli")
+        return tool.main(argv[1:])
     args = build_parser().parse_args(argv)
     return COMMANDS[args.command](args)
 

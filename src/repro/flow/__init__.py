@@ -1,6 +1,6 @@
 """Whole-program call-graph and dataflow analyses (FLOW6xx).
 
-Three passes over one shared call graph of ``src/``:
+Two passes over one shared call graph of ``src/``:
 
 * :mod:`repro.flow.provenance` — FLOW601–604, RNG provenance: every
   draw on a fleet-job or experiment path must trace to a keyed
@@ -8,11 +8,9 @@ Three passes over one shared call graph of ``src/``:
 * :mod:`repro.flow.purity` — FLOW611–615, purity proofs for fleet
   jobs: no global mutation, no wall clock, no I/O outside the
   checkpoint API, no writes through captured state.
-* :mod:`repro.flow.hotpath` — FLOW621–624, per-event complexity on
-  the simulator's hot paths, ranked into ``flow-hotpaths.json``.
 
 Run as ``python -m repro.flow`` or ``repro flow``; shares the
-eight-tool registry and exit-code contract in :mod:`repro.lint.registry`.
+seven-tool registry and exit-code contract in :mod:`repro.lint.registry`.
 """
 
 from repro.flow.analysis import (  # noqa: F401

@@ -1,4 +1,4 @@
-"""Orchestrator: build the graph once, run all three analyses.
+"""Orchestrator: build the graph once, run both analyses.
 
 ``analyze_paths`` is the programmatic entry the CLI and the tier-1
 test share.  It applies ``# simlint: disable=<rule>`` suppressions
@@ -20,7 +20,6 @@ from repro.flow.cache import (
     tree_digest,
 )
 from repro.flow.graph import shared_graph
-from repro.flow.hotpath import analyze_hotpaths, render_hotpaths
 from repro.flow.provenance import analyze_provenance
 from repro.flow.purity import analyze_purity
 from repro.flow.rules import FLOW_RULE_NAMES
@@ -37,7 +36,6 @@ class FlowReport:
 
     findings: List[Finding]            # hard, unsuppressed
     advisory: List[Finding]            # report-only, unsuppressed
-    hotpaths: Dict[str, Any]           # flow-hotpaths.json payload
     suppressed: int = 0
     stats: Dict[str, int] = field(default_factory=dict)
     from_cache: bool = False
@@ -55,7 +53,6 @@ class FlowReport:
             "advisory": [f.to_dict() for f in self.advisory],
             "suppressed": self.suppressed,
             "stats": self.stats,
-            "hotpaths": self.hotpaths,
         }
 
     @classmethod
@@ -63,7 +60,6 @@ class FlowReport:
         return cls(
             findings=[Finding(**f) for f in raw.get("findings", [])],
             advisory=[Finding(**f) for f in raw.get("advisory", [])],
-            hotpaths=raw.get("hotpaths", {}),
             suppressed=int(raw.get("suppressed", 0)),
             stats=dict(raw.get("stats", {})),
             from_cache=True,
@@ -96,14 +92,13 @@ def validate_rule_names(select: Optional[List[str]],
 
 
 def analyze_sources(sources: Sequence[Tuple[str, str]]) -> FlowReport:
-    """Run the three analyses over ``(path, text)`` pairs."""
+    """Run both analyses over ``(path, text)`` pairs."""
     graph = shared_graph(sources)
     provenance = analyze_provenance(graph)
     purity = analyze_purity(graph)
-    hot = analyze_hotpaths(graph)
 
     hard = list(provenance.findings) + list(purity.findings)
-    advisory: List[Finding] = list(hot.findings)
+    advisory: List[Finding] = []
     for items in purity.unresolved.values():
         advisory.extend(items)
 
@@ -126,15 +121,9 @@ def analyze_sources(sources: Sequence[Tuple[str, str]]) -> FlowReport:
     hard.sort(key=lambda f: (f.path, f.line, f.col, f.code))
     advisory.sort(key=lambda f: (f.path, f.line, f.col, f.code))
 
-    # Advisory hot sites mirror the suppression filter.
-    kept_lines = {(f.path, f.line, f.code) for f in advisory}
-    hot.sites = [s for s in hot.sites
-                 if (s.path, s.line, s.code) in kept_lines]
-
     return FlowReport(
         findings=hard,
         advisory=advisory,
-        hotpaths=render_hotpaths(hot),
         suppressed=suppressed,
         stats={
             "modules": len(graph.modules),
@@ -142,9 +131,6 @@ def analyze_sources(sources: Sequence[Tuple[str, str]]) -> FlowReport:
             "classes": len(graph.classes),
             "fleet_jobs": len(graph.fleet_jobs),
             "draw_sites": len(provenance.draw_sites),
-            "hot_roots": len(hot.roots),
-            "hot_sites_total": int(
-                hot and len(hot.sites) or 0),
         },
     )
 

@@ -52,10 +52,9 @@ def tree_digest(sources: Sequence[Tuple[str, str]]) -> str:
 class FlowCache:
     """One cached report per (tree digest, rule-table signature)."""
 
-    def __init__(self, path: str,
-                 signature: Optional[str] = None) -> None:
+    def __init__(self, path: str) -> None:
         self.path = Path(path)
-        self.signature = signature or rules_signature()
+        self.signature = rules_signature()
         self.hit = False
 
     def lookup(self, digest: str) -> Optional[Dict[str, Any]]:

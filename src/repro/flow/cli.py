@@ -1,19 +1,15 @@
 """``python -m repro.flow`` — the whole-program analysis CLI.
 
-Same contract as the other seven tools: exit 0 clean, 1 findings,
+Same contract as the other six tools: exit 0 clean, 1 findings,
 2 usage error; ``--list-rules`` prints the shared registry;
-``--format github`` emits Actions annotations.  Flow-specific flags:
-``--strict`` promotes advisory FLOW615/62x findings to errors, and
-``--hotpaths-out`` writes the ranked ``flow-hotpaths.json`` work
-list for the array-backed-core refactor.
+``--format github`` emits Actions annotations.  ``--strict``
+promotes the advisory FLOW615 findings to errors.
 """
 
 from __future__ import annotations
 
 import argparse
-import json
 import sys
-from pathlib import Path
 from typing import List, Optional
 
 from repro.flow.analysis import (
@@ -37,7 +33,7 @@ def build_parser() -> argparse.ArgumentParser:
         prog="repro-flow",
         description=("whole-program call-graph and dataflow analyses: "
                      "RNG provenance (FLOW60x), fleet-job purity "
-                     "(FLOW61x), hot-path complexity (FLOW62x)"),
+                     "(FLOW61x)"),
     )
     parser.add_argument(
         "paths", nargs="*", default=["src"],
@@ -54,11 +50,7 @@ def build_parser() -> argparse.ArgumentParser:
     )
     parser.add_argument(
         "--strict", action="store_true",
-        help="advisory findings (FLOW615, FLOW62x) also fail the run",
-    )
-    parser.add_argument(
-        "--hotpaths-out", metavar="FILE",
-        help="write the ranked hot-path report (flow-hotpaths.json)",
+        help="advisory findings (FLOW615) also fail the run",
     )
     parser.add_argument(
         "--no-cache", action="store_true",
@@ -94,13 +86,6 @@ def main(argv: Optional[List[str]] = None) -> int:
                                     args.ignore)
     report.advisory = _filter_rules(report.advisory, args.select,
                                     args.ignore)
-
-    if args.hotpaths_out:
-        Path(args.hotpaths_out).write_text(
-            json.dumps(report.hotpaths, indent=2, sort_keys=True)
-            + "\n",
-            encoding="utf-8",
-        )
 
     if args.format == "json":
         print(render_json(report))

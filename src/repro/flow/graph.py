@@ -158,11 +158,6 @@ class CallSite:
     targets: Tuple[str, ...]
     #: "direct" | "callback" | "registry" | "constructor"
     kind: str = "direct"
-    #: Alias-relevant edge metadata: the resolved class of a method
-    #: call's receiver (``cache.observe(...)`` -> the SessionCache
-    #: qualname), so aliasing clients can attribute the edge to the
-    #: class whose internal state it may touch.
-    receiver_class: Optional[str] = None
 
     @property
     def resolved(self) -> bool:
@@ -787,7 +782,6 @@ class _Resolver:
             caller=func.qualname, path=func.path, line=node.lineno,
             col=node.col_offset, callee_text=text or "<expr>",
             targets=real_targets, kind=kind,
-            receiver_class=receiver_cls,
         ))
         # Function-valued arguments become callback edges.
         callback_targets: Set[str] = set()
@@ -1030,8 +1024,7 @@ _SHARED_GRAPH: Optional[Tuple[str, CallGraph]] = None
 def shared_graph(sources: Sequence[Tuple[str, str]]) -> CallGraph:
     """Build-or-reuse one :class:`CallGraph` per identical tree.
 
-    The flow and alias analyses need the same whole-program graph,
-    and the flow tests analyse ``src/`` several times in one process;
+    The flow tests analyse ``src/`` several times in one process;
     every request after the first on an unchanged tree costs a digest
     pass instead of a full re-parse.  Callers treat the graph as
     read-only, so sharing is safe.

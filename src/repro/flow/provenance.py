@@ -435,6 +435,10 @@ def entry_points(graph: CallGraph) -> Dict[str, str]:
     for qualname, func in graph.functions.items():
         if func.module == "repro.cli" and func.name.startswith("cmd_"):
             entries[qualname] = f"experiment:{func.name[4:]}"
+        # A tool's own command line, which ``repro <tool>`` also runs.
+        parts = func.module.split(".")
+        if len(parts) == 3 and parts[2] == "cli" and func.name == "main":
+            entries[qualname] = f"experiment:{parts[1]}"
     return entries
 
 

@@ -2,9 +2,9 @@
 
 Hard findings render exactly like the linter's (same ``Finding``
 shape, same ``::error`` annotations).  Advisory findings are extra:
-text gets a separate ranked section, JSON gets ``advisory`` plus the
-``hotpaths`` payload, GitHub gets ``::notice`` lines so the Actions
-UI surfaces them without failing the check.
+text gets a separate section, JSON gets ``advisory``, GitHub gets
+``::notice`` lines so the Actions UI surfaces them without failing
+the check.
 """
 
 from __future__ import annotations
@@ -18,7 +18,6 @@ from repro.lint.report import render_github as _github_errors
 
 def render_text(report: FlowReport, strict: bool = False) -> str:
     lines: List[str] = [f.format() for f in report.findings]
-    hot = report.hotpaths
     count = len(report.findings)
     if count == 0:
         lines.append("repro-flow: clean (0 findings)")
@@ -29,20 +28,9 @@ def render_text(report: FlowReport, strict: bool = False) -> str:
         label = "errors under --strict" if strict else "report-only"
         lines.append(f"advisory ({len(report.advisory)} sites, "
                      f"{label}):")
-        ranked = hot.get("sites", [])[:10]
-        for site in ranked:
-            lines.append(
-                f"  #{site['rank']:>2} {site['path']}:{site['line']} "
-                f"{site['code']} {site['detail']} "
-                f"[root {site['root']}, score {site['score']}]"
-            )
-        shown = len(ranked)
-        if not ranked:
-            # No hot sites (e.g. only FLOW615): show the findings.
-            for finding in report.advisory[:10]:
-                lines.append("  " + finding.format())
-            shown = min(10, len(report.advisory))
-        rest = len(report.advisory) - shown
+        for finding in report.advisory[:10]:
+            lines.append("  " + finding.format())
+        rest = len(report.advisory) - 10
         if rest > 0:
             lines.append(f"  ... and {rest} more "
                          f"(--format json for all)")
@@ -51,11 +39,10 @@ def render_text(report: FlowReport, strict: bool = False) -> str:
     if report.stats:
         lines.append(
             "graph: {modules} modules, {functions} functions, "
-            "{fleet_jobs} fleet jobs, {draw_sites} draw sites, "
-            "{hot_roots} hot roots".format(**{
+            "{fleet_jobs} fleet jobs, {draw_sites} draw sites".format(**{
                 key: report.stats.get(key, 0)
                 for key in ("modules", "functions", "fleet_jobs",
-                            "draw_sites", "hot_roots")
+                            "draw_sites")
             })
         )
     if report.from_cache:

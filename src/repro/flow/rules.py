@@ -8,10 +8,8 @@ Unlike the per-file SIM1xx rules, FLOW6xx rules are *whole-program*:
 a finding at a line is justified by call paths that start files away,
 so they run from :mod:`repro.flow.analysis`, not from the lint engine.
 
-``advisory`` rules rank real, acceptable-for-now costs (the hot-path
-report feeding the array-backed-core refactor; the FLOW615 soundness
-boundary).  They are reported but do not fail the build unless
-``--strict``.
+``advisory`` rules mark the FLOW615 soundness boundary: reported,
+but they do not fail the build unless ``--strict``.
 """
 
 from __future__ import annotations
@@ -49,18 +47,6 @@ FLOW_RULES: Tuple[Tuple[str, str, bool, str], ...] = (
      "a reachable call the graph cannot resolve; purity past this "
      "edge is assumed, not proved (the documented soundness "
      "boundary)"),
-    ("FLOW621", "hot-linear-scan", True,
-     "a loop or comprehension on an event-handler hot path: O(n) "
-     "work per event"),
-    ("FLOW622", "hot-collection-rebuild", True,
-     "a list/dict/set/ndarray rebuilt from existing data per event "
-     "(the VisibleSet pattern the array-backed core must replace)"),
-    ("FLOW623", "hot-object-churn", True,
-     "object construction per event; allocation pressure on the hot "
-     "path"),
-    ("FLOW624", "hot-sort", True,
-     "a sort per event; O(n log n) that should be an incremental "
-     "structure"),
 )
 
 #: Rule names whose findings are advisory (report-only by default).

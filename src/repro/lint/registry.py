@@ -1,26 +1,24 @@
-"""One registry for every check the repo's eight analysis tools run.
+"""One registry for every check the repo's seven analysis tools run.
 
 The static linter (SIM1xx), the runtime sanitizer (SAN2xx), the
 model-check spec cross-checker (MC301–MC304), the model-check runtime
 invariants (MC31x), the observability self-checks (OBS4xx), the
 fleet execution diagnostics (FLT5xx), the whole-program flow
-analyses (FLOW6xx), the escape/aliasing analysis (ALIAS8xx) and the
-scenario engine's workload invariants (SCN9xx) each grew their own
-code space; this module is the single place that enumerates all of
-them, so
+analyses (FLOW6xx) and the scenario engine's workload invariants
+(SCN9xx) each grew their own code space; this module is the single
+place that enumerates all of them, so
 
 * ``--list-rules`` prints the same registry from ``repro.lint``,
   ``repro.sanitize``, ``repro.modelcheck``, ``repro.obs``,
-  ``repro.fleet``, ``repro.flow``, ``repro.alias`` and
-  ``repro.scenario`` alike;
-* the eight CLIs share one exit-code contract
+  ``repro.fleet``, ``repro.flow`` and ``repro.scenario`` alike;
+* the seven CLIs share one exit-code contract
   (:data:`EXIT_CLEAN` / :data:`EXIT_FINDINGS` / :data:`EXIT_USAGE`)
   and one reporting surface (:func:`add_report_arguments`);
 * the static rule set the engine runs is assembled here (SIM rules
   plus the MC spec rules), so "lint the tree" always means the full
-  static contract.  FLOW6xx and ALIAS8xx rules are listed here but
-  run from :mod:`repro.flow.analysis` / :mod:`repro.alias.analysis`
-  — they need the whole program, not one file at a time;
+  static contract.  FLOW6xx rules are listed here but run from
+  :mod:`repro.flow.analysis` — they need the whole program, not one
+  file at a time;
 * every per-tool on-disk cache filename lives in
   :data:`CACHE_FILES`, so tool code and ``.gitignore`` cannot drift.
 
@@ -39,8 +37,7 @@ from repro.lint.rules import ALL_RULES, Rule
 
 #: Shared CLI exit-code contract for repro.lint / repro.sanitize /
 #: repro.modelcheck / repro.obs / repro.fleet / repro.flow /
-#: repro.alias / repro.scenario: clean, findings reported, usage
-#: error.
+#: repro.scenario: clean, findings reported, usage error.
 EXIT_CLEAN = 0
 EXIT_FINDINGS = 1
 EXIT_USAGE = 2
@@ -52,7 +49,6 @@ EXIT_USAGE = 2
 CACHE_FILES = {
     "lint": ".repro-lint-cache.json",
     "flow": ".repro-flow-cache.json",
-    "alias": ".repro-alias-cache.json",
     "scenario": ".repro-scenario-cache.json",
 }
 
@@ -132,8 +128,7 @@ class RegistryEntry:
     code: str
     name: str
     kind: str  # "static" | "runtime"
-    tool: str  # lint|sanitize|modelcheck|obs|fleet|flow|alias
-               # |scenario
+    tool: str  # lint|sanitize|modelcheck|obs|fleet|flow|scenario
     description: str
     scope: Optional[frozenset] = None
     advisory: bool = False
@@ -145,7 +140,7 @@ def add_report_arguments(
         default: str = "text") -> None:
     """The reporting flags every tool CLI shares.
 
-    Each of the eight CLIs used to wire ``--format``/``--list-rules``
+    Each of the seven CLIs used to wire ``--format``/``--list-rules``
     by hand, slightly different ways; this is the one place the
     contract lives now.  Tools with an extra format (obs adds
     ``prom``) pass their own ``formats``.
@@ -191,8 +186,7 @@ def get_static_rules(select: Optional[List[str]] = None,
 
 
 def all_entries() -> Tuple[RegistryEntry, ...]:
-    """Every check across the eight tools, in code order."""
-    from repro.alias.rules import ALIAS_RULES
+    """Every check across the seven tools, in code order."""
     from repro.flow.rules import FLOW_RULES
     from repro.sanitize.report import VIOLATION_CODES
     from repro.scenario.rules import (
@@ -235,11 +229,6 @@ def all_entries() -> Tuple[RegistryEntry, ...]:
             code=code, name=name, kind="static", tool="flow",
             description=description, advisory=advisory,
         ))
-    for code, name, advisory, description in ALIAS_RULES:
-        entries.append(RegistryEntry(
-            code=code, name=name, kind="static", tool="alias",
-            description=description, advisory=advisory,
-        ))
     for code, name in SCENARIO_RUNTIME_CODES.items():
         entries.append(RegistryEntry(
             code=code, name=name, kind="runtime", tool="scenario",
@@ -250,7 +239,7 @@ def all_entries() -> Tuple[RegistryEntry, ...]:
 
 
 def render_registry() -> str:
-    """``--list-rules`` text, shared by all eight CLIs."""
+    """``--list-rules`` text, shared by all seven CLIs."""
     lines = []
     for entry in all_entries():
         if entry.kind == "static":

@@ -314,6 +314,10 @@ class SessionCache:
                 raise ValueError(f"expected entry line, got {line!r}")
             fields = dict(part.split("=", 1)
                           for part in line.split()[1:])
+            for name in ("origin", "first", "last"):
+                if name not in fields:
+                    raise ValueError(f"cache entry without {name}=: "
+                                     f"{line!r}")
             payload_lines = []
             while index < len(lines) and lines[index].strip() != "end":
                 payload_lines.append(lines[index])

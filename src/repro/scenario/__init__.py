@@ -21,7 +21,7 @@ cover exactly four.  This package turns scenarios into *data*:
   the sanitizer + invariants, and delta-debug any violating spec down
   to a minimal replayable JSON artifact.
 
-``python -m repro.scenario`` (or ``repro scenario``) is the eighth CLI
+``python -m repro.scenario`` (or ``repro scenario``) is the seventh CLI
 on the shared rule registry.
 """
 

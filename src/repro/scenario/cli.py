@@ -1,6 +1,6 @@
 """``python -m repro.scenario`` — the scenario/fuzzing CLI.
 
-Same contract as the other seven tools: exit 0 clean, 1 findings,
+Same contract as the other six tools: exit 0 clean, 1 findings,
 2 usage error; ``--list-rules`` prints the shared registry;
 ``--format github`` emits Actions annotations.
 

@@ -97,3 +97,23 @@ class TestSimulationCommands:
         assert "16,488" in text
         assert "fig. 5" in text
         assert out.read_text().startswith("repro — compact")
+
+
+@pytest.mark.parametrize("tool, args", [
+    ("lint", ["src", "--cache-file", "lint.json", "--seed", "7"]),
+    ("modelcheck", ["smoke", "--max-states", "10", "--seed", "3"]),
+    ("obs", ["--scenario", "steady", "--seed", "5"]),
+    ("fleet", ["demo", "--start-method", "spawn", "--seed", "9"]),
+    ("flow", ["src", "--cache-file", "flow.json"]),
+    ("scenario", ["fuzz", "--shrink-budget", "4", "--seed", "0x1"]),
+])
+def test_tool_arguments_pass_through_unchanged(monkeypatch, tool, args):
+    received = []
+
+    def fake_main(argv):
+        received.append(argv)
+        return 0
+
+    monkeypatch.setattr(f"repro.{tool}.cli.main", fake_main)
+    assert main([tool, *args]) == 0
+    assert received == [args]

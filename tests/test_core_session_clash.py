@@ -121,3 +121,15 @@ class TestAddressUsageIndex:
         assert len(index.same_address(3)) == 2
         index.remove(a)
         assert index.same_address(3) == [b]
+
+
+def test_mutating_same_address_result_leaves_index_intact():
+    from repro.core.clash import AddressUsageIndex
+    from repro.core.session import Session
+    index = AddressUsageIndex()
+    session = Session(address=5, ttl=15, source=1)
+    index.add(session)
+    bucket = index.same_address(5)
+    bucket.clear()
+    assert len(index) == 1
+    assert index.same_address(5) == [session]

@@ -106,22 +106,26 @@ class TestSanitizeBridge:
 
 
 class TestReproCliIntegration:
-    def test_repro_cli_lint_subcommand(self):
+    def test_repro_cli_lint_subcommand(self, tmp_path):
         from repro.cli import main
 
-        assert main(["lint", "src"]) == 0
+        cache = str(tmp_path / "lint-cache.json")
+        assert main(["lint", "src", "--cache-file", cache]) == 0
 
-    def test_repro_cli_lint_sanitize_passthrough(self):
+    def test_repro_cli_lint_sanitize_passthrough(self, tmp_path):
         from repro.cli import main
 
-        assert main(["lint", "src", "--sanitize"]) == 0
+        cache = str(tmp_path / "lint-cache.json")
+        assert main(["lint", "src", "--sanitize",
+                     "--cache-file", cache]) == 0
 
     def test_repro_cli_lint_select(self, tmp_path, capsys):
         from repro.cli import main
 
         bad = tmp_path / "bad.py"
         bad.write_text("key = hash('x')\n")
-        assert main(["lint", str(bad),
-                     "--select", "builtin-hash"]) == 1
+        cache = str(tmp_path / "lint-cache.json")
+        assert main(["lint", str(bad), "--select", "builtin-hash",
+                     "--cache-file", cache]) == 1
         out = capsys.readouterr().out
         assert "builtin-hash" in out

@@ -1,6 +1,6 @@
 """Cross-tool registry invariants, grown with each new tool.
 
-Eight tools share one rule registry; these tests make the code
+Seven tools share one rule registry; these tests make the code
 bands structural (no future rule can silently collide), make every
 CLI list every rule, and pin the cache-filename single-source so tool
 defaults and ``.gitignore`` cannot drift.
@@ -15,8 +15,7 @@ REPO_ROOT = Path(__file__).resolve().parents[1]
 
 #: tool -> (band regex, example rule). The bands are the public
 #: contract: SIM1xx lint, SAN2xx sanitize, MC3xx modelcheck,
-#: OBS4xx obs, FLT5xx fleet, FLOW6xx flow, ALIAS8xx alias,
-#: SCN9xx scenario.
+#: OBS4xx obs, FLT5xx fleet, FLOW6xx flow, SCN9xx scenario.
 BANDS = {
     "lint": re.compile(r"^SIM1\d\d$"),
     "sanitize": re.compile(r"^SAN2\d\d$"),
@@ -24,7 +23,6 @@ BANDS = {
     "obs": re.compile(r"^OBS4\d\d$"),
     "fleet": re.compile(r"^FLT5\d\d$"),
     "flow": re.compile(r"^FLOW6\d\d$"),
-    "alias": re.compile(r"^ALIAS8\d\d$"),
     "scenario": re.compile(r"^SCN9\d\d$"),
 }
 
@@ -59,22 +57,6 @@ class TestBands:
                 seen[prefix] = tool
         assert len(numeric_prefixes) >= len(seen)
 
-    def test_alias_rules_are_present_and_split_correctly(self):
-        alias = [entry for entry in registry.all_entries()
-                 if entry.tool == "alias"]
-        codes = {entry.code for entry in alias}
-        assert codes == {"ALIAS801", "ALIAS802", "ALIAS803",
-                         "ALIAS804", "ALIAS805", "ALIAS806",
-                         "ALIAS807", "ALIAS808", "ALIAS811",
-                         "ALIAS812", "ALIAS813", "ALIAS814"}
-        advisory = {entry.code for entry in alias if entry.advisory}
-        assert advisory == {"ALIAS806", "ALIAS807", "ALIAS808",
-                            "ALIAS811", "ALIAS812", "ALIAS813",
-                            "ALIAS814"}
-        for entry in alias:
-            assert entry.kind == "static"
-            assert entry.description
-
     def test_scenario_rules_are_present_and_split_correctly(self):
         scenario = [entry for entry in registry.all_entries()
                     if entry.tool == "scenario"]
@@ -90,8 +72,7 @@ class TestBands:
 
 
 class TestEveryCliListsEveryRule:
-    def test_eight_clis_print_identical_registry(self, capsys):
-        from repro.alias.cli import main as alias_main
+    def test_seven_clis_print_identical_registry(self, capsys):
         from repro.fleet.cli import main as fleet_main
         from repro.flow.cli import main as flow_main
         from repro.lint.cli import main as lint_main
@@ -102,8 +83,7 @@ class TestEveryCliListsEveryRule:
 
         outputs = set()
         for main in (lint_main, san_main, mc_main, obs_main,
-                     fleet_main, flow_main, alias_main,
-                     scenario_main):
+                     fleet_main, flow_main, scenario_main):
             assert main(["--list-rules"]) == 0
             outputs.add(capsys.readouterr().out)
         assert len(outputs) == 1
@@ -117,7 +97,6 @@ class TestEveryCliListsEveryRule:
 
 class TestCacheFilenameRegistry:
     def test_tool_defaults_read_from_the_registry(self):
-        from repro.alias.cache import DEFAULT_CACHE_FILE as alias_file
         from repro.flow.cache import DEFAULT_CACHE_FILE as flow_file
         from repro.lint.cache import DEFAULT_CACHE_FILE as lint_file
         from repro.scenario.cache import (
@@ -126,7 +105,6 @@ class TestCacheFilenameRegistry:
 
         assert lint_file == registry.CACHE_FILES["lint"]
         assert flow_file == registry.CACHE_FILES["flow"]
-        assert alias_file == registry.CACHE_FILES["alias"]
         assert scenario_file == registry.CACHE_FILES["scenario"]
 
     def test_gitignore_lists_every_cache_file(self):

@@ -30,8 +30,7 @@ class TestRegistry:
             assert entry.description, entry.code
             assert entry.kind in ("static", "runtime")
             assert entry.tool in ("lint", "sanitize", "modelcheck",
-                                  "obs", "fleet", "flow", "alias",
-                                  "scenario")
+                                  "obs", "fleet", "flow", "scenario")
 
     def test_static_rules_include_mc_spec_rules(self):
         names = {rule.name for rule in registry.static_rules()}

@@ -251,6 +251,18 @@ class TestCachePersistence:
                 "entry origin=1 first=0.0 last=0.0 heard=1 address=-\n"
                 "v=0\ns=x\n"  # no "end"
             )
+        with pytest.raises(ValueError, match="origin="):
+            cache.import_text(
+                "# repro-sap-cache 1\n"
+                "entry first=0.0 last=0.0 heard=1 address=-\n"
+                "v=0\ns=x\nend\n"
+            )
+        with pytest.raises(ValueError, match="first="):
+            cache.import_text(
+                "# repro-sap-cache 1\n"
+                "entry origin=1 last=0.0 heard=1 address=-\n"
+                f"{PAYLOAD}end\n"
+            )
 
     def test_exported_bundle_feeds_visible_set(self):
         cache = SessionCache()
@@ -429,3 +441,18 @@ class TestCacheIndexes:
         assert entry.description.origin_key() == ("a", 1)
         assert [e.message.origin for e in cache.entries_for_address(1)] \
             == [1, 2]
+
+
+# --------------------------------------------------------------------
+# Returned lists are copies: mutating one leaves the cache intact.
+# --------------------------------------------------------------------
+
+def test_mutating_returned_entries_leaves_cache_intact():
+    from repro.sap.cache import SessionCache
+    cache = SessionCache()
+    cache._entries[(1, 2)] = "sentinel"
+    view = cache.entries()
+    view.clear()
+    view.append("junk")
+    assert len(cache) == 1
+    assert cache.lookup(1, 2) == "sentinel"
