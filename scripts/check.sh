@@ -33,15 +33,9 @@ echo "== repro.obs (instrumented scenarios, OBS4xx self-checks) =="
 # full metrics/bench artifacts are collected in CI's reports job.
 python -m repro.obs kernel steady
 
-echo "== repro.fleet (2-worker smoke sweep, FLT5xx diagnostics) =="
-# Exercises the whole parallel path — fork, pipes, checkpoint, merge
-# — and fails on any FLT5xx issue (exhausted retries, torn journals,
-# nondeterministic shard payloads).
-python -m repro.fleet demo --jobs 2
-
-echo "== repro.flow (whole-program RNG provenance & job purity) =="
-# Interprocedural pass: every draw on a fleet-job/experiment path
-# must trace to a keyed stream, and jobs must be pure. Cached by a
+echo "== repro.flow (whole-program RNG provenance) =="
+# Interprocedural pass: every draw on an experiment or tool-CLI path
+# must trace to a keyed stream or a seeded generator. Cached by a
 # whole-tree digest, so an untouched tree re-checks in milliseconds.
 python -m repro.flow src
 

@@ -14,14 +14,13 @@ Exposes the library's main workflows without writing Python:
     python -m repro lint src --determinism
     python -m repro modelcheck smoke
     python -m repro obs --scenario steady --format json
-    python -m repro fleet fig5 --jobs 4 --checkpoint .fleet
     python -m repro flow src
     python -m repro scenario fuzz --runs 100 --seed 0x19980902
 
 Every simulation is deterministic for a given ``--seed``; the ``lint``
 subcommand statically enforces the invariants that make that true, and
 ``modelcheck`` exhausts small protocol configurations against the
-paper's safety claims.  The six analysis tools in :data:`TOOLS` own
+paper's safety claims.  The five analysis tools in :data:`TOOLS` own
 their command lines: ``python -m repro <tool> ARGS`` hands ARGS
 unchanged to ``python -m repro.<tool>``'s ``main``.
 """
@@ -41,13 +40,17 @@ from repro.analysis.response_bounds import (
     uniform_expected_responses,
 )
 from repro.experiments.algorithms import ALGORITHM_FACTORIES
-from repro.experiments.allocation_run import fig5_run
+from repro.experiments.allocation_run import fig5_cell_job, fig5_run
+from repro.experiments.pool import ordered_map, worker_count
 from repro.experiments.reporting import format_table
 from repro.experiments.request_response import (
     RequestResponseConfig,
     simulate_request_response,
 )
-from repro.experiments.steady_state import allocations_at_half_clash
+from repro.experiments.steady_state import (
+    allocations_at_half_clash,
+    steady_cell_job,
+)
 from repro.experiments.ttl_distributions import (
     ALL_DISTRIBUTIONS,
     DS4,
@@ -66,8 +69,7 @@ TOOLS = {
     "modelcheck": "bounded explicit-state model checker",
     "obs": "observability: instrumented scenarios, metrics and "
            "benchmarks",
-    "fleet": "parallel sweep execution with checkpoint/resume",
-    "flow": "whole-program RNG-provenance and purity analyses",
+    "flow": "whole-program RNG-provenance analyses",
     "scenario": "declarative workload/adversary scenarios and the "
                 "deterministic fuzzing loop",
 }
@@ -107,10 +109,9 @@ def build_parser() -> argparse.ArgumentParser:
     fig5.add_argument("--algorithms", nargs="+",
                       default=["random", "informed", "ipr3", "ipr7"],
                       choices=sorted(ALGORITHM_FACTORIES))
-    fig5.add_argument("--jobs", type=int, default=1,
-                      help="worker processes; >1 shards the grid "
-                           "through repro.fleet (same rows, same "
-                           "bytes)")
+    fig5.add_argument("--jobs", type=worker_count, default=1,
+                      help="worker processes, one grid cell each "
+                           "(same rows, same bytes)")
 
     steady = sub.add_parser("steady-state",
                             help="figs. 12/13 steady-state point")
@@ -124,9 +125,9 @@ def build_parser() -> argparse.ArgumentParser:
     steady.add_argument("--trials", type=int, default=6)
     steady.add_argument("--same-site", action="store_true",
                         help="fig. 13's upper-bound replacement rule")
-    steady.add_argument("--jobs", type=int, default=1,
-                        help="worker processes; >1 shards the points "
-                             "through repro.fleet")
+    steady.add_argument("--jobs", type=worker_count, default=1,
+                        help="worker processes, one space size each "
+                             "(same rows, same bytes)")
 
     rr = sub.add_parser("request-response",
                         help="figs. 15-19 suppression simulation")
@@ -204,7 +205,7 @@ def cmd_hopcount(args) -> int:
 
 def cmd_fig5(args) -> int:
     if args.jobs > 1:
-        rows = _fig5_rows_fleet(args)
+        rows = _fig5_rows_parallel(args)
     else:
         topology = _load_topology(args)
         scope_map = ScopeMap.from_topology(topology)
@@ -221,43 +222,26 @@ def cmd_fig5(args) -> int:
     return 0
 
 
-def _fig5_rows_fleet(args) -> list:
-    """The fig. 5 grid sharded across worker processes.
+def _fig5_rows_parallel(args) -> list:
+    """The fig. 5 grid, one cell per worker task.
 
     Cells derive their trial streams from the cell coordinates, so
     these rows are byte-identical to the serial ``fig5_run`` path.
     """
-    from repro.experiments.allocation_run import Fig5Row
-    from repro.fleet.runner import run_sweep
-    from repro.fleet.sweeps import fig5_sweep
-
-    spec = fig5_sweep(
-        seed=args.seed, nodes=args.nodes, sizes=args.sizes,
-        algorithms=args.algorithms,
-        distributions=[d.name for d in ALL_DISTRIBUTIONS],
-        trials=args.trials, max_allocations=None,
-        map_path=getattr(args, "map", None),
-    )
-    result = run_sweep(spec, jobs=args.jobs)
-    if not result.complete:
-        for issue in result.issues:
-            print(f"repro fig5: {issue.format()}", file=sys.stderr)
-        raise SystemExit(1)
-    return [
-        Fig5Row(
-            algorithm=row["algorithm"],
-            distribution=row["distribution"],
-            space_size=row["space_size"],
-            mean_allocations=row["mean_allocations"],
-            trials=row["trials"],
-        )
-        for row in result.aggregate()["rows"]
+    cells = [
+        {"algorithm": algorithm, "distribution": distribution.name,
+         "space_size": size, "trials": args.trials, "seed": args.seed,
+         "nodes": args.nodes, "map": args.map}
+        for algorithm in args.algorithms
+        for distribution in ALL_DISTRIBUTIONS
+        for size in args.sizes
     ]
+    return ordered_map(fig5_cell_job, cells, args.jobs)
 
 
 def cmd_steady_state(args) -> int:
     if args.jobs > 1:
-        rows = _steady_rows_fleet(args)
+        rows = _steady_rows_parallel(args)
     else:
         topology = _load_topology(args)
         scope_map = ScopeMap.from_topology(topology)
@@ -273,33 +257,22 @@ def cmd_steady_state(args) -> int:
     return 0
 
 
-def _steady_rows_fleet(args) -> list:
-    """The steady-state points sharded across worker processes.
+def _steady_rows_parallel(args) -> list:
+    """The steady-state points, one space size per worker task.
 
-    The cells keep the legacy ``seed ^ crc32(algorithm)`` derivation,
-    so the table matches the serial path byte for byte.
+    The cells keep the raw ``--seed`` (``derive_seed=False``), so the
+    table matches the serial path byte for byte.
     """
-    from repro.fleet.runner import run_sweep
-    from repro.fleet.sweeps import steady_sweep
-
-    spec = steady_sweep(
-        seed=args.seed, nodes=args.nodes,
-        sizes=args.spaces, algorithms=(args.algorithm,),
-        distribution=DS4.name, trials=args.trials,
-        same_site=args.same_site, derive_seed=False,
-        map_path=getattr(args, "map", None),
-    )
-    result = run_sweep(spec, jobs=args.jobs)
-    if not result.complete:
-        for issue in result.issues:
-            print(f"repro steady-state: {issue.format()}",
-                  file=sys.stderr)
-        raise SystemExit(1)
-    return [
-        (row["algorithm"], row["space_size"],
-         row["allocations_at_half"])
-        for row in result.aggregate()["rows"]
+    cells = [
+        {"algorithm": args.algorithm, "space_size": space,
+         "distribution": DS4.name, "trials": args.trials,
+         "seed": args.seed, "nodes": args.nodes,
+         "same_site": args.same_site, "derive_seed": False,
+         "map": args.map}
+        for space in args.spaces
     ]
+    return [(row.algorithm, row.space_size, row.allocations_at_half)
+            for row in ordered_map(steady_cell_job, cells, args.jobs)]
 
 
 def cmd_request_response(args) -> int:

@@ -2,9 +2,9 @@
 
 One place binds the paper's algorithm names (fig. 5's R / IPR curves,
 figs. 12/13's AIPR variants) to constructors.  The CLI uses it for
-``--algorithms`` choices and the fleet shard jobs use it to rebuild an
-allocator inside a worker process from a JSON-safe name, so sharded
-sweeps and the serial CLI can never disagree about what "ipr7" means.
+``--algorithms`` choices and the ``--jobs`` cells use it to rebuild an
+allocator inside a worker process from its name, so parallel sweeps
+and the serial CLI can never disagree about what "ipr7" means.
 """
 
 from __future__ import annotations

@@ -95,8 +95,8 @@ def fig5_cell(
 
     The per-trial RNG is derived from the cell coordinates, not from
     any sweep-iteration state, so a cell computes the same row whether
-    it runs inside the serial :func:`fig5_run` loop or as one fleet
-    shard on a worker process.
+    it runs inside the serial :func:`fig5_run` loop or on a worker
+    process.
     """
     results = []
     for trial in range(trials):
@@ -144,50 +144,34 @@ def fig5_run(
 
 
 def _cell_scope_map(params: dict) -> ScopeMap:
-    """Rebuild a topology scope map from JSON-safe shard params."""
+    """Rebuild a topology scope map from a cell's params."""
     from repro.topology.mapfile import load_map
     from repro.topology.mbone import MboneParams, generate_mbone
 
-    if params.get("map"):
+    if params["map"]:
         topology = load_map(params["map"])
     else:
         topology = generate_mbone(MboneParams(
-            total_nodes=int(params.get("nodes", 400)),
-            seed=int(params.get("topology_seed", params["seed"])),
-        ))
+            total_nodes=params["nodes"], seed=params["seed"]))
     return ScopeMap.from_topology(topology)
 
 
-def fig5_cell_job(params: dict, rng: np.random.Generator,
-                  attempt: int) -> dict:
-    """Fleet shard job: one fig. 5 cell, rebuilt from JSON params.
+def fig5_cell_job(params: dict) -> Fig5Row:
+    """One fig. 5 cell rebuilt from plain params (``repro fig5 --jobs``).
 
     The trial streams are keyed on the cell coordinates (exactly the
-    derivation :func:`fig5_cell` uses), so a fleet-sharded fig. 5 is
-    byte-identical to the serial sweep at any worker count; the
-    fleet-provided shard ``rng`` is deliberately unused here.
+    derivation :func:`fig5_cell` uses), so a parallel fig. 5 is
+    byte-identical to the serial sweep at any worker count.
     """
-    del rng, attempt  # results must depend on params alone
     from repro.experiments.algorithms import algorithm_factory
     from repro.experiments.ttl_distributions import distribution_by_name
 
-    scope_map = _cell_scope_map(params)
-    max_allocations = params.get("max_allocations")
-    row = fig5_cell(
-        scope_map,
+    return fig5_cell(
+        _cell_scope_map(params),
         algorithm_factory(params["algorithm"]),
         params["algorithm"],
         distribution_by_name(params["distribution"]),
-        int(params["space_size"]),
-        int(params["trials"]),
-        seed=int(params["seed"]),
-        max_allocations=(None if max_allocations is None
-                         else int(max_allocations)),
+        params["space_size"],
+        params["trials"],
+        seed=params["seed"],
     )
-    return {
-        "algorithm": row.algorithm,
-        "distribution": row.distribution,
-        "space_size": row.space_size,
-        "mean_allocations": row.mean_allocations,
-        "trials": row.trials,
-    }

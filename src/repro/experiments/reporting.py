@@ -6,15 +6,7 @@ or table reports; these helpers keep the formatting uniform.
 
 from __future__ import annotations
 
-from typing import (
-    Any,
-    Iterable,
-    List,
-    Mapping,
-    Optional,
-    Sequence,
-    Tuple,
-)
+from typing import Iterable, List, Sequence
 
 
 def format_table(headers: Sequence[str],
@@ -44,50 +36,6 @@ def print_series(title: str, headers: Sequence[str],
     print()
     print(f"== {title} ==")
     print(format_table(headers, rows))
-
-
-def merge_sharded_rows(
-    rows: Iterable[Any],
-    key: Optional[str] = None,
-) -> List[Any]:
-    """Merge sharded result rows into one aggregation-order sequence.
-
-    Parallel sweep workers complete out of order, so rows arrive
-    interleaved across shards; everything downstream (tables above,
-    figure aggregation) assumes one in-order sequence.  This restores
-    it with a *stable* sort by shard index: rows from the same shard
-    keep their arrival order relative to each other.
-
-    Args:
-        rows: ``(shard_index, row)`` pairs — or, when ``key`` is
-            given, mapping rows that carry their own shard index under
-            that key.
-        key: optional field name holding the shard index in each row.
-
-    Returns:
-        The bare rows, ordered by ascending shard index.
-
-    Raises:
-        KeyError: when ``key`` is given but missing from a row.
-    """
-    if key is None:
-        pairs: List[Tuple[int, Any]] = [
-            (int(index), row) for index, row in rows
-        ]
-    else:
-        pairs = [(int(_shard_index(row, key)), row) for row in rows]
-    # sorted() is stable: equal shard indices keep arrival order.
-    pairs.sort(key=lambda pair: pair[0])
-    return [row for __, row in pairs]
-
-
-def _shard_index(row: Mapping[str, Any], key: str) -> Any:
-    if key not in row:
-        raise KeyError(
-            f"sharded row is missing its {key!r} index field: "
-            f"{dict(row)!r}"
-        )
-    return row[key]
 
 
 def _fmt(cell: object) -> str:

@@ -191,48 +191,3 @@ def run_sap_in_the_loop(topology: Topology, scope_map: ScopeMap,
         announcements_lost=network.packets_lost,
         clash_rate=len(clashing) / max(1, len(live)),
     )
-
-
-def sap_loop_cell_job(params: dict, rng: np.random.Generator,
-                      attempt: int) -> dict:
-    """Fleet shard job: one SAP-in-the-loop (strategy, loss) cell.
-
-    Rebuilds the synthetic Mbone and the full-stack config from
-    JSON-safe params and runs the experiment on a worker process.
-    The config seed comes from the fleet shard stream (the
-    ``rng.derived_stream`` keyed on sweep id and shard index), so
-    cells are decorrelated while serial and parallel execution of the
-    sweep stay byte-identical.
-    """
-    del attempt
-    from repro.topology.mbone import MboneParams, generate_mbone
-
-    topology = generate_mbone(MboneParams(
-        total_nodes=int(params.get("nodes", 60)),
-        seed=int(params.get("topology_seed", 1998)),
-    ))
-    scope_map = ScopeMap.from_topology(topology)
-    config = SapLoopConfig(
-        num_directories=int(params.get("num_directories", 8)),
-        sessions_per_directory=int(params.get("sessions", 3)),
-        space_size=int(params.get("space_size", 64)),
-        loss=float(params["loss"]),
-        strategy=str(params["strategy"]),
-        inter_arrival=float(params.get("inter_arrival", 5.0)),
-        settle_time=float(params.get("settle_time", 300.0)),
-        seed=int(rng.integers(0, 2**31 - 1)),
-        enable_clash_protocol=bool(
-            params.get("enable_clash_protocol", True)
-        ),
-    )
-    result = run_sap_in_the_loop(topology, scope_map, config)
-    return {
-        "strategy": config.strategy,
-        "loss": config.loss,
-        "allocations": result.allocations,
-        "residual_clashing_pairs": result.residual_clashing_pairs,
-        "address_changes": result.address_changes,
-        "announcements_sent": result.announcements_sent,
-        "announcements_lost": result.announcements_lost,
-        "clash_rate": result.clash_rate,
-    }

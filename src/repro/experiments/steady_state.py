@@ -185,11 +185,11 @@ def steady_cell(
     """One fig. 12/13 (algorithm, space size) point.
 
     Seeded from the cell coordinates alone (the sweep's historical
-    ``seed ^ crc32(algorithm)`` derivation), so the cell is
-    shard-relocatable: it computes the same row serially or on a
-    fleet worker.  ``derive_seed=False`` keeps the raw seed — the
-    ``repro steady-state`` CLI's historical behaviour — so its
-    sharded path reproduces the serial table byte for byte.
+    ``seed ^ crc32(algorithm)`` derivation), so the cell computes the
+    same row serially or on a worker process.  ``derive_seed=False``
+    keeps the raw seed — the ``repro steady-state`` CLI's historical
+    behaviour — so its ``--jobs`` path reproduces the serial table
+    byte for byte.
     """
     effective_seed = seed
     if derive_seed:
@@ -224,32 +224,23 @@ def steady_state_sweep(
     return rows
 
 
-def steady_cell_job(params: dict, rng: np.random.Generator,
-                    attempt: int) -> dict:
-    """Fleet shard job: one fig. 12/13 point from JSON-safe params.
+def steady_cell_job(params: dict) -> SteadyStateRow:
+    """One fig. 12/13 point rebuilt from plain params.
 
-    Deterministic in the params alone — the fleet shard ``rng`` is
-    unused so sharded and serial sweeps agree byte for byte.
+    The ``repro steady-state --jobs`` cell; deterministic in the params.
     """
-    del rng, attempt
     from repro.experiments.algorithms import algorithm_factory
     from repro.experiments.allocation_run import _cell_scope_map
     from repro.experiments.ttl_distributions import distribution_by_name
 
-    scope_map = _cell_scope_map(params)
-    row = steady_cell(
-        scope_map,
+    return steady_cell(
+        _cell_scope_map(params),
         algorithm_factory(params["algorithm"]),
         params["algorithm"],
-        int(params["space_size"]),
-        distribution_by_name(params.get("distribution", "ds4")),
-        trials=int(params.get("trials", 10)),
-        seed=int(params["seed"]),
-        same_site_replacement=bool(params.get("same_site", False)),
-        derive_seed=bool(params.get("derive_seed", True)),
+        params["space_size"],
+        distribution_by_name(params["distribution"]),
+        trials=params["trials"],
+        seed=params["seed"],
+        same_site_replacement=params["same_site"],
+        derive_seed=params["derive_seed"],
     )
-    return {
-        "algorithm": row.algorithm,
-        "space_size": row.space_size,
-        "allocations_at_half": row.allocations_at_half,
-    }

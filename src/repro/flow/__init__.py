@@ -1,16 +1,13 @@
 """Whole-program call-graph and dataflow analyses (FLOW6xx).
 
-Two passes over one shared call graph of ``src/``:
-
-* :mod:`repro.flow.provenance` — FLOW601–604, RNG provenance: every
-  draw on a fleet-job or experiment path must trace to a keyed
-  ``derived_stream``, the shard stream, or a seeded generator.
-* :mod:`repro.flow.purity` — FLOW611–615, purity proofs for fleet
-  jobs: no global mutation, no wall clock, no I/O outside the
-  checkpoint API, no writes through captured state.
+One pass over a call graph of ``src/``:
+:mod:`repro.flow.provenance` — FLOW601–603, RNG provenance: every
+draw on an experiment or tool-CLI path must trace to a keyed
+``derived_stream`` or a seeded generator, and stream keys must
+neither collide nor fold in non-replayable values.
 
 Run as ``python -m repro.flow`` or ``repro flow``; shares the
-seven-tool registry and exit-code contract in :mod:`repro.lint.registry`.
+six-tool registry and exit-code contract in :mod:`repro.lint.registry`.
 """
 
 from repro.flow.analysis import (  # noqa: F401
@@ -19,8 +16,4 @@ from repro.flow.analysis import (  # noqa: F401
     analyze_sources,
 )
 from repro.flow.graph import CallGraph, build_graph  # noqa: F401
-from repro.flow.rules import (  # noqa: F401
-    ADVISORY_RULES,
-    FLOW_RULES,
-    FLOW_RULE_NAMES,
-)
+from repro.flow.rules import FLOW_RULES, FLOW_RULE_NAMES  # noqa: F401

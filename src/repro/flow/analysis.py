@@ -1,11 +1,10 @@
-"""Orchestrator: build the graph once, run both analyses.
+"""Orchestrator: build the graph, run the provenance analysis.
 
 ``analyze_paths`` is the programmatic entry the CLI and the tier-1
 test share.  It applies ``# simlint: disable=<rule>`` suppressions
 (same syntax and parser as the linter; whole-program findings are
-suppressed at the line they are *reported* on), splits hard findings
-from advisory ones, and serves byte-identical reports from the
-whole-tree cache when nothing changed.
+suppressed at the line they are *reported* on) and serves
+byte-identical reports from the whole-tree cache when nothing changed.
 """
 
 from __future__ import annotations
@@ -21,7 +20,6 @@ from repro.flow.cache import (
 )
 from repro.flow.graph import shared_graph
 from repro.flow.provenance import analyze_provenance
-from repro.flow.purity import analyze_purity
 from repro.flow.rules import FLOW_RULE_NAMES
 from repro.lint.engine import (
     Finding,
@@ -34,23 +32,15 @@ from repro.lint.engine import (
 class FlowReport:
     """Everything one run produces."""
 
-    findings: List[Finding]            # hard, unsuppressed
-    advisory: List[Finding]            # report-only, unsuppressed
+    findings: List[Finding]            # unsuppressed
     suppressed: int = 0
     stats: Dict[str, int] = field(default_factory=dict)
     from_cache: bool = False
-
-    def exit_findings(self, strict: bool = False) -> List[Finding]:
-        if strict:
-            return self.findings + self.advisory
-        return self.findings
 
     def to_dict(self) -> Dict[str, Any]:
         return {
             "count": len(self.findings),
             "findings": [f.to_dict() for f in self.findings],
-            "advisory_count": len(self.advisory),
-            "advisory": [f.to_dict() for f in self.advisory],
             "suppressed": self.suppressed,
             "stats": self.stats,
         }
@@ -59,7 +49,6 @@ class FlowReport:
     def from_dict(cls, raw: Dict[str, Any]) -> "FlowReport":
         return cls(
             findings=[Finding(**f) for f in raw.get("findings", [])],
-            advisory=[Finding(**f) for f in raw.get("advisory", [])],
             suppressed=int(raw.get("suppressed", 0)),
             stats=dict(raw.get("stats", {})),
             from_cache=True,
@@ -92,15 +81,9 @@ def validate_rule_names(select: Optional[List[str]],
 
 
 def analyze_sources(sources: Sequence[Tuple[str, str]]) -> FlowReport:
-    """Run both analyses over ``(path, text)`` pairs."""
+    """Run the analysis over ``(path, text)`` pairs."""
     graph = shared_graph(sources)
     provenance = analyze_provenance(graph)
-    purity = analyze_purity(graph)
-
-    hard = list(provenance.findings) + list(purity.findings)
-    advisory: List[Finding] = []
-    for items in purity.unresolved.values():
-        advisory.extend(items)
 
     # Apply # simlint: disable suppressions at the reported line.
     suppressions = {path: parse_suppressions(text)
@@ -116,20 +99,15 @@ def analyze_sources(sources: Sequence[Tuple[str, str]]) -> FlowReport:
             return False
         return True
 
-    hard = [f for f in hard if keep(f)]
-    advisory = [f for f in advisory if keep(f)]
-    hard.sort(key=lambda f: (f.path, f.line, f.col, f.code))
-    advisory.sort(key=lambda f: (f.path, f.line, f.col, f.code))
+    findings = [f for f in provenance.findings if keep(f)]
 
     return FlowReport(
-        findings=hard,
-        advisory=advisory,
+        findings=findings,
         suppressed=suppressed,
         stats={
             "modules": len(graph.modules),
             "functions": len(graph.functions),
             "classes": len(graph.classes),
-            "fleet_jobs": len(graph.fleet_jobs),
             "draw_sites": len(provenance.draw_sites),
         },
     )

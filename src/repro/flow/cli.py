@@ -1,9 +1,8 @@
 """``python -m repro.flow`` — the whole-program analysis CLI.
 
-Same contract as the other six tools: exit 0 clean, 1 findings,
+Same contract as the other five tools: exit 0 clean, 1 findings,
 2 usage error; ``--list-rules`` prints the shared registry;
-``--format github`` emits Actions annotations.  ``--strict``
-promotes the advisory FLOW615 findings to errors.
+``--format github`` emits Actions annotations.
 """
 
 from __future__ import annotations
@@ -18,7 +17,7 @@ from repro.flow.analysis import (
     validate_rule_names,
 )
 from repro.flow.cache import DEFAULT_CACHE_FILE
-from repro.flow.report import render_github, render_json, render_text
+from repro.flow.report import render_json, render_text
 from repro.lint.registry import (
     EXIT_CLEAN,
     EXIT_FINDINGS,
@@ -26,14 +25,14 @@ from repro.lint.registry import (
     add_report_arguments,
     render_registry,
 )
+from repro.lint.report import render_github
 
 
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="repro-flow",
-        description=("whole-program call-graph and dataflow analyses: "
-                     "RNG provenance (FLOW60x), fleet-job purity "
-                     "(FLOW61x)"),
+        description=("whole-program call-graph and dataflow analysis: "
+                     "RNG provenance (FLOW60x)"),
     )
     parser.add_argument(
         "paths", nargs="*", default=["src"],
@@ -47,10 +46,6 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument(
         "--ignore", action="append", metavar="RULE",
         help="skip these rule names (repeatable)",
-    )
-    parser.add_argument(
-        "--strict", action="store_true",
-        help="advisory findings (FLOW615) also fail the run",
     )
     parser.add_argument(
         "--no-cache", action="store_true",
@@ -84,19 +79,17 @@ def main(argv: Optional[List[str]] = None) -> int:
 
     report.findings = _filter_rules(report.findings, args.select,
                                     args.ignore)
-    report.advisory = _filter_rules(report.advisory, args.select,
-                                    args.ignore)
 
     if args.format == "json":
         print(render_json(report))
     elif args.format == "github":
-        output = render_github(report, strict=args.strict)
+        output = render_github(report.findings)
         if output:
             print(output)
     else:
-        print(render_text(report, strict=args.strict))
+        print(render_text(report))
 
-    if report.exit_findings(strict=args.strict):
+    if report.findings:
         return EXIT_FINDINGS
     return EXIT_CLEAN
 

@@ -17,8 +17,7 @@ their targets using, in order of preference:
 * module-level ``str -> callable`` registries: a call through
   ``REGISTRY[key](...)`` (or through a function whose return value is
   a registry lookup) edges to *every* registered callable, which is
-  how the fleet job table and ``ALGORITHM_FACTORIES`` stay inside the
-  analysed graph.
+  how ``ALGORITHM_FACTORIES`` stays inside the analysed graph.
 
 Function-valued arguments (``schedule(delay, self._fire)``) become
 *callback* edges from the caller to the referenced function: anything
@@ -29,8 +28,8 @@ Soundness caveats (documented, tested in
 ``tests/test_flow_graph.py``): calls through values produced by
 arbitrary expressions (``getattr(obj, name)()``, callables stored in
 instance attributes the indexer cannot type, monkey-patched names)
-are *not* resolved; they surface as unresolved call sites that the
-purity analysis reports (FLOW615) rather than silently ignores.
+are *not* resolved; they stay call sites with no targets, so a draw
+reached only through one is not checked.
 """
 
 from __future__ import annotations
@@ -38,16 +37,15 @@ from __future__ import annotations
 import ast
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Dict, Iterable, List, Optional, Sequence, Set, Tuple
+from typing import Dict, List, Optional, Sequence, Set, Tuple
 
 from repro.lint.engine import iter_python_files
 
 #: Module attribute chains treated as ``functools.partial``.
 _PARTIAL_NAMES = {"partial", "functools.partial"}
 
-#: Builtins that never need resolution (calls to them are pure value
-#: plumbing or raise; I/O-shaped builtins like ``open``/``print`` are
-#: deliberately absent — the purity analysis wants to see those).
+#: Builtins that never need resolution: a bare name in this set is
+#: never looked up as a repro function.
 BENIGN_BUILTINS = frozenset({
     "abs", "all", "any", "bool", "bytes", "callable", "chr", "dict",
     "divmod", "enumerate", "filter", "float", "format", "frozenset",
@@ -114,9 +112,6 @@ class FunctionInfo:
     #: idiom: ``rng: Generator = None``).
     none_default_params: Set[str] = field(default_factory=set)
     annotations: Dict[str, str] = field(default_factory=dict)
-    decorators: List[str] = field(default_factory=list)
-    #: names read from an enclosing *function* scope (closure capture).
-    free_names: Set[str] = field(default_factory=set)
     #: qualnames a call to this function may return (when the return
     #: expression is a function reference or a registry lookup).
     returns_callables: Set[str] = field(default_factory=set)
@@ -193,8 +188,6 @@ class CallGraph:
         self.subclasses: Dict[str, List[str]] = {}
         #: caller qualname -> call sites.
         self.calls: Dict[str, List[CallSite]] = {}
-        #: fleet job name -> function qualname (register("x")(fn)).
-        self.fleet_jobs: Dict[str, str] = {}
 
     # ------------------------------------------------------------------
     # Queries
@@ -252,29 +245,6 @@ class CallGraph:
             stack.extend(self.subclasses.get(sub, []))
         return targets
 
-    def reachable(self, roots: Iterable[str],
-                  include_callbacks: bool = True
-                  ) -> Dict[str, int]:
-        """Functions reachable from ``roots`` with their least depth."""
-        depth: Dict[str, int] = {}
-        frontier: List[str] = []
-        for root in roots:
-            if root in self.functions and root not in depth:
-                depth[root] = 0
-                frontier.append(root)
-        while frontier:
-            current = frontier.pop(0)
-            for site in self.callees(current):
-                if site.kind == "callback" and not include_callbacks:
-                    continue
-                for target in site.targets:
-                    if target not in self.functions:
-                        continue
-                    if target not in depth:
-                        depth[target] = depth[current] + 1
-                        frontier.append(target)
-        return depth
-
 
 # ---------------------------------------------------------------------
 # Indexing pass
@@ -329,12 +299,6 @@ class _Indexer(ast.NodeVisitor):
                 if isinstance(default, ast.Constant) \
                         and default.value is None:
                     info.none_default_params.add(arg.arg)
-            info.decorators = [d for d in
-                               (dotted(dec) if not isinstance(
-                                   dec, ast.Call)
-                                else dotted(dec.func)
-                                for dec in node.decorator_list)
-                               if d]
         else:
             info.params = [arg.arg for arg in node.args.args]
         self.graph.functions[qualname] = info
@@ -378,7 +342,6 @@ class _Indexer(ast.NodeVisitor):
         info = self._register_function(node, name)
         if self._class_stack and info.class_qualname:
             self._class_stack[-1].methods[name] = info.qualname
-        self._handle_register_decorators(node, info)
         self._scope.append(name)
         self._scope_kinds.append("func")
         self._func_stack.append(info)
@@ -398,47 +361,8 @@ class _Indexer(ast.NodeVisitor):
         # inline lambdas (sort keys etc.) stay anonymous.
         self.generic_visit(node)
 
-    def _handle_register_decorators(self, node,
-                                    info: FunctionInfo) -> None:
-        for dec in getattr(node, "decorator_list", []):
-            if not isinstance(dec, ast.Call):
-                continue
-            name = dotted(dec.func)
-            if name is None:
-                continue
-            resolved = self.module.imports.get(name.split(".")[0])
-            is_fleet = (
-                name in ("register", "jobs.register")
-                or (resolved or "").startswith("repro.fleet.jobs")
-            )
-            if is_fleet and dec.args and isinstance(
-                    dec.args[0], ast.Constant):
-                self.graph.fleet_jobs[str(dec.args[0].value)] = \
-                    info.qualname
-
     def visit_Assign(self, node: ast.Assign) -> None:
         self._index_binding(node.targets, node.value)
-        self.generic_visit(node)
-
-    def visit_Expr(self, node: ast.Expr) -> None:
-        # register("name")(fn) statement form.
-        call = node.value
-        if (isinstance(call, ast.Call)
-                and isinstance(call.func, ast.Call)):
-            inner = call.func
-            name = dotted(inner.func)
-            if name is not None:
-                resolved = self.module.imports.get(
-                    name.split(".")[0], "")
-                if (name.endswith("register")
-                        or resolved.startswith("repro.fleet.jobs")):
-                    if inner.args and isinstance(inner.args[0],
-                                                 ast.Constant) \
-                            and call.args:
-                        target = self._callable_ref(call.args[0])
-                        if target:
-                            self.graph.fleet_jobs[
-                                str(inner.args[0].value)] = target
         self.generic_visit(node)
 
     def _callable_ref(self, node: ast.AST) -> Optional[str]:
@@ -803,7 +727,7 @@ class _Resolver:
 
 
 # ---------------------------------------------------------------------
-# Free variables, return-callables, attribute types
+# Return-callables, attribute types
 # ---------------------------------------------------------------------
 def _body_only(func: FunctionInfo) -> ast.AST:
     wrapper = ast.Module(body=list(func.body()), type_ignores=[])
@@ -833,60 +757,6 @@ def _walk_own_body(func: FunctionInfo):
                 continue
             children.append(child)
         stack.extend(reversed(children))
-
-
-def _collect_free_names(graph: CallGraph) -> None:
-    """Mark names each nested function reads from enclosing scopes."""
-    for func in graph.functions.values():
-        enclosing = _enclosing_function(graph, func)
-        if enclosing is None:
-            continue
-        local: Set[str] = set(func.params)
-        loaded: Set[str] = set()
-        for node in _walk_own_body(func):
-            if isinstance(node, ast.Name):
-                if isinstance(node.ctx, ast.Store):
-                    local.add(node.id)
-                elif isinstance(node.ctx, ast.Load):
-                    loaded.add(node.id)
-        module = graph.modules.get(func.module)
-        module_names: Set[str] = set()
-        if module:
-            module_names |= set(module.imports)
-            module_names |= set(module.global_callables)
-            module_names |= set(module.registries)
-            for other in graph.functions.values():
-                if other.module == func.module and \
-                        "." not in other.qualname[len(other.module)
-                                                  + 1:]:
-                    module_names.add(other.name)
-            for cls in graph.classes.values():
-                if cls.module == func.module:
-                    module_names.add(cls.name)
-        enclosing_locals = _assigned_names(enclosing)
-        func.free_names = {
-            name for name in loaded - local - module_names
-            if name not in BENIGN_BUILTINS
-            and name in enclosing_locals
-        }
-
-
-def _assigned_names(func: FunctionInfo) -> Set[str]:
-    names: Set[str] = set(func.params)
-    for node in _walk_own_body(func):
-        if isinstance(node, ast.Name) and isinstance(node.ctx,
-                                                     ast.Store):
-            names.add(node.id)
-    return names
-
-
-def _enclosing_function(graph: CallGraph,
-                        func: FunctionInfo) -> Optional[FunctionInfo]:
-    prefix = func.qualname.rsplit(".", 1)[0]
-    candidate = graph.functions.get(prefix)
-    if candidate is not None and candidate is not func:
-        return candidate
-    return None
 
 
 def _collect_return_callables(graph: CallGraph) -> None:
@@ -1001,7 +871,6 @@ def build_graph_from_sources(
                     cls.qualname)
     _collect_return_callables(graph)
     _collect_attr_types(graph)
-    _collect_free_names(graph)
     resolver = _Resolver(graph)
     for module in graph.modules.values():
         resolver.resolve_module(module)

@@ -1,10 +1,10 @@
-"""FLOW601–604: interprocedural RNG provenance.
+"""FLOW601–603: interprocedural RNG provenance.
 
-Every random draw that can run on behalf of a registered fleet job or
-an experiment entry point must trace back to a deterministic source:
-the shard stream handed to the job, a ``derived_stream(...)`` /
-``RandomStreams.get(...)`` with a replayable key, or a seeded
-``np.random.default_rng(seed)``.  The analysis:
+Every random draw that can run on behalf of an entry point (a
+``repro.cli`` ``cmd_*`` experiment or a tool's ``repro.<tool>.cli``
+``main``) must trace back to a deterministic source: a
+``derived_stream(...)`` / ``RandomStreams.get(...)`` with a replayable
+key, or a seeded ``np.random.default_rng(seed)``.  The analysis:
 
 * classifies, per function, the *origin* of every generator a draw
   method (``integers``/``random``/``choice``/...) is invoked on —
@@ -18,9 +18,8 @@ the shard stream handed to the job, a ``derived_stream(...)`` /
 * constant-folds stream keys (f-strings fold around their holes) so
   two distinct call sites that collapse to the same fully-constant
   ``(key, seed)`` are reported as a collision — two components
-  sharing a stream draw *correlated* values, which is exactly the
-  silent-correlation failure the fleet's serial==parallel proof
-  assumes away.
+  sharing a stream draw *correlated* values, a failure no output
+  comparison shows.
 
 Rules:
 
@@ -31,10 +30,6 @@ Rules:
 * **FLOW603 tainted-stream-key** — a stream key built from
   non-spec-pure values (wall clock, PIDs, environment, ``id()``,
   ``hash()``): replayable neither across runs nor across hosts.
-* **FLOW604 ambient-stream-in-job** — on some call path from a fleet
-  job, a component falls back to its bare constant-key stream (the
-  rng was never threaded through), so every shard draws the *same*
-  sequence there instead of its own decorrelated one.
 """
 
 from __future__ import annotations
@@ -79,10 +74,9 @@ class Origin:
     """Where a generator's entropy comes from.
 
     kind: "derived" (keyed stream), "seeded" (default_rng(seed)),
-    "shard" (the fleet shard stream), "param" (injected, resolved at
-    call edges), "fallback" (the ``x if x is not None else
-    derived_stream(K)`` idiom — param plus a derived fallback), or
-    "unknown".
+    "param" (injected, resolved at call edges), "fallback" (the ``x if
+    x is not None else derived_stream(K)`` idiom — param plus a
+    derived fallback), or "unknown".
     """
 
     kind: str
@@ -96,10 +90,6 @@ class Origin:
     constant: bool = False
     tainted: bool = False
     seed_repr: str = ""
-    #: True only for the module-level ``derived_stream`` helper, whose
-    #: stream family is hard-wired; ``RandomStreams.get`` keys are
-    #: scoped to an instance whose seed may itself be parameterized.
-    ambient: bool = False
 
 
 @dataclass
@@ -228,10 +218,6 @@ class _FunctionFacts:
             recv_text = dotted(recv) or ""
             if self._is_streams(recv_text) and node.args:
                 return self._derived_origin(node, key_arg=node.args[0])
-        if terminal == "shard_stream" or resolved.endswith(
-                "spec.shard_stream"):
-            return Origin(kind="shard", path=self.func.path,
-                          line=node.lineno)
         return None
 
     def _fallback_origin(self, primary: ast.expr,
@@ -251,7 +237,6 @@ class _FunctionFacts:
             line=other[0].line, func=self.func.qualname,
             param=primary.id, constant=other[0].constant,
             tainted=other[0].tainted, seed_repr=other[0].seed_repr,
-            ambient=other[0].ambient,
         )
 
     def _is_streams(self, recv_text: str) -> bool:
@@ -277,6 +262,9 @@ class _FunctionFacts:
     def _derived_origin(self, node: ast.Call,
                         key_arg: Optional[ast.expr] = None,
                         ambient: bool = False) -> Origin:
+        """``ambient`` marks the module-level ``derived_stream``
+        helper, whose seed argument is part of the key; a
+        ``RandomStreams.get`` key is scoped to its instance's seed."""
         key_arg = key_arg if key_arg is not None else (
             node.args[0] if node.args else None)
         if key_arg is None:
@@ -289,7 +277,6 @@ class _FunctionFacts:
             line=node.lineno, constant=constant,
             tainted=_is_tainted(holes, imports),
             seed_repr=_seed_repr(node) if ambient else "<instance>",
-            ambient=ambient,
         )
         self.derived.append(origin)
         return origin
@@ -428,10 +415,8 @@ def _class_rng_attrs(graph: CallGraph, class_qualname: str
 
 
 def entry_points(graph: CallGraph) -> Dict[str, str]:
-    """qualname -> label ("fleet-job:<name>" or "experiment:<name>")."""
+    """qualname -> label ("experiment:<name>")."""
     entries: Dict[str, str] = {}
-    for job_name, qualname in graph.fleet_jobs.items():
-        entries[qualname] = f"fleet-job:{job_name}"
     for qualname, func in graph.functions.items():
         if func.module == "repro.cli" and func.name.startswith("cmd_"):
             entries[qualname] = f"experiment:{func.name[4:]}"
@@ -491,7 +476,7 @@ def _bind_edge_args(graph: CallGraph, caller: FunctionInfo,
 
 
 def analyze_provenance(graph: CallGraph) -> ProvenanceResult:
-    """Run FLOW601–604 over the whole graph."""
+    """Run FLOW601–603 over the whole graph."""
     entries = entry_points(graph)
     facts_by_func: Dict[str, _FunctionFacts] = {}
 
@@ -516,10 +501,8 @@ def analyze_provenance(graph: CallGraph) -> ProvenanceResult:
             continue
         store = param_origins.setdefault(qualname, {})
         for param in _rng_params(func):
-            origin = (Origin(kind="shard")
-                      if label.startswith("fleet-job")
-                      else Origin(kind="seeded", key="<cli-seed>"))
-            store.setdefault(param, set()).add(origin)
+            store.setdefault(param, set()).add(
+                Origin(kind="seeded", key="<cli-seed>"))
         reachable_from.setdefault(qualname, set()).add(label)
         worklist.append(qualname)
 
@@ -606,41 +589,9 @@ def analyze_provenance(graph: CallGraph) -> ProvenanceResult:
                 message=(
                     f"rng.{draw.method}() in {draw.func} (reached "
                     f"from {_label_text(labels)}) does not trace to "
-                    f"derived_stream/shard stream/seeded generator"
+                    f"derived_stream/seeded generator"
                 ),
             ))
-        job_labels = {lab for lab in labels
-                      if lab.startswith("fleet-job")}
-        if job_labels:
-            for origin in resolved:
-                if not origin.constant:
-                    continue
-                if origin.kind == "derived" and origin.ambient:
-                    hit = job_labels
-                elif origin.kind == "fallback-taken":
-                    # Only real when the construction that omitted
-                    # the rng is itself on a fleet-job path.
-                    omit_labels = reachable_from.get(origin.func,
-                                                     set())
-                    hit = job_labels & {
-                        lab for lab in omit_labels
-                        if lab.startswith("fleet-job")}
-                else:
-                    continue
-                if not hit:
-                    continue
-                findings.append(Finding(
-                    path=draw.path, line=draw.line, col=draw.col,
-                    code="FLOW604", rule="ambient-stream-in-job",
-                    message=(
-                        f"rng.{draw.method}() in {draw.func} falls "
-                        f"back to the ambient constant-key stream "
-                        f"{origin.key!r} on a path from "
-                        f"{_label_text(hit)}; every shard draws an "
-                        f"identical sequence here — thread the "
-                        f"shard rng through"
-                    ),
-                ))
 
     # FLOW602: fully-constant keys shared by distinct call sites.
     by_key: Dict[Tuple[str, str], List[Origin]] = {}
@@ -726,20 +677,11 @@ def _resolve_origins(origins: Sequence[Origin],
                 # Nothing entry-reachable bound the param; neither
                 # branch is provable, so stay quiet (soundness gap,
                 # documented).
-                out.append(Origin(
-                    kind="fallback-unbound", key=origin.key,
-                    path=origin.path, line=origin.line,
-                    constant=origin.constant, tainted=origin.tainted,
-                    seed_repr=origin.seed_repr))
+                out.append(origin)
                 continue
             for o in incoming:
                 if o.kind == "omitted":
-                    out.append(Origin(
-                        kind="fallback-taken", key=origin.key,
-                        func=o.func, path=origin.path,
-                        line=origin.line, constant=origin.constant,
-                        tainted=origin.tainted,
-                        seed_repr=origin.seed_repr))
+                    out.append(origin)  # the keyed fallback stream
                 else:
                     out.extend(_resolve_origins(
                         (o,), param_origins, seen))

@@ -1,17 +1,16 @@
-"""One registry for every check the repo's seven analysis tools run.
+"""One registry for every check the repo's six analysis tools run.
 
 The static linter (SIM1xx), the runtime sanitizer (SAN2xx), the
 model-check spec cross-checker (MC301–MC304), the model-check runtime
 invariants (MC31x), the observability self-checks (OBS4xx), the
-fleet execution diagnostics (FLT5xx), the whole-program flow
-analyses (FLOW6xx) and the scenario engine's workload invariants
-(SCN9xx) each grew their own code space; this module is the single
-place that enumerates all of them, so
+whole-program flow analysis (FLOW6xx) and the scenario engine's
+workload invariants (SCN9xx) each grew their own code space; this
+module is the single place that enumerates all of them, so
 
 * ``--list-rules`` prints the same registry from ``repro.lint``,
   ``repro.sanitize``, ``repro.modelcheck``, ``repro.obs``,
-  ``repro.fleet``, ``repro.flow`` and ``repro.scenario`` alike;
-* the seven CLIs share one exit-code contract
+  ``repro.flow`` and ``repro.scenario`` alike;
+* the six CLIs share one exit-code contract
   (:data:`EXIT_CLEAN` / :data:`EXIT_FINDINGS` / :data:`EXIT_USAGE`)
   and one reporting surface (:func:`add_report_arguments`);
 * the static rule set the engine runs is assembled here (SIM rules
@@ -36,8 +35,8 @@ from typing import List, Optional, Sequence, Tuple
 from repro.lint.rules import ALL_RULES, Rule
 
 #: Shared CLI exit-code contract for repro.lint / repro.sanitize /
-#: repro.modelcheck / repro.obs / repro.fleet / repro.flow /
-#: repro.scenario: clean, findings reported, usage error.
+#: repro.modelcheck / repro.obs / repro.flow / repro.scenario: clean,
+#: findings reported, usage error.
 EXIT_CLEAN = 0
 EXIT_FINDINGS = 1
 EXIT_USAGE = 2
@@ -73,14 +72,6 @@ OBS_RUNTIME_CODES = {
 #: so these never fail a scenario on their own.
 OBS_ADVISORY_CODES = frozenset({"OBS403", "OBS404"})
 
-#: Fleet execution diagnostics (emitted by repro.fleet about sweep
-#: execution and checkpoints, not about the protocol under test).
-FLEET_RUNTIME_CODES = {
-    "FLT501": "shard-retries-exhausted",
-    "FLT502": "shard-result-mismatch",
-    "FLT503": "checkpoint-torn-write",
-}
-
 _RUNTIME_DESCRIPTIONS = {
     # SAN2xx — repro.sanitize shadow-state probes.
     "SAN201": "an address allocated while already allocated",
@@ -110,14 +101,6 @@ _RUNTIME_DESCRIPTIONS = {
     "OBS404": "the metric handle table grew past its configured "
               "capacity (attach-time registration is leaking into "
               "the hot path; pre-size the registry)",
-    # FLT5xx — repro.fleet sweep-execution diagnostics.
-    "FLT501": "a shard that failed on every attempt (retry budget "
-              "exhausted; its cell is missing from the aggregate)",
-    "FLT502": "duplicate ok rows for one shard with different "
-              "payloads (the job is not a pure function of its "
-              "shard stream)",
-    "FLT503": "a torn trailing write found in a checkpoint on "
-              "resume (truncated in place; affected shards re-run)",
 }
 
 
@@ -128,7 +111,7 @@ class RegistryEntry:
     code: str
     name: str
     kind: str  # "static" | "runtime"
-    tool: str  # lint|sanitize|modelcheck|obs|fleet|flow|scenario
+    tool: str  # lint|sanitize|modelcheck|obs|flow|scenario
     description: str
     scope: Optional[frozenset] = None
     advisory: bool = False
@@ -140,7 +123,7 @@ def add_report_arguments(
         default: str = "text") -> None:
     """The reporting flags every tool CLI shares.
 
-    Each of the seven CLIs used to wire ``--format``/``--list-rules``
+    Each of the six CLIs used to wire ``--format``/``--list-rules``
     by hand, slightly different ways; this is the one place the
     contract lives now.  Tools with an extra format (obs adds
     ``prom``) pass their own ``formats``.
@@ -186,7 +169,7 @@ def get_static_rules(select: Optional[List[str]] = None,
 
 
 def all_entries() -> Tuple[RegistryEntry, ...]:
-    """Every check across the seven tools, in code order."""
+    """Every check across the six tools, in code order."""
     from repro.flow.rules import FLOW_RULES
     from repro.sanitize.report import VIOLATION_CODES
     from repro.scenario.rules import (
@@ -219,15 +202,10 @@ def all_entries() -> Tuple[RegistryEntry, ...]:
             description=_RUNTIME_DESCRIPTIONS.get(code, ""),
             advisory=code in OBS_ADVISORY_CODES,
         ))
-    for code, name in FLEET_RUNTIME_CODES.items():
-        entries.append(RegistryEntry(
-            code=code, name=name, kind="runtime", tool="fleet",
-            description=_RUNTIME_DESCRIPTIONS.get(code, ""),
-        ))
-    for code, name, advisory, description in FLOW_RULES:
+    for code, name, description in FLOW_RULES:
         entries.append(RegistryEntry(
             code=code, name=name, kind="static", tool="flow",
-            description=description, advisory=advisory,
+            description=description,
         ))
     for code, name in SCENARIO_RUNTIME_CODES.items():
         entries.append(RegistryEntry(
@@ -239,7 +217,7 @@ def all_entries() -> Tuple[RegistryEntry, ...]:
 
 
 def render_registry() -> str:
-    """``--list-rules`` text, shared by all seven CLIs."""
+    """``--list-rules`` text, shared by all six CLIs."""
     lines = []
     for entry in all_entries():
         if entry.kind == "static":

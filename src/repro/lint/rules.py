@@ -22,10 +22,8 @@ RawFinding = Tuple[int, int, str]
 #: in place, so nondeterminism there would corrupt sanitized traces.
 #: ``modelcheck`` likewise: state fingerprints and replay must be
 #: bit-identical across processes or restore() diverges.  ``fleet``
-#: likewise: sharded sweeps must aggregate byte-identically whatever
-#: the worker count, so its shard/job layer is held to the same
-#: determinism contract (its two audited wall-clock reads live in
-#: ``repro.fleet.wallclock`` and feed scheduling only).
+#: names no package any more; it stays so that the rule scopes that
+#: ``--list-rules`` prints, and the lint cache key, do not change.
 SIM_PACKAGES = frozenset(
     {"sim", "core", "sap", "experiments", "routing", "topology",
      "sanitize", "modelcheck", "fleet", "scenario"}

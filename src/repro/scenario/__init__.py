@@ -1,8 +1,8 @@
 """repro.scenario — declarative workloads, adversaries and fuzzing.
 
 The ROADMAP's north star asks for "as many scenarios as you can
-imagine"; the four hand-coded harnesses (kernel/clash/steady/chaos)
-cover exactly four.  This package turns scenarios into *data*:
+imagine"; the three hand-coded harnesses (kernel/clash/steady)
+cover exactly three.  This package turns scenarios into *data*:
 
 * :mod:`repro.scenario.spec` — a frozen, JSON-round-trippable
   :class:`~repro.scenario.spec.ScenarioSpec` composing arrival
@@ -21,7 +21,7 @@ cover exactly four.  This package turns scenarios into *data*:
   the sanitizer + invariants, and delta-debug any violating spec down
   to a minimal replayable JSON artifact.
 
-``python -m repro.scenario`` (or ``repro scenario``) is the seventh CLI
+``python -m repro.scenario`` (or ``repro scenario``) is the sixth CLI
 on the shared rule registry.
 """
 

@@ -1,6 +1,6 @@
 """``python -m repro.scenario`` — the scenario/fuzzing CLI.
 
-Same contract as the other six tools: exit 0 clean, 1 findings,
+Same contract as the other five tools: exit 0 clean, 1 findings,
 2 usage error; ``--list-rules`` prints the shared registry;
 ``--format github`` emits Actions annotations.
 
@@ -24,6 +24,7 @@ import os
 import sys
 from typing import List, Optional
 
+from repro.experiments.pool import worker_count
 from repro.lint.registry import (
     EXIT_CLEAN,
     EXIT_FINDINGS,
@@ -88,9 +89,9 @@ def build_parser() -> argparse.ArgumentParser:
              f"{FUZZ_MAX_EVENTS} for fuzz)",
     )
     parser.add_argument(
-        "--jobs", type=int, default=1, metavar="N",
-        help="fuzz worker processes (>1 shards runs over "
-             "repro.fleet; same report, any worker count)",
+        "--jobs", type=worker_count, default=1, metavar="N",
+        help="fuzz worker processes (same report, any worker "
+             "count)",
     )
     parser.add_argument(
         "--corpus-out", metavar="DIR",
@@ -296,8 +297,6 @@ def _write_corpus(report: FuzzReport, directory: str) -> None:
 def cmd_fuzz(args: argparse.Namespace) -> int:
     if args.runs < 1:
         raise ValueError(f"--runs must be >= 1, got {args.runs}")
-    if args.jobs < 1:
-        raise ValueError(f"--jobs must be >= 1, got {args.jobs}")
     budget = (args.max_events if args.max_events is not None
               else FUZZ_MAX_EVENTS)
     cache = None if args.no_cache else RunCache(args.cache_file)

@@ -13,10 +13,10 @@ harness (deterministic asymmetric per-pair delays, tight abstract
 space), layer the spec's dynamics on top (churn, partition storms,
 loss ramps, personas) and run under the SAN2xx sanitizers plus the
 SCN9xx :class:`~repro.scenario.invariants.ScenarioMonitor`.  Legacy
-kinds (``kernel``/``clash``/``steady``/``chaos``) dispatch to the
-repo's original harnesses, so the four hand-coded scenarios are
-expressible as committed spec fixtures whose traces match the
-originals byte for byte.
+kinds (``kernel``/``clash``/``steady``) dispatch to the repo's
+original harnesses, so the three hand-coded scenarios are expressible
+as committed spec fixtures whose traces match the originals byte for
+byte.
 """
 
 from __future__ import annotations
@@ -140,31 +140,8 @@ def run_spec(spec: ScenarioSpec, seed: int,
         run = _run_clash(spec, seed)
     elif spec.kind == "steady":
         run = _run_steady(spec, seed, max_events)
-    elif spec.kind == "chaos":
-        run = _run_chaos(spec, seed)
     else:
         run = _run_synthetic(spec, seed, max_events)
-    run.max_events = max_events
-    return run
-
-
-def run_sampled(spec: ScenarioSpec, seed: int,
-                max_events: int = DEFAULT_MAX_EVENTS) -> ScenarioRun:
-    """Synthetic-only entry point for the fuzz loop.
-
-    Sampled specs are always ``kind="synthetic"``; routing them here
-    instead of :func:`run_spec` keeps the legacy-harness dispatch
-    (whose ``chaos`` arm calls the fleet sweep runner) off the
-    ``scenario-fuzz-cell`` job path, so the job stays provably pure
-    (FLOW612–614).
-    """
-    spec.validate()
-    if spec.kind != "synthetic":
-        raise ValueError(
-            f"run_sampled only accepts synthetic specs, got "
-            f"kind={spec.kind!r}"
-        )
-    run = _run_synthetic(spec, seed, max_events)
     run.max_events = max_events
     return run
 
@@ -524,24 +501,3 @@ def _run_steady(spec: ScenarioSpec, seed: int,
     return ScenarioRun(spec=spec, seed=seed, trace=trace,
                        events_run=scheduler.events_run,
                        sessions_created=sessions)
-
-
-def _run_chaos(spec: ScenarioSpec, seed: int) -> ScenarioRun:
-    from repro.fleet.runner import run_sweep
-    from repro.fleet.sweeps import build_sweep
-
-    params = spec.legacy_params()
-    sweep = build_sweep("chaos", seed=seed,
-                        shards=int(params.get("shards", 4)))
-    result = run_sweep(sweep, jobs=int(params.get("jobs", 1)))
-    lines = [_header(spec, seed), result.aggregate_json()]
-    # The chaos drill trips FLT501 by design; the diagnostics are the
-    # drill's product, so they land in the trace rather than failing
-    # the scenario (messages excluded: codes and shards are the
-    # deterministic part).
-    lines.extend(
-        f"{issue.code} [{issue.rule}] shard={issue.shard}"
-        for issue in result.issues
-    )
-    return ScenarioRun(spec=spec, seed=seed,
-                       trace="\n".join(lines) + "\n")

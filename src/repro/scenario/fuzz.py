@@ -4,8 +4,8 @@ Run ``i`` of a fuzz campaign is fully determined by ``(seed, i)``:
 the spec is sampled from ``derived_stream(f"scenario/fuzz/run-{i}",
 seed)`` and then run with ``seed`` itself (the spec digest already
 namespaces every engine stream).  Because rows are keyed by global
-run index, sharding the campaign across fleet workers cannot change
-the report — ``scenario-fuzz-cell`` is a pure job returning rows and
+run index, splitting the campaign across worker processes cannot
+change the report — :func:`fuzz_cell` is pure, returning rows, and
 all impure work (shrinking, corpus writing, caching) stays in the
 parent.
 
@@ -21,8 +21,9 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Any, Dict, List, Optional
 
+from repro.experiments.pool import ordered_map
 from repro.scenario.cache import RunCache, run_key
-from repro.scenario.engine import run_sampled, run_spec
+from repro.scenario.engine import run_spec
 from repro.scenario.generator import sample_spec
 from repro.scenario.rules import SCENARIO_ADVISORY_CODES
 from repro.scenario.shrink import shrink_spec
@@ -66,9 +67,7 @@ def run_row(index: int, seed: int, max_events: int,
         hit = cache.get(key)
         if hit is not None:
             return dict(hit, index=index)
-    # run_sampled, not run_spec: this sits on the fleet-job path and
-    # must never reach the legacy dispatch (see engine.run_sampled).
-    run = run_sampled(spec, seed, max_events=max_events)
+    run = run_spec(spec, seed, max_events=max_events)
     row = {
         "index": index,
         "digest": run.digest,
@@ -83,20 +82,15 @@ def run_row(index: int, seed: int, max_events: int,
     return row
 
 
-def fuzz_cell(params: Dict[str, Any], rng, attempt) -> Dict[str, Any]:
-    """Fleet job ``scenario-fuzz-cell``: one contiguous run range.
+def fuzz_cell(params: Dict[str, Any]) -> List[Dict[str, Any]]:
+    """The rows of one contiguous run range, for ``--jobs``.
 
-    Pure in ``params`` alone — the shard stream is deliberately
-    unused because rows must be keyed by *global* run index, not by
-    shard layout, so re-sharding a campaign cannot change its report.
+    Pure in ``params`` alone; rows are keyed by *global* run index,
+    so how the campaign is split cannot change its report.
     """
-    del rng, attempt
-    start = int(params["start"])
-    count = int(params["count"])
-    seed = int(params["seed"])
-    max_events = int(params["max_events"])
-    return {"rows": [run_row(index, seed, max_events)
-                     for index in range(start, start + count)]}
+    start = params["start"]
+    return [run_row(index, params["seed"], params["max_events"])
+            for index in range(start, start + params["count"])]
 
 
 @dataclass
@@ -156,30 +150,21 @@ def _hard_codes(row: Dict[str, Any]) -> List[str]:
             if code not in SCENARIO_ADVISORY_CODES]
 
 
-def _fleet_rows(seed: int, runs: int, max_events: int,
-                jobs: int) -> List[Dict[str, Any]]:
-    """Shard the campaign over fleet workers; rows in index order.
+def _pool_rows(seed: int, runs: int, max_events: int,
+               jobs: int) -> List[Dict[str, Any]]:
+    """The campaign's rows in index order, over worker processes.
 
-    The shard layout is a function of ``runs`` alone (never of
+    The split into cells is a function of ``runs`` alone (never of
     ``jobs``), so any worker count reproduces the identical report.
     """
-    from repro.fleet.runner import run_sweep
-    from repro.fleet.spec import SweepSpec, make_shards
-
-    shard_size = 5
-    params = [
-        {"start": start, "count": min(shard_size, runs - start),
+    cell_size = 5
+    cells = [
+        {"start": start, "count": min(cell_size, runs - start),
          "seed": seed, "max_events": max_events}
-        for start in range(0, runs, shard_size)
+        for start in range(0, runs, cell_size)
     ]
-    sweep = SweepSpec(sweep_id=f"scenario-fuzz-{seed}",
-                      job="scenario-fuzz-cell", seed=seed,
-                      shards=make_shards(params))
-    result = run_sweep(sweep, jobs=jobs)
-    rows: List[Dict[str, Any]] = []
-    for payload in result.aggregate()["rows"]:
-        rows.extend(payload["rows"])
-    return rows
+    return [row for rows in ordered_map(fuzz_cell, cells, jobs)
+            for row in rows]
 
 
 def run_fuzz(seed: int, runs: int,
@@ -193,18 +178,18 @@ def run_fuzz(seed: int, runs: int,
         seed: campaign seed; with ``runs`` it determines everything.
         runs: how many specs to sample and run.
         max_events: per-run event budget (the deterministic timeout).
-        jobs: >1 shards the runs over fleet worker processes.
+        jobs: >1 splits the runs over worker processes.
         shrink: delta-debug violating specs (first
             :data:`MAX_SHRINKS` only).
         shrink_budget: candidate runs allowed per shrink.
-        cache: optional :class:`RunCache` (parent-side only; fleet
+        cache: optional :class:`RunCache` (serial runs only; worker
             cells never touch disk).
     """
     if runs < 1:
         raise ValueError(f"runs must be >= 1, got {runs}")
     report = FuzzReport(seed=seed, runs=runs, max_events=max_events)
     if jobs > 1:
-        report.rows = _fleet_rows(seed, runs, max_events, jobs)
+        report.rows = _pool_rows(seed, runs, max_events, jobs)
     else:
         report.rows = [run_row(index, seed, max_events, cache=cache)
                        for index in range(runs)]

@@ -3,7 +3,7 @@
 One rule: a sampled spec is a pure function of the generator stream
 it is handed, so the fuzzer's run ``i`` re-samples identically from
 ``derived_stream(f"scenario/fuzz/run-{i}", seed)`` no matter how runs
-are sharded across fleet workers.
+are split across worker processes.
 
 The distribution is biased toward the interesting corners — partition
 storms, churn, flash crowds, tight spaces and misbehaving personas

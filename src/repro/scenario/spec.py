@@ -36,7 +36,7 @@ DEMAND_SHAPES = ("uniform", "hotspot", "multifractal")
 #: Spec kinds: ``synthetic`` runs the generative engine; the legacy
 #: kinds dispatch to the repo's original hand-coded harnesses so the
 #: old scenarios are expressible as committed spec fixtures.
-SPEC_KINDS = ("synthetic", "kernel", "clash", "steady", "chaos")
+SPEC_KINDS = ("synthetic", "kernel", "clash", "steady")
 
 
 @dataclass(frozen=True)

@@ -99,11 +99,49 @@ class TestSimulationCommands:
         assert out.read_text().startswith("repro — compact")
 
 
+class TestParallelSweeps:
+    def test_fig5_jobs_table_matches_serial(self, capsys):
+        argv = ["fig5", "--nodes", "40", "--sizes", "60",
+                "--trials", "1", "--algorithms", "random"]
+        assert main(argv) == 0
+        serial = capsys.readouterr().out
+        assert main(argv + ["--jobs", "2"]) == 0
+        parallel = capsys.readouterr().out
+        assert parallel == serial
+        assert "random" in serial
+
+    def test_steady_jobs_table_matches_serial(self, capsys):
+        argv = ["steady-state", "--nodes", "40", "--algorithm",
+                "random", "--spaces", "60", "--trials", "1"]
+        assert main(argv) == 0
+        serial = capsys.readouterr().out
+        assert main(argv + ["--jobs", "2"]) == 0
+        parallel = capsys.readouterr().out
+        assert parallel == serial
+
+    def test_a_raising_cell_fails_the_map(self):
+        # No retry: the worker's exception reaches the caller.
+        from repro.experiments.pool import ordered_map
+
+        with pytest.raises(ValueError, match="'x'"):
+            ordered_map(int, ["1", "x", "3"], 2)
+
+    @pytest.mark.parametrize("argv", [
+        ["fig5", "--jobs", "0"],
+        ["steady-state", "--jobs", "-4"],
+        ["scenario", "fuzz", "--jobs", "0"],
+    ], ids=["fig5", "steady-state", "scenario-fuzz"])
+    def test_jobs_below_one_is_a_usage_error(self, argv, capsys):
+        with pytest.raises(SystemExit) as exit_info:
+            main(argv)
+        assert exit_info.value.code == 2
+        assert "--jobs: must be >= 1" in capsys.readouterr().err
+
+
 @pytest.mark.parametrize("tool, args", [
     ("lint", ["src", "--cache-file", "lint.json", "--seed", "7"]),
     ("modelcheck", ["smoke", "--max-states", "10", "--seed", "3"]),
     ("obs", ["--scenario", "steady", "--seed", "5"]),
-    ("fleet", ["demo", "--start-method", "spawn", "--seed", "9"]),
     ("flow", ["src", "--cache-file", "flow.json"]),
     ("scenario", ["fuzz", "--shrink-budget", "4", "--seed", "0x1"]),
 ])

@@ -9,15 +9,12 @@ to be quiet.
 
 from repro.flow.analysis import analyze_sources
 
-JOBS_PATH = "src/repro/fleet/jobs.py"
+#: ``cmd_*`` functions in ``repro.cli`` are entry points.
+CLI_PATH = "src/repro/cli.py"
 
-REGISTER = (
+PRELUDE = (
     "import numpy as np\n"
     "from repro.sim.rng import derived_stream\n"
-    "def register(name):\n"
-    "    def deco(fn):\n"
-    "        return fn\n"
-    "    return deco\n"
 )
 
 
@@ -26,18 +23,17 @@ def codes(report):
 
 
 def analyze_job(body, extra_sources=()):
-    text = REGISTER + body
-    return analyze_sources([(JOBS_PATH, text), *extra_sources])
+    text = PRELUDE + body
+    return analyze_sources([(CLI_PATH, text), *extra_sources])
 
 
-# --- FLOW601: untraced draw on a job path ---------------------------
+# --- FLOW601: untraced draw on an entry path ------------------------
 
 def test_untraced_draw_in_job_fires_flow601():
     report = analyze_job(
-        "@register('mut')\n"
-        "def mut(params, rng, attempt):\n"
+        "def cmd_mut(args):\n"
         "    wild = np.random.default_rng()\n"
-        "    return {'x': wild.random()}\n"
+        "    return wild.random()\n"
     )
     assert "FLOW601" in codes(report)
 
@@ -55,21 +51,19 @@ def test_untraced_draw_under_a_tool_cli_fires_flow601():
     assert "FLOW601" in codes(report)
 
 
-def test_shard_stream_draw_is_clean():
+def test_entry_point_rng_draw_is_clean():
     report = analyze_job(
-        "@register('ok')\n"
-        "def ok(params, rng, attempt):\n"
-        "    return {'x': float(rng.random())}\n"
+        "def cmd_ok(args, rng):\n"
+        "    return float(rng.random())\n"
     )
     assert codes(report) == []
 
 
 def test_seeded_generator_is_clean():
     report = analyze_job(
-        "@register('ok')\n"
-        "def ok(params, rng, attempt):\n"
-        "    local = np.random.default_rng(int(params['seed']))\n"
-        "    return {'x': float(local.random())}\n"
+        "def cmd_ok(args):\n"
+        "    local = np.random.default_rng(int(args.seed))\n"
+        "    return float(local.random())\n"
     )
     assert codes(report) == []
 
@@ -151,126 +145,15 @@ def test_spec_pure_formatted_key_is_clean():
     assert "FLOW603" not in codes(report)
 
 
-# --- FLOW604: ambient constant-key stream on a job path -------------
-
-def test_ambient_stream_in_job_fires_flow604():
-    report = analyze_job(
-        "def helper():\n"
-        "    return derived_stream('ambient.const').random()\n"
-        "@register('mut')\n"
-        "def mut(params, rng, attempt):\n"
-        "    return {'x': helper()}\n"
-    )
-    assert "FLOW604" in codes(report)
-
-
-def test_ambient_stream_off_job_path_is_clean():
-    report = analyze_job(
-        "def helper():\n"
-        "    return derived_stream('ambient.const').random()\n"
-        "@register('ok')\n"
-        "def ok(params, rng, attempt):\n"
-        "    return {'x': float(rng.random())}\n"
-    )
-    assert "FLOW604" not in codes(report)
-
-
-# --- FLOW611: global mutation ---------------------------------------
-
-def test_global_mutation_in_job_fires_flow611():
-    report = analyze_job(
-        "COUNTER = 0\n"
-        "@register('mut')\n"
-        "def mut(params, rng, attempt):\n"
-        "    global COUNTER\n"
-        "    COUNTER += 1\n"
-        "    return {'n': COUNTER}\n"
-    )
-    assert "FLOW611" in codes(report)
-
-
-def test_module_container_mutation_in_job_fires_flow611():
-    report = analyze_job(
-        "SEEN = []\n"
-        "@register('mut')\n"
-        "def mut(params, rng, attempt):\n"
-        "    SEEN.append(params)\n"
-        "    return {}\n"
-    )
-    assert "FLOW611" in codes(report)
-
-
-# --- FLOW612 / FLOW613: wall clock and I/O --------------------------
-
-def test_wallclock_read_in_job_fires_flow612():
-    report = analyze_job(
-        "import time\n"
-        "@register('mut')\n"
-        "def mut(params, rng, attempt):\n"
-        "    return {'t': time.time()}\n"
-    )
-    assert "FLOW612" in codes(report)
-
-
-def test_wallclock_reached_through_helper_fires_flow612():
-    report = analyze_job(
-        "import time\n"
-        "def helper():\n"
-        "    return time.monotonic()\n"
-        "@register('mut')\n"
-        "def mut(params, rng, attempt):\n"
-        "    return {'t': helper()}\n"
-    )
-    assert "FLOW612" in codes(report)
-
-
-def test_file_io_in_job_fires_flow613():
-    report = analyze_job(
-        "@register('mut')\n"
-        "def mut(params, rng, attempt):\n"
-        "    with open('/tmp/out.txt', 'w') as fh:\n"
-        "        fh.write('x')\n"
-        "    return {}\n"
-    )
-    assert "FLOW613" in codes(report)
-
-
-def test_pure_job_is_clean():
-    report = analyze_job(
-        "@register('ok')\n"
-        "def ok(params, rng, attempt):\n"
-        "    total = 0\n"
-        "    for step in range(int(params.get('n', 10))):\n"
-        "        total += int(rng.integers(0, 7))\n"
-        "    return {'total': total}\n"
-    )
-    assert codes(report) == []
-
-
-# --- FLOW614: mutation through captured state -----------------------
-
-def test_captured_mutable_write_fires_flow614():
-    report = analyze_job(
-        "@register('mut')\n"
-        "def mut(params, rng, attempt):\n"
-        "    acc = []\n"
-        "    def leak():\n"
-        "        acc.append(1)\n"
-        "    leak()\n"
-        "    return {'n': len(acc)}\n"
-    )
-    assert "FLOW614" in codes(report)
-
-
 # --- Suppressions apply to flow findings ----------------------------
 
 def test_suppression_with_justification_silences_finding():
+    pragma = "  # simlint: disable=stream-key-collision (test fixture)\n"
     report = analyze_job(
-        "import time\n"
-        "@register('mut')\n"
-        "def mut(params, rng, attempt):\n"
-        "    return {'t': time.time()}"
-        "  # simlint: disable=job-reads-wallclock (test fixture)\n"
+        "def component_a():\n"
+        "    return derived_stream('shared.key').random()" + pragma
+        + "def component_b():\n"
+        "    return derived_stream('shared.key').random()" + pragma
     )
-    assert "FLOW612" not in codes(report)
-    assert report.suppressed >= 1
+    assert "FLOW602" not in codes(report)
+    assert report.suppressed == 2

@@ -92,20 +92,6 @@ def test_super_call_resolves_to_base_chain():
         graph, "mod.C.__init__")
 
 
-def test_closure_over_loop_variable_records_free_names():
-    graph = graph_of(
-        "def outer():\n"
-        "    fns = []\n"
-        "    for item in range(3):\n"
-        "        def inner():\n"
-        "            return item\n"
-        "        fns.append(inner)\n"
-        "    return fns\n"
-    )
-    inner = graph.functions["mod.outer.inner"]
-    assert "item" in inner.free_names
-
-
 def test_functools_partial_creates_edge_to_wrapped():
     graph = graph_of(
         "import functools\n"
@@ -131,24 +117,10 @@ def test_dict_registry_of_callables_yields_callback_edges():
     assert {"mod.fig5", "mod.steady"} <= targets
 
 
-def test_decorator_registration_marks_fleet_jobs():
-    graph = build_graph_from_sources([(
-        "src/repro/fleet/jobs.py",
-        "def register(name):\n"
-        "    def deco(fn):\n"
-        "        return fn\n"
-        "    return deco\n"
-        "@register('demo')\n"
-        "def demo(params, rng, attempt):\n"
-        "    return {}\n"
-    )])
-    assert graph.fleet_jobs.get("demo") == "repro.fleet.jobs.demo"
-
-
 def test_known_unsound_getattr_dispatch_is_unresolved():
     """Documented soundness boundary: ``getattr(obj, name)()`` is not
-    resolved — no string-keyed reflection in the graph.  FLOW615
-    exists precisely because edges like this stay unresolved."""
+    resolved — no string-keyed reflection in the graph, so a draw
+    reached only through such an edge is not checked."""
     graph = graph_of(
         "class Tool:\n"
         "    def run(self):\n"
@@ -166,5 +138,3 @@ def test_real_tree_graph_is_substantial():
 
     graph = build_graph(graph_paths)
     assert len(graph.functions) > 500
-    assert len(graph.fleet_jobs) >= 8
-    assert graph.fleet_jobs["demo-pi"].endswith("demo_pi")

@@ -1,6 +1,6 @@
 """Cross-tool registry invariants, grown with each new tool.
 
-Seven tools share one rule registry; these tests make the code
+Six tools share one rule registry; these tests make the code
 bands structural (no future rule can silently collide), make every
 CLI list every rule, and pin the cache-filename single-source so tool
 defaults and ``.gitignore`` cannot drift.
@@ -15,13 +15,12 @@ REPO_ROOT = Path(__file__).resolve().parents[1]
 
 #: tool -> (band regex, example rule). The bands are the public
 #: contract: SIM1xx lint, SAN2xx sanitize, MC3xx modelcheck,
-#: OBS4xx obs, FLT5xx fleet, FLOW6xx flow, SCN9xx scenario.
+#: OBS4xx obs, FLOW6xx flow, SCN9xx scenario.
 BANDS = {
     "lint": re.compile(r"^SIM1\d\d$"),
     "sanitize": re.compile(r"^SAN2\d\d$"),
     "modelcheck": re.compile(r"^MC3\d\d$"),
     "obs": re.compile(r"^OBS4\d\d$"),
-    "fleet": re.compile(r"^FLT5\d\d$"),
     "flow": re.compile(r"^FLOW6\d\d$"),
     "scenario": re.compile(r"^SCN9\d\d$"),
 }
@@ -72,8 +71,7 @@ class TestBands:
 
 
 class TestEveryCliListsEveryRule:
-    def test_seven_clis_print_identical_registry(self, capsys):
-        from repro.fleet.cli import main as fleet_main
+    def test_six_clis_print_identical_registry(self, capsys):
         from repro.flow.cli import main as flow_main
         from repro.lint.cli import main as lint_main
         from repro.modelcheck.cli import main as mc_main
@@ -83,7 +81,7 @@ class TestEveryCliListsEveryRule:
 
         outputs = set()
         for main in (lint_main, san_main, mc_main, obs_main,
-                     fleet_main, flow_main, scenario_main):
+                     flow_main, scenario_main):
             assert main(["--list-rules"]) == 0
             outputs.add(capsys.readouterr().out)
         assert len(outputs) == 1

@@ -2,7 +2,7 @@
 
 One registry enumerates every check across repro.lint (SIM1xx),
 repro.sanitize (SAN2xx), repro.modelcheck (MC30x static, MC31x
-runtime), repro.obs (OBS4xx) and repro.fleet (FLT5xx); the five CLIs
+runtime), repro.obs (OBS4xx) and repro.flow (FLOW6xx); the five CLIs
 print the same ``--list-rules`` output, share the 0/1/2 exit-code
 contract, and all speak ``--format github``.
 """
@@ -17,7 +17,7 @@ class TestRegistry:
         codes = {entry.code for entry in registry.all_entries()}
         assert {"SIM101", "SIM114", "MC301", "MC304", "MC311",
                 "MC312", "SAN204", "SAN231", "OBS401",
-                "OBS402", "FLT501", "FLT502", "FLT503"} <= codes
+                "OBS402", "FLOW601", "FLOW603"} <= codes
 
     def test_codes_are_unique_and_sorted(self):
         entries = registry.all_entries()
@@ -30,7 +30,7 @@ class TestRegistry:
             assert entry.description, entry.code
             assert entry.kind in ("static", "runtime")
             assert entry.tool in ("lint", "sanitize", "modelcheck",
-                                  "obs", "fleet", "flow", "scenario")
+                                  "obs", "flow", "scenario")
 
     def test_static_rules_include_mc_spec_rules(self):
         names = {rule.name for rule in registry.static_rules()}
@@ -55,7 +55,7 @@ class TestUnifiedListRules:
         return capsys.readouterr().out
 
     def test_all_five_clis_print_the_same_registry(self, capsys):
-        from repro.fleet.cli import main as fleet_main
+        from repro.flow.cli import main as flow_main
         from repro.lint.cli import main as lint_main
         from repro.modelcheck.cli import main as mc_main
         from repro.obs.cli import main as obs_main
@@ -64,12 +64,12 @@ class TestUnifiedListRules:
         outputs = {
             self._list_rules_output(main, capsys)
             for main in (lint_main, san_main, mc_main, obs_main,
-                         fleet_main)
+                         flow_main)
         }
         assert len(outputs) == 1
         output = outputs.pop()
         for code in ("SIM101", "MC301", "MC311", "SAN204", "OBS401",
-                     "OBS402", "FLT501", "FLT503"):
+                     "OBS402", "FLOW601", "FLOW603"):
             assert code in output
 
 

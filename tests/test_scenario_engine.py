@@ -4,7 +4,7 @@ import json
 
 import pytest
 
-from repro.scenario.engine import run_sampled, run_spec
+from repro.scenario.engine import run_spec
 from repro.scenario.spec import (
     ArrivalSpec,
     PersonaAssignment,
@@ -84,18 +84,6 @@ class TestTraceShape:
         assert run.codes()  # the adversarial spec violates
         for violation in run.violations:
             assert violation.format() in run.trace
-
-
-class TestRunSampled:
-    def test_rejects_legacy_kinds(self):
-        spec = ScenarioSpec(name="kernel", kind="kernel")
-        with pytest.raises(ValueError, match="synthetic"):
-            run_sampled(spec, SEED)
-
-    def test_matches_run_spec_for_synthetic(self):
-        via_dispatch = run_spec(ADVERSARIAL, SEED, max_events=40_000)
-        direct = run_sampled(ADVERSARIAL, SEED, max_events=40_000)
-        assert direct.trace == via_dispatch.trace
 
 
 class TestWorkloadShapes:

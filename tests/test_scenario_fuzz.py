@@ -38,13 +38,13 @@ class TestDeterminism:
                                                  SEED).digest()
 
 
-class TestFleetSharding:
+class TestParallelRuns:
     def test_worker_count_cannot_change_the_report(self):
         inline = run_fuzz(SEED, runs=RUNS, max_events=BUDGET,
                           shrink=False)
-        sharded = run_fuzz(SEED, runs=RUNS, max_events=BUDGET,
+        parallel = run_fuzz(SEED, runs=RUNS, max_events=BUDGET,
                            jobs=2, shrink=False)
-        assert report_bytes(inline) == report_bytes(sharded)
+        assert report_bytes(inline) == report_bytes(parallel)
 
 
 class TestRunCache:

@@ -1,10 +1,10 @@
-"""The four legacy harnesses as committed ScenarioSpec fixtures.
+"""The three legacy harnesses as committed ScenarioSpec fixtures.
 
 Each hand-coded scenario the repo grew before ``repro.scenario``
 existed — the lint determinism kernel, the SAP-in-the-loop clash
-harness, the obs steady mesh and the fleet chaos drill — must be
-expressible as a declarative spec whose engine run reproduces the
-original harness **byte for byte**.  The expected traces here are
+harness and the obs steady mesh — must be expressible as a
+declarative spec whose engine run reproduces the original harness
+**byte for byte**.  The expected traces here are
 rebuilt from direct legacy invocations, so a drift in either the
 engine dispatch or the harness itself fails the comparison.
 """
@@ -33,8 +33,7 @@ def header(spec, seed):
 
 
 class TestFixturesRoundTrip:
-    @pytest.mark.parametrize("name", ["kernel", "clash", "steady",
-                                      "chaos"])
+    @pytest.mark.parametrize("name", ["kernel", "clash", "steady"])
     def test_fixture_loads_validates_and_round_trips(self, name):
         spec = load_fixture(name)
         spec.validate()
@@ -120,23 +119,3 @@ class TestSteady:
         assert run.trace == "\n".join(lines) + "\n"
         assert run.clean
 
-
-class TestChaos:
-    def test_engine_trace_matches_fleet_chaos_drill(self):
-        from repro.fleet.runner import run_sweep
-        from repro.fleet.sweeps import build_sweep
-
-        spec = load_fixture("chaos")
-        run = run_spec(spec, SEED)
-
-        result = run_sweep(build_sweep("chaos", seed=SEED, shards=4),
-                           jobs=1)
-        lines = [header(spec, SEED), result.aggregate_json()]
-        lines.extend(
-            f"{issue.code} [{issue.rule}] shard={issue.shard}"
-            for issue in result.issues
-        )
-        assert run.trace == "\n".join(lines) + "\n"
-        # The drill injects faults by design; its diagnostics are the
-        # product, not scenario violations.
-        assert run.violations == []

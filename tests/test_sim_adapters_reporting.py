@@ -3,11 +3,7 @@
 import numpy as np
 import pytest
 
-from repro.experiments.reporting import (
-    format_table,
-    merge_sharded_rows,
-    print_series,
-)
+from repro.experiments.reporting import format_table, print_series
 from repro.routing.scoping import ScopeMap
 from repro.routing.spt import ShortestPathForest
 from repro.sim.adapters import build_network_stack, scoped_receiver_map
@@ -77,33 +73,3 @@ class TestFormatTable:
         assert "== demo ==" in out
         assert "v" in out
 
-
-class TestMergeShardedRows:
-    def test_pairs_sorted_by_shard_index(self):
-        rows = merge_sharded_rows([(2, "c"), (0, "a"), (1, "b")])
-        assert rows == ["a", "b", "c"]
-
-    def test_key_field_lookup(self):
-        rows = merge_sharded_rows(
-            [{"shard": 1, "v": "b"}, {"shard": 0, "v": "a"}],
-            key="shard",
-        )
-        assert [row["v"] for row in rows] == ["a", "b"]
-
-    def test_stable_within_a_shard(self):
-        # Equal indices keep arrival order (a stable sort).
-        rows = merge_sharded_rows(
-            [(1, "x1"), (0, "y"), (1, "x2"), (1, "x3")]
-        )
-        assert rows == ["y", "x1", "x2", "x3"]
-
-    def test_missing_key_raises(self):
-        with pytest.raises(KeyError, match="missing its 'shard'"):
-            merge_sharded_rows([{"v": 1}], key="shard")
-
-    def test_empty(self):
-        assert merge_sharded_rows([]) == []
-
-    def test_string_indices_coerced(self):
-        rows = merge_sharded_rows([("10", "b"), ("9", "a")])
-        assert rows == ["a", "b"]
