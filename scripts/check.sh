@@ -28,11 +28,6 @@ echo "== repro.modelcheck (bounded exhaustive exploration) =="
 # scenario (~1 min) runs in CI's model-check step, not the local gate.
 python -m repro.modelcheck smoke simultaneous
 
-echo "== repro.obs (instrumented scenarios, OBS4xx self-checks) =="
-# Fails on any OBS4xx issue (metric collisions, unclosed spans); the
-# full metrics/bench artifacts are collected in CI's reports job.
-python -m repro.obs kernel steady
-
 echo "== repro.flow (whole-program RNG provenance) =="
 # Interprocedural pass: every draw on an experiment or tool-CLI path
 # must trace to a keyed stream or a seeded generator. Cached by a

@@ -94,8 +94,7 @@ class SapLoopResult:
 
 def run_sap_in_the_loop(topology: Topology, scope_map: ScopeMap,
                         config: SapLoopConfig,
-                        sanitizer=None,
-                        observer=None) -> SapLoopResult:
+                        sanitizer=None) -> SapLoopResult:
     """Run the experiment; see module docstring.
 
     Args:
@@ -103,16 +102,11 @@ def run_sap_in_the_loop(topology: Topology, scope_map: ScopeMap,
             :class:`repro.sanitize.SanitizerContext`; when given, the
             whole stack runs under shadow-state checking and the
             convergence-time cache cross-check runs before returning.
-        observer: optional :class:`repro.obs.ObsContext`; profiles the
-            whole stack (metrics, spans, latency histograms) without
-            changing its behaviour.
     """
     rng = np.random.default_rng(config.seed)
     scheduler = EventScheduler()
     if sanitizer is not None:
         sanitizer.attach_scheduler(scheduler)
-    if observer is not None:
-        observer.attach_scheduler(scheduler)
     delay_forest = ShortestPathForest(topology, weight="delay")
     network = NetworkModel(
         scheduler,
@@ -122,8 +116,6 @@ def run_sap_in_the_loop(topology: Topology, scope_map: ScopeMap,
     )
     if sanitizer is not None:
         sanitizer.attach_network(network)
-    if observer is not None:
-        observer.attach_network(network)
     space = MulticastAddressSpace.abstract(config.space_size)
 
     def strategy_factory():
@@ -148,8 +140,6 @@ def run_sap_in_the_loop(topology: Topology, scope_map: ScopeMap,
         ))
         if sanitizer is not None:
             sanitizer.watch_directory(directories[-1])
-        if observer is not None:
-            observer.watch_directory(directories[-1])
 
     # Schedule session creations spread over the arrival window.
     total = config.num_directories * config.sessions_per_directory
@@ -173,8 +163,6 @@ def run_sap_in_the_loop(topology: Topology, scope_map: ScopeMap,
     scheduler.run(until=horizon, max_events=2_000_000)
     if sanitizer is not None:
         sanitizer.check_convergence(directories)
-    if observer is not None:
-        observer.finish()
 
     # Residual clashes: pairs of live sessions with the same address
     # and overlapping scopes that the protocol failed to separate.

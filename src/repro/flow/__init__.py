@@ -7,7 +7,7 @@ draw on an experiment or tool-CLI path must trace to a keyed
 neither collide nor fold in non-replayable values.
 
 Run as ``python -m repro.flow`` or ``repro flow``; shares the
-six-tool registry and exit-code contract in :mod:`repro.lint.registry`.
+five-tool registry and exit-code contract in :mod:`repro.lint.registry`.
 """
 
 from repro.flow.analysis import (  # noqa: F401

@@ -16,9 +16,9 @@ from typing import Tuple
 #: (code, name, description)
 FLOW_RULES: Tuple[Tuple[str, str, str], ...] = (
     ("FLOW601", "untraced-rng-draw",
-     "a random draw reachable from a fleet job or experiment entry "
-     "point that does not trace to derived_stream(...), the shard "
-     "stream, or a seeded generator"),
+     "a random draw reachable from an experiment or tool entry "
+     "point that does not trace to derived_stream(...) or a seeded "
+     "generator"),
     ("FLOW602", "stream-key-collision",
      "two distinct call sites constant-fold to the same stream key: "
      "the components draw correlated values"),

@@ -48,8 +48,7 @@ class DeterminismReport:
 
 def run_scenario(seed: int = 1998, num_sites: int = 6,
                  sessions_per_site: int = 3, space_size: int = 12,
-                 horizon: float = 240.0, sanitizer=None,
-                 observer=None) -> str:
+                 horizon: float = 240.0, sanitizer=None) -> str:
     """One full scenario; returns its complete event trace as text.
 
     The trace includes every announcement receipt, clash defence,
@@ -63,17 +62,11 @@ def run_scenario(seed: int = 1998, num_sites: int = 6,
             scheduler, network and every directory run under full
             shadow-state checking (the sanitizers observe, never
             steer, so the trace is unchanged).
-        observer: optional :class:`repro.obs.ObsContext`; when given,
-            the whole stack runs under profiling instrumentation.
-            Like the sanitizers, observers observe and never steer:
-            the trace must stay byte-identical with or without one.
     """
     streams = RandomStreams(seed)
     scheduler = EventScheduler()
     if sanitizer is not None:
         sanitizer.attach_scheduler(scheduler)
-    if observer is not None:
-        observer.attach_scheduler(scheduler)
 
     def receiver_map(source: int, ttl: int):
         # Full mesh with deterministic, asymmetric per-pair delays.
@@ -84,8 +77,6 @@ def run_scenario(seed: int = 1998, num_sites: int = 6,
                            loss_rate=0.05, jitter=0.02)
     if sanitizer is not None:
         sanitizer.attach_network(network)
-    if observer is not None:
-        observer.attach_network(network)
     space = MulticastAddressSpace.abstract(space_size)
     tracer = Tracer(scheduler)
 
@@ -102,8 +93,6 @@ def run_scenario(seed: int = 1998, num_sites: int = 6,
         trace_directory(tracer, directory)
         if sanitizer is not None:
             sanitizer.watch_directory(directory)
-        if observer is not None:
-            observer.watch_directory(directory)
         directories.append(directory)
 
     workload = streams.get("lint.workload")

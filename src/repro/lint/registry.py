@@ -1,16 +1,16 @@
-"""One registry for every check the repo's six analysis tools run.
+"""One registry for every check the repo's five analysis tools run.
 
 The static linter (SIM1xx), the runtime sanitizer (SAN2xx), the
 model-check spec cross-checker (MC301–MC304), the model-check runtime
-invariants (MC31x), the observability self-checks (OBS4xx), the
-whole-program flow analysis (FLOW6xx) and the scenario engine's
-workload invariants (SCN9xx) each grew their own code space; this
-module is the single place that enumerates all of them, so
+invariants (MC31x), the whole-program flow analysis (FLOW6xx) and the
+scenario engine's workload invariants (SCN9xx) each grew their own
+code space; this module is the single place that enumerates all of
+them, so
 
 * ``--list-rules`` prints the same registry from ``repro.lint``,
-  ``repro.sanitize``, ``repro.modelcheck``, ``repro.obs``,
-  ``repro.flow`` and ``repro.scenario`` alike;
-* the six CLIs share one exit-code contract
+  ``repro.sanitize``, ``repro.modelcheck``, ``repro.flow`` and
+  ``repro.scenario`` alike;
+* the five CLIs share one exit-code contract
   (:data:`EXIT_CLEAN` / :data:`EXIT_FINDINGS` / :data:`EXIT_USAGE`)
   and one reporting surface (:func:`add_report_arguments`);
 * the static rule set the engine runs is assembled here (SIM rules
@@ -30,13 +30,13 @@ from __future__ import annotations
 
 import argparse
 from dataclasses import dataclass
-from typing import List, Optional, Sequence, Tuple
+from typing import List, Optional, Tuple
 
 from repro.lint.rules import ALL_RULES, Rule
 
 #: Shared CLI exit-code contract for repro.lint / repro.sanitize /
-#: repro.modelcheck / repro.obs / repro.flow / repro.scenario: clean,
-#: findings reported, usage error.
+#: repro.modelcheck / repro.flow / repro.scenario: clean, findings
+#: reported, usage error.
 EXIT_CLEAN = 0
 EXIT_FINDINGS = 1
 EXIT_USAGE = 2
@@ -58,20 +58,6 @@ MODELCHECK_RUNTIME_CODES = {
     "MC312": "stable-double-claim",
 }
 
-#: Observability self-check diagnostics (emitted by repro.obs at
-#: runtime about the instrumentation itself, not the protocol).
-OBS_RUNTIME_CODES = {
-    "OBS401": "metric-name-collision",
-    "OBS402": "unclosed-span",
-    "OBS403": "exporter-ring-saturated",
-    "OBS404": "handle-table-overflow",
-}
-
-#: OBS4xx codes that describe degraded telemetry rather than broken
-#: instrumentation: the run's *protocol* output is still trustworthy,
-#: so these never fail a scenario on their own.
-OBS_ADVISORY_CODES = frozenset({"OBS403", "OBS404"})
-
 _RUNTIME_DESCRIPTIONS = {
     # SAN2xx — repro.sanitize shadow-state probes.
     "SAN201": "an address allocated while already allocated",
@@ -90,17 +76,6 @@ _RUNTIME_DESCRIPTIONS = {
              "a newcomer (paper section 3 safety guarantee)",
     "MC312": "a loss-free trace quiesced with two directories "
              "claiming the same address",
-    # OBS4xx — repro.obs instrumentation self-checks.
-    "OBS401": "a metric name re-registered with a conflicting type "
-              "or label-key set (would corrupt exposition)",
-    "OBS402": "a span still open when its scenario ended (a protocol "
-              "phase that began and never completed)",
-    "OBS403": "the ring-buffer exporter overwrote records that were "
-              "never drained (telemetry lost; drain more often or "
-              "raise the ring capacity)",
-    "OBS404": "the metric handle table grew past its configured "
-              "capacity (attach-time registration is leaking into "
-              "the hot path; pre-size the registry)",
 }
 
 
@@ -111,25 +86,21 @@ class RegistryEntry:
     code: str
     name: str
     kind: str  # "static" | "runtime"
-    tool: str  # lint|sanitize|modelcheck|obs|flow|scenario
+    tool: str  # lint|sanitize|modelcheck|flow|scenario
     description: str
     scope: Optional[frozenset] = None
     advisory: bool = False
 
 
-def add_report_arguments(
-        parser: argparse.ArgumentParser,
-        formats: Sequence[str] = ("text", "json", "github"),
-        default: str = "text") -> None:
+def add_report_arguments(parser: argparse.ArgumentParser) -> None:
     """The reporting flags every tool CLI shares.
 
-    Each of the six CLIs used to wire ``--format``/``--list-rules``
+    Each of the five CLIs used to wire ``--format``/``--list-rules``
     by hand, slightly different ways; this is the one place the
-    contract lives now.  Tools with an extra format (obs adds
-    ``prom``) pass their own ``formats``.
+    contract lives now.
     """
     parser.add_argument(
-        "--format", choices=tuple(formats), default=default,
+        "--format", choices=("text", "json", "github"), default="text",
         help="output format (github emits Actions annotations)",
     )
     parser.add_argument(
@@ -169,7 +140,7 @@ def get_static_rules(select: Optional[List[str]] = None,
 
 
 def all_entries() -> Tuple[RegistryEntry, ...]:
-    """Every check across the six tools, in code order."""
+    """Every check across the five tools, in code order."""
     from repro.flow.rules import FLOW_RULES
     from repro.sanitize.report import VIOLATION_CODES
     from repro.scenario.rules import (
@@ -196,12 +167,6 @@ def all_entries() -> Tuple[RegistryEntry, ...]:
             code=code, name=name, kind="runtime", tool="modelcheck",
             description=_RUNTIME_DESCRIPTIONS.get(code, ""),
         ))
-    for code, name in OBS_RUNTIME_CODES.items():
-        entries.append(RegistryEntry(
-            code=code, name=name, kind="runtime", tool="obs",
-            description=_RUNTIME_DESCRIPTIONS.get(code, ""),
-            advisory=code in OBS_ADVISORY_CODES,
-        ))
     for code, name, description in FLOW_RULES:
         entries.append(RegistryEntry(
             code=code, name=name, kind="static", tool="flow",
@@ -217,7 +182,7 @@ def all_entries() -> Tuple[RegistryEntry, ...]:
 
 
 def render_registry() -> str:
-    """``--list-rules`` text, shared by all six CLIs."""
+    """``--list-rules`` text, shared by all five CLIs."""
     lines = []
     for entry in all_entries():
         if entry.kind == "static":

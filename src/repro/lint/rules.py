@@ -21,12 +21,10 @@ RawFinding = Tuple[int, int, str]
 #: ``sanitize`` is included: the runtime sanitizers observe simulations
 #: in place, so nondeterminism there would corrupt sanitized traces.
 #: ``modelcheck`` likewise: state fingerprints and replay must be
-#: bit-identical across processes or restore() diverges.  ``fleet``
-#: names no package any more; it stays so that the rule scopes that
-#: ``--list-rules`` prints, and the lint cache key, do not change.
+#: bit-identical across processes or restore() diverges.
 SIM_PACKAGES = frozenset(
     {"sim", "core", "sap", "experiments", "routing", "topology",
-     "sanitize", "modelcheck", "fleet", "scenario"}
+     "sanitize", "modelcheck", "scenario"}
 )
 
 #: Legacy module-global numpy RNG entry points (shared hidden state).

@@ -1,41 +1,9 @@
-"""repro.obs — zero-cost-when-disabled observability.
+"""Home of :func:`repro.obs.scenarios.build_steady`, and nothing else.
 
-The observability layer is the measurement substrate the paper's
-quantitative claims need: clash probability vs. occupancy (figs. 5-6),
-announcement latency (§2.3) and responder-count bounds (eqs. 2/4) are
-all *counted* quantities, and "runs as fast as the hardware allows"
-requires profiling the hot paths first.
-
-Three pieces:
-
-* :class:`~repro.obs.metrics.MetricsRegistry` — counters, gauges and
-  fixed-bucket histograms keyed by ``(name, labels)``, recorded in
-  simulation time and exposed as JSON or Prometheus text format;
-* :class:`~repro.obs.spans.SpanTracker` — nested span tracing layered
-  on the existing :class:`~repro.sim.trace.Tracer` (the tracer is the
-  sink for span begin/end records);
-* :class:`~repro.obs.context.ObsContext` — attaches profiling probes
-  to the hot paths (scheduler steps, packet delivery, announcement
-  processing, ``allocate()`` calls, the clash protocol) through the
-  same ``is not None`` hook pattern the sanitizer uses: when no
-  context is attached every hook point costs one attribute check.
+The in-process observability layer that this package held is retired:
+the benchmark in ``perfbench/`` measures every per-layer number from
+outside the program.  The steady churn harness stays here only
+because the benchmark imports it from this path; it moves to
+:mod:`repro.experiments` together with the next change to the
+benchmark.
 """
-
-from repro.obs.context import ObsContext
-from repro.obs.metrics import (
-    Counter,
-    Gauge,
-    Histogram,
-    MetricsRegistry,
-)
-from repro.obs.spans import Span, SpanTracker
-
-__all__ = [
-    "Counter",
-    "Gauge",
-    "Histogram",
-    "MetricsRegistry",
-    "ObsContext",
-    "Span",
-    "SpanTracker",
-]

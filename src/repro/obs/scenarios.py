@@ -1,107 +1,18 @@
-"""Named observed scenarios for ``python -m repro.obs``.
+"""The steady churn harness.
 
-Each scenario builds a fresh :class:`ObsContext`, runs one of the
-repo's harnesses under it, and returns the context plus a one-line
-summary — the profiling analogue of the sanitized scenarios.
-
-* ``kernel`` — the determinism harness scenario (lossy jittered
-  full-mesh, partition+heal, expiries) under full instrumentation;
-  the same run the byte-identity contract is checked against.
-* ``clash`` — the full-stack SAP-in-the-loop experiment (§4
-  exponential back-off announcements, three-phase clash protocol) on
-  a synthetic Mbone, profiling the whole stack end to end.
-* ``steady`` — a steady-state churn harness built for profiling: a
-  small full mesh where the adaptive AIPR-1 allocator runs against a
-  deliberately tight address space while sessions expire and are
-  replaced, so allocation latency, cache hit rates and per-allocator
-  clash counters all accumulate under continuous load.
+A small full mesh where the adaptive AIPR-1 allocator runs against a
+deliberately tight address space while sessions expire and are
+replaced, so allocation, cache hits and misses and all three clash
+phases accumulate under continuous load.  The benchmark's
+``sap-churn`` workload and the ``steady`` scenario fixture build it.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Any, Dict, List, Optional
-
-from repro.obs.context import ObsContext
-
-#: Scenario registry order; ``all`` expands to this.
-SCENARIO_NAMES = ("kernel", "clash", "steady")
+from typing import List, Optional
 
 
-@dataclass
-class ObsScenarioResult:
-    """One observed run: its context and a human summary line."""
-
-    name: str
-    context: ObsContext
-    summary: str
-
-    @property
-    def issues(self):
-        return self.context.issues
-
-    @property
-    def clean(self) -> bool:
-        return self.context.clean
-
-    def report(self) -> Dict[str, Any]:
-        return self.context.report()
-
-
-def _summary(context: ObsContext, extra: str = "") -> str:
-    context.finish()
-    probe = context.scheduler_probe
-    events = int(probe.events.value) if probe is not None else 0
-    spans = context.spans
-    parts = [
-        f"events={events}",
-        f"rate={context.events_per_wall_second:,.0f}/s",
-        f"spans={spans.started if spans else 0}"
-        f" (depth {spans.max_depth() if spans else 0})",
-        f"cache-hit={context.cache_hit_rate():.0%}",
-    ]
-    if extra:
-        parts.append(extra)
-    return f"{context.scenario}: " + " ".join(parts)
-
-
-def _run_kernel(seed: int) -> ObsScenarioResult:
-    from repro.lint.determinism import run_scenario as run_determinism
-
-    context = ObsContext(scenario="kernel")
-    trace = run_determinism(seed=seed, observer=context)
-    summary = _summary(context, f"trace={trace.count(chr(10))} lines")
-    return ObsScenarioResult("kernel", context, summary)
-
-
-def _run_clash(seed: int) -> ObsScenarioResult:
-    from repro.experiments.sap_in_the_loop import (
-        SapLoopConfig,
-        run_sap_in_the_loop,
-    )
-    from repro.routing.scoping import ScopeMap
-    from repro.topology.mbone import MboneParams, generate_mbone
-
-    topology = generate_mbone(MboneParams(total_nodes=60, seed=seed))
-    scope_map = ScopeMap.from_topology(topology)
-    context = ObsContext(scenario="clash")
-    config = SapLoopConfig(
-        num_directories=8, sessions_per_directory=3, space_size=64,
-        loss=0.02, strategy="backoff", inter_arrival=5.0,
-        settle_time=300.0, seed=seed,
-    )
-    result = run_sap_in_the_loop(topology, scope_map, config,
-                                 observer=context)
-    summary = _summary(
-        context,
-        f"allocations={result.allocations} "
-        f"moves={result.address_changes}",
-    )
-    return ObsScenarioResult("clash", context, summary)
-
-
-def build_steady(seed: int, context: Optional[ObsContext] = None,
-                 num_sites: int = 8, space_size: int = 16,
+def build_steady(seed: int, num_sites: int = 8, space_size: int = 16,
                  sessions_per_site: int = 6, horizon: float = 600.0):
     """Construct the steady churn harness; run it with
     ``scheduler.run(until=horizon)``.
@@ -109,15 +20,10 @@ def build_steady(seed: int, context: Optional[ObsContext] = None,
     Every created session has a finite lifetime, so over the horizon
     the directories continuously withdraw and re-allocate — the fig. 12
     steady state, but driven through the real event kernel so the
-    profiling hooks see scheduler, network, cache and clash-protocol
-    load at once.  A partition that heals midway makes both sides
-    allocate from the same tight space while split, so the clash
-    protocol's per-allocator counters accumulate too.
-
-    ``context=None`` builds the identical harness uninstrumented —
-    observers observe and never steer, so the bare and observed builds
-    execute the same event sequence; the overhead benchmark times one
-    against the other (and asserts the event counts agree).
+    scheduler, network, cache and clash protocol are all under load at
+    once.  A partition that heals midway makes both sides allocate
+    from the same tight space while split, so the clash protocol's
+    counters accumulate too.
 
     Returns ``(scheduler, directories)``.
     """
@@ -131,8 +37,6 @@ def build_steady(seed: int, context: Optional[ObsContext] = None,
 
     streams = RandomStreams(seed)
     scheduler = EventScheduler()
-    if context is not None:
-        context.attach_scheduler(scheduler)
 
     def receiver_map(source: int, ttl: int):
         # Full mesh with deterministic, asymmetric per-pair delays.
@@ -141,13 +45,11 @@ def build_steady(seed: int, context: Optional[ObsContext] = None,
 
     network = NetworkModel(scheduler, receiver_map, streams=streams,
                            loss_rate=0.01, jitter=0.01)
-    if context is not None:
-        context.attach_network(network)
     space = MulticastAddressSpace.abstract(space_size)
 
     directories: List[SessionDirectory] = []
     for node in range(num_sites):
-        directory = SessionDirectory(
+        directories.append(SessionDirectory(
             node, scheduler, network,
             AdaptiveIprmaAllocator.aipr1(
                 space_size, rng=streams.get(f"alloc.{node}")
@@ -155,11 +57,10 @@ def build_steady(seed: int, context: Optional[ObsContext] = None,
             space,
             strategy_factory=lambda: FixedIntervalStrategy(20.0),
             rng=streams.get(f"dir.{node}"),
-        )
-        if context is not None:
-            context.watch_directory(directory)
-        directories.append(directory)
+        ))
 
+    # The key keeps the name of the package this harness was written
+    # for; renaming it would change every draw.
     workload = streams.get("obs.workload")
 
     def make_creation(directory: SessionDirectory, name: str,
@@ -191,38 +92,3 @@ def build_steady(seed: int, context: Optional[ObsContext] = None,
         horizon * 0.45, network.heal
     )
     return scheduler, directories
-
-
-def _run_steady(seed: int, horizon: float = 600.0) -> ObsScenarioResult:
-    """The steady churn harness under full (sampled) instrumentation."""
-    context = ObsContext(scenario="steady", seed=seed)
-    scheduler, directories = build_steady(seed, context,
-                                          horizon=horizon)
-    scheduler.run(until=horizon, max_events=2_000_000)
-    context.finish()
-    moves = sum(d.address_changes for d in directories)
-    summary = _summary(context, f"moves={moves}")
-    return ObsScenarioResult("steady", context, summary)
-
-
-_RUNNERS = {
-    "kernel": _run_kernel,
-    "clash": _run_clash,
-    "steady": _run_steady,
-}
-
-
-def run_scenario(name: str, seed: int = 1998) -> ObsScenarioResult:
-    """Run one named scenario under full instrumentation."""
-    runner = _RUNNERS.get(name)
-    if runner is None:
-        raise ValueError(
-            f"unknown scenario {name!r}; choose from "
-            f"{', '.join(SCENARIO_NAMES)} or 'all'"
-        )
-    return runner(seed)
-
-
-def run_all_scenarios(seed: int = 1998) -> List[ObsScenarioResult]:
-    """Run every registered scenario."""
-    return [run_scenario(name, seed=seed) for name in SCENARIO_NAMES]

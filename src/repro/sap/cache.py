@@ -90,10 +90,6 @@ class SessionCache:
         self._row_keys: List[CacheKey] = []
         self._addresses = np.empty(_INITIAL_ROWS, dtype=np.int64)
         self._ttls = np.empty(_INITIAL_ROWS, dtype=np.int64)
-        #: Optional profiling probe (see :mod:`repro.obs`).  None in
-        #: normal operation; one attribute check per observe() when
-        #: observability is off.
-        self._obs = None
 
     def __len__(self) -> int:
         return len(self._entries)
@@ -117,33 +113,21 @@ class SessionCache:
         payload is parsed and mapped, as a hash-colliding announcement
         may carry one.
         """
-        # Observation outcomes are inlined slot increments against the
-        # probe's shared handle table — observe() runs once per
-        # delivered announcement, the hottest SAP path.
-        obs = self._obs
         key = message.key()
         if message.msg_type is SapMessageType.DELETE:
             self._remove(key)
-            if obs is not None:
-                obs.slots[obs.h_delete] += 1.0
             return None
         entry = self._entries.get(key)
         if entry is not None:
             entry.last_heard = now
             entry.times_heard += 1
-            if obs is not None:
-                obs.slots[obs.h_hit] += 1.0
             if entry.address_index is None and address_of is not None:
                 self._late_fill(key, entry, message.payload, address_of)
             return entry
         try:
             description = SessionDescription.parse(message.payload)
         except ValueError:
-            if obs is not None:
-                obs.slots[obs.h_invalid] += 1.0
             return None
-        if obs is not None:
-            obs.slots[obs.h_miss] += 1.0
         self._supersede(message.origin, description)
         entry = CacheEntry(
             message=message,

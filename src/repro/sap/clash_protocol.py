@@ -89,12 +89,15 @@ class ClashHandler:
                             PendingDefence] = {}
         self._last_defence: Dict[Tuple[int, Tuple[int, int]], float] = {}
         self.clashes_seen = 0
+        #: Phase-3 defences fired on another originator's behalf.
         self.defences_sent = 0
         self.retreats = 0
-        #: Optional profiling probe (see :mod:`repro.obs`).  None in
-        #: normal operation; one attribute check per protocol action
-        #: when observability is off.
-        self._obs = None
+        #: Phase-1 defences of this site's own sessions (after the
+        #: ``defend_interval`` rate limit).
+        self.own_defences = 0
+        #: Phase-3 defences suppressed because the old session was
+        #: re-announced while the timer ran.
+        self.proxy_suppressed = 0
 
     @property
     def scheduler(self) -> EventScheduler:
@@ -122,9 +125,6 @@ class ClashHandler:
             if own_key == entry.message.key():
                 continue
             self.clashes_seen += 1
-            obs = self._obs
-            if obs is not None:
-                obs.slots[obs.h_clash] += 1.0
             age = now - own.first_announced
             other_age = now - entry.first_heard
             if self._is_established(age):
@@ -143,8 +143,6 @@ class ClashHandler:
                 # Phase 2: we are the newcomer (or lost the tie-break);
                 # change address.
                 self.retreats += 1
-                if obs is not None:
-                    obs.slots[obs.h_retreat] += 1.0
                 self.directory.retreat(own)
 
     def _defend(self, own, entry: CacheEntry, now: float) -> None:
@@ -153,9 +151,7 @@ class ClashHandler:
         if last is not None and now - last < self.policy.defend_interval:
             return
         self._last_defence[key] = now
-        obs = self._obs
-        if obs is not None:
-            obs.slots[obs.h_defence] += 1.0
+        self.own_defences += 1
         self.directory.defend(own)
 
     def _check_third_party(self, entry: CacheEntry) -> None:
@@ -169,9 +165,6 @@ class ClashHandler:
             if self.directory.owns(old.message.key()):
                 continue  # phases 1/2 already handled it
             self.clashes_seen += 1
-            obs = self._obs
-            if obs is not None:
-                obs.slots[obs.h_clash] += 1.0
             self._schedule_defence(old, entry)
 
     def _schedule_defence(self, old: CacheEntry, new: CacheEntry) -> None:
@@ -202,14 +195,9 @@ class ClashHandler:
         if old.last_heard > pending.old_last_heard:
             # Someone (originator or another third party) already
             # re-announced the old session: we are suppressed.
-            obs = self._obs
-            if obs is not None:
-                obs.slots[obs.h_suppressed] += 1.0
+            self.proxy_suppressed += 1
             return
         self.defences_sent += 1
-        obs = self._obs
-        if obs is not None:
-            obs.slots[obs.h_proxy] += 1.0
         self.directory.proxy_defend(old)
 
     def cancel_all(self) -> int:

@@ -8,8 +8,8 @@ churn victims — comes from a stream keyed under
 are byte-identical and a violating run replays from its emitted JSON
 artifact alone.
 
-Synthetic specs build a full-mesh substrate modelled on the obs steady
-harness (deterministic asymmetric per-pair delays, tight abstract
+Synthetic specs build a full-mesh substrate modelled on the steady
+churn harness (deterministic asymmetric per-pair delays, tight abstract
 space), layer the spec's dynamics on top (churn, partition storms,
 loss ramps, personas) and run under the SAN2xx sanitizers plus the
 SCN9xx :class:`~repro.scenario.invariants.ScenarioMonitor`.  Legacy
@@ -171,7 +171,7 @@ def _run_synthetic(spec: ScenarioSpec, seed: int,
 
     def receiver_map(source: int, ttl: int):
         # Full mesh with deterministic, asymmetric per-pair delays
-        # (the obs steady harness's substrate).
+        # (the steady churn harness's substrate).
         return [(node, 0.01 + 0.002 * ((source + 3 * node) % 5))
                 for node in range(num_sites) if node != source]
 
@@ -487,7 +487,7 @@ def _run_steady(spec: ScenarioSpec, seed: int,
     params = spec.legacy_params()
     horizon = float(params.get("horizon", 600.0))
     scheduler, directories = build_steady(
-        seed, None,
+        seed,
         num_sites=int(params.get("num_sites", 8)),
         space_size=int(params.get("space_size", 16)),
         sessions_per_site=int(params.get("sessions_per_site", 6)),

@@ -64,10 +64,6 @@ class EventScheduler:
         #: None in normal operation, so the only cost when sanitizers
         #: are off is one attribute check per schedule/fire.
         self._monitor: Optional[Any] = None
-        #: Optional profiling probe (see :mod:`repro.obs`).  Same
-        #: contract: None unless an ObsContext is attached, one
-        #: attribute check per schedule/fire when off.
-        self._obs: Optional[Any] = None
 
     @property
     def now(self) -> SimTime:
@@ -82,8 +78,8 @@ class EventScheduler:
     @property
     def events_scheduled(self) -> int:
         """Total events ever pushed onto the heap (including fired,
-        cancelled and still-pending ones).  The observability layer
-        reads this native total instead of counting schedules itself.
+        cancelled and still-pending ones).  The benchmark reads this
+        native total instead of counting schedules itself.
         """
         return self._seq
 
@@ -122,10 +118,6 @@ class EventScheduler:
         self._seq = seq + 1
         handle = EventHandle(when, seq, callback)
         heapq.heappush(self._heap, (when, seq, handle))
-        # No observability hook here: the probe syncs its scheduled
-        # counter from the native ``events_scheduled`` total at finish
-        # and samples heap depth on the 1-in-N step path, so schedules
-        # cost nothing extra while observed.
         return handle
 
     def step(self) -> bool:
@@ -138,21 +130,7 @@ class EventScheduler:
             if self._monitor is not None:
                 self._monitor.on_fire(handle)
             callback, handle.callback = handle.callback, None
-            obs = self._obs
-            if obs is None:
-                callback()
-            else:
-                # Per-event cost is one countdown decrement: the probe
-                # advances its event counter in whole sampling gaps
-                # and wall-clock timing runs only 1-in-N.
-                obs.countdown -= 1
-                if obs.countdown > 0:
-                    callback()
-                else:
-                    # len + 1 counts the event just popped, so the
-                    # probe's heap-depth high-water mark is sampled at
-                    # the same 1-in-N rate as callback timing.
-                    obs.observe_event(callback, len(self._heap) + 1)
+            callback()
             self._events_run += 1
             return True
         return False

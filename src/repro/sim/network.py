@@ -99,9 +99,6 @@ class NetworkModel:
         #: None in normal operation; one attribute check per send and
         #: delivery when sanitizers are off.
         self._monitor: Optional[Any] = None
-        #: Optional profiling probe (see :mod:`repro.obs`), same
-        #: None-when-off contract.
-        self._obs: Optional[Any] = None
         self._partition: Optional[frozenset] = None
         self._detached: set = set()
         self.packets_sent = 0
@@ -198,8 +195,6 @@ class NetworkModel:
         if self._monitor is not None:
             self._monitor.on_send(packet)
         if packet.source in self._detached:
-            if self._obs is not None:
-                self._obs.on_send(packet, 0)
             return 0
         loss_rng = self.streams.get("net.loss")
         jitter_rng = self.streams.get("net.jitter")
@@ -221,8 +216,6 @@ class NetworkModel:
                 total_delay += jitter_rng.uniform(0.0, self.jitter)
             self._schedule_delivery(receiver, packet, total_delay)
             scheduled += 1
-        if self._obs is not None:
-            self._obs.on_send(packet, scheduled)
         return scheduled
 
     def _schedule_delivery(self, receiver: int, packet: Packet,
@@ -237,14 +230,6 @@ class NetworkModel:
                 self.packets_delivered += 1
                 if self._monitor is not None:
                     self._monitor.on_deliver(receiver, packet)
-                obs = self._obs
-                if obs is not None:
-                    # Per-delivery cost is one countdown decrement —
-                    # totals sync from packets_delivered at finish and
-                    # the sim-latency histogram samples 1-in-N.
-                    obs.countdown -= 1
-                    if obs.countdown <= 0:
-                        obs.sample_delivery(packet)
                 for callback in list(callbacks):
                     callback(receiver, packet)
 

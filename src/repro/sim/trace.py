@@ -39,12 +39,6 @@ class TraceRecord:
 class Tracer:
     """Collects :class:`TraceRecord` entries in time order.
 
-    Besides the retained record list, live *consumers* can be attached
-    with :meth:`attach_consumer`: each emitted record is pushed to
-    every consumer whose category filter matches, in attachment order.
-    This is how :mod:`repro.obs` layers span streaming on the tracer
-    without a second record buffer — the tracer is the single sink.
-
     Args:
         scheduler: timestamps are read from this scheduler's clock.
         capacity: oldest records are dropped past this bound (None =
@@ -58,25 +52,7 @@ class Tracer:
         self.scheduler = scheduler
         self.capacity = capacity
         self._records: List[TraceRecord] = []
-        self._consumers: List[tuple] = []
         self.dropped = 0
-
-    def attach_consumer(self, callback,
-                        categories: Optional[List[str]] = None) -> None:
-        """Push future records to ``callback(record)`` as they happen.
-
-        Args:
-            callback: called with each matching :class:`TraceRecord`.
-            categories: only records in these categories are pushed
-                (None = every category).
-        """
-        filter_set = None if categories is None else frozenset(categories)
-        self._consumers.append((callback, filter_set))
-
-    def detach_consumer(self, callback) -> None:
-        """Remove every attachment of ``callback``.  Idempotent."""
-        self._consumers = [(cb, cats) for cb, cats in self._consumers
-                           if cb is not callback]
 
     def emit(self, category: str, message: str,
              node: Optional[int] = None, **data: Any) -> None:
@@ -91,10 +67,6 @@ class Tracer:
             overflow = len(self._records) - self.capacity
             del self._records[:overflow]
             self.dropped += overflow
-        if self._consumers:
-            for callback, categories in self._consumers:
-                if categories is None or category in categories:
-                    callback(record)
 
     # ------------------------------------------------------------------
     # Queries

@@ -141,7 +141,6 @@ class TestParallelSweeps:
 @pytest.mark.parametrize("tool, args", [
     ("lint", ["src", "--cache-file", "lint.json", "--seed", "7"]),
     ("modelcheck", ["smoke", "--max-states", "10", "--seed", "3"]),
-    ("obs", ["--scenario", "steady", "--seed", "5"]),
     ("flow", ["src", "--cache-file", "flow.json"]),
     ("scenario", ["fuzz", "--shrink-budget", "4", "--seed", "0x1"]),
 ])

@@ -101,9 +101,9 @@ def test_cli_exit_codes_and_formats():
     assert github.stdout == ""
 
 
-def test_all_six_clis_list_flow_rules():
+def test_all_five_clis_list_flow_rules():
     for module in ("repro.lint", "repro.sanitize", "repro.modelcheck",
-                   "repro.obs", "repro.flow", "repro.scenario"):
+                   "repro.flow", "repro.scenario"):
         args = ["--list-rules"]
         if module == "repro.lint":
             args.insert(0, "--no-cache")

@@ -1,6 +1,6 @@
 """Cross-tool registry invariants, grown with each new tool.
 
-Six tools share one rule registry; these tests make the code
+Five tools share one rule registry; these tests make the code
 bands structural (no future rule can silently collide), make every
 CLI list every rule, and pin the cache-filename single-source so tool
 defaults and ``.gitignore`` cannot drift.
@@ -15,12 +15,11 @@ REPO_ROOT = Path(__file__).resolve().parents[1]
 
 #: tool -> (band regex, example rule). The bands are the public
 #: contract: SIM1xx lint, SAN2xx sanitize, MC3xx modelcheck,
-#: OBS4xx obs, FLOW6xx flow, SCN9xx scenario.
+#: FLOW6xx flow, SCN9xx scenario.
 BANDS = {
     "lint": re.compile(r"^SIM1\d\d$"),
     "sanitize": re.compile(r"^SAN2\d\d$"),
     "modelcheck": re.compile(r"^MC3\d\d$"),
-    "obs": re.compile(r"^OBS4\d\d$"),
     "flow": re.compile(r"^FLOW6\d\d$"),
     "scenario": re.compile(r"^SCN9\d\d$"),
 }
@@ -71,17 +70,16 @@ class TestBands:
 
 
 class TestEveryCliListsEveryRule:
-    def test_six_clis_print_identical_registry(self, capsys):
+    def test_five_clis_print_identical_registry(self, capsys):
         from repro.flow.cli import main as flow_main
         from repro.lint.cli import main as lint_main
         from repro.modelcheck.cli import main as mc_main
-        from repro.obs.cli import main as obs_main
         from repro.sanitize.cli import main as san_main
         from repro.scenario.cli import main as scenario_main
 
         outputs = set()
-        for main in (lint_main, san_main, mc_main, obs_main,
-                     flow_main, scenario_main):
+        for main in (lint_main, san_main, mc_main, flow_main,
+                     scenario_main):
             assert main(["--list-rules"]) == 0
             outputs.add(capsys.readouterr().out)
         assert len(outputs) == 1

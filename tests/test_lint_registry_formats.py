@@ -2,9 +2,10 @@
 
 One registry enumerates every check across repro.lint (SIM1xx),
 repro.sanitize (SAN2xx), repro.modelcheck (MC30x static, MC31x
-runtime), repro.obs (OBS4xx) and repro.flow (FLOW6xx); the five CLIs
-print the same ``--list-rules`` output, share the 0/1/2 exit-code
-contract, and all speak ``--format github``.
+runtime), repro.flow (FLOW6xx) and repro.scenario (SCN9xx); the CLIs
+share the 0/1/2 exit-code contract and all speak ``--format github``
+(that they print one ``--list-rules`` output is pinned in
+``test_lint_registry_bands.py``).
 """
 
 import pytest
@@ -16,8 +17,8 @@ class TestRegistry:
     def test_every_code_space_is_present(self):
         codes = {entry.code for entry in registry.all_entries()}
         assert {"SIM101", "SIM114", "MC301", "MC304", "MC311",
-                "MC312", "SAN204", "SAN231", "OBS401",
-                "OBS402", "FLOW601", "FLOW603"} <= codes
+                "MC312", "SAN204", "SAN231", "FLOW601",
+                "FLOW603", "SCN901"} <= codes
 
     def test_codes_are_unique_and_sorted(self):
         entries = registry.all_entries()
@@ -30,7 +31,7 @@ class TestRegistry:
             assert entry.description, entry.code
             assert entry.kind in ("static", "runtime")
             assert entry.tool in ("lint", "sanitize", "modelcheck",
-                                  "obs", "flow", "scenario")
+                                  "flow", "scenario")
 
     def test_static_rules_include_mc_spec_rules(self):
         names = {rule.name for rule in registry.static_rules()}
@@ -47,30 +48,6 @@ class TestRegistry:
                 == registry.ruleset_signature(rules))
         assert (registry.ruleset_signature(rules[:-1])
                 != registry.ruleset_signature(rules))
-
-
-class TestUnifiedListRules:
-    def _list_rules_output(self, main, capsys):
-        assert main(["--list-rules"]) == 0
-        return capsys.readouterr().out
-
-    def test_all_five_clis_print_the_same_registry(self, capsys):
-        from repro.flow.cli import main as flow_main
-        from repro.lint.cli import main as lint_main
-        from repro.modelcheck.cli import main as mc_main
-        from repro.obs.cli import main as obs_main
-        from repro.sanitize.cli import main as san_main
-
-        outputs = {
-            self._list_rules_output(main, capsys)
-            for main in (lint_main, san_main, mc_main, obs_main,
-                         flow_main)
-        }
-        assert len(outputs) == 1
-        output = outputs.pop()
-        for code in ("SIM101", "MC301", "MC311", "SAN204", "OBS401",
-                     "OBS402", "FLOW601", "FLOW603"):
-            assert code in output
 
 
 class TestGithubFormat:
@@ -130,12 +107,6 @@ class TestExitCodeContract:
 
     def test_sanitize_usage_error(self, capsys):
         from repro.sanitize.cli import main
-
-        assert main(["no-such-scenario"]) == 2
-        capsys.readouterr()
-
-    def test_obs_usage_error(self, capsys):
-        from repro.obs.cli import main
 
         assert main(["no-such-scenario"]) == 2
         capsys.readouterr()

@@ -224,6 +224,25 @@ class TestClashPhases:
         # defences (plus nothing else).
         assert 1 <= defences <= 4
 
+    def test_steady_harness_counts_every_phase(self):
+        """The clash handler's counters over the steady churn harness
+        (seed 1998, 8 sites, 600 s), summed over its sites."""
+        from repro.obs.scenarios import build_steady
+
+        scheduler, directories = build_steady(1998)
+        scheduler.run(until=600.0)
+        handlers = [d.clash_handler for d in directories]
+        totals = {name: sum(getattr(h, name) for h in handlers)
+                  for name in ("clashes_seen", "own_defences", "retreats",
+                               "proxy_suppressed", "defences_sent")}
+        assert totals == {
+            "clashes_seen": 10_332,
+            "own_defences": 507,       # phase 1, after the rate limit
+            "retreats": 278,           # phase 2
+            "proxy_suppressed": 2_491,  # phase 3, someone answered first
+            "defences_sent": 684,      # phase 3, fired
+        }
+
 
 # --------------------------------------------------------------------
 # The own-session index against a filter of own_sessions().

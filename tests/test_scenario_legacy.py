@@ -98,7 +98,7 @@ class TestSteady:
         run = run_spec(spec, SEED)
 
         scheduler, directories = build_steady(
-            SEED, None, num_sites=8, space_size=16,
+            SEED, num_sites=8, space_size=16,
             sessions_per_site=6, horizon=600.0)
         scheduler.run(until=600.0)
 
