@@ -28,12 +28,6 @@ echo "== repro.modelcheck (bounded exhaustive exploration) =="
 # scenario (~1 min) runs in CI's model-check step, not the local gate.
 python -m repro.modelcheck smoke simultaneous
 
-echo "== repro.flow (whole-program RNG provenance) =="
-# Interprocedural pass: every draw on an experiment or tool-CLI path
-# must trace to a keyed stream or a seeded generator. Cached by a
-# whole-tree digest, so an untouched tree re-checks in milliseconds.
-python -m repro.flow src
-
 echo "== repro.scenario (bounded smoke fuzz, SCN9xx invariants) =="
 # 25 sampled workloads through the full sanitizer + monitor stack;
 # found violations are the campaign's product (exit 0), only an

@@ -8,13 +8,12 @@ finding (or a trace divergence, with ``--determinism``) is reported,
 
 The static rule set is the full registry — SIM1xx determinism rules
 plus the MC30x protocol-spec cross-checks — and ``--list-rules``
-prints every check the repo's three analysis tools run, including the
-runtime SAN2xx / MC31x codes that only ``repro.sanitize`` and
-``repro.modelcheck`` can emit.
+prints every check the repo's four analysis tools run, including the
+runtime SAN2xx / MC31x / SCN9xx codes that only ``repro.sanitize``,
+``repro.modelcheck`` and ``repro.scenario`` can emit.
 
-Findings for unchanged files are served from an incremental cache
-(``.repro-lint-cache.json``; see :mod:`repro.lint.cache`) keyed by
-file content hash and rule-set signature; ``--no-cache`` bypasses it.
+Every run lints the named paths afresh, in one pass: the stream-key
+collision check (SIM116) compares call sites across all of them.
 """
 
 from __future__ import annotations
@@ -23,6 +22,7 @@ import argparse
 import sys
 from typing import List, Optional
 
+from repro.lint.engine import lint_paths
 from repro.lint.registry import (
     EXIT_CLEAN,
     EXIT_FINDINGS,
@@ -46,22 +46,11 @@ def build_parser() -> argparse.ArgumentParser:
                         help="run only these rules")
     parser.add_argument("--ignore", nargs="+", metavar="RULE",
                         help="skip these rules")
-    parser.add_argument("--no-cache", action="store_true",
-                        help="relint every file, ignoring and not "
-                             "updating the incremental cache")
-    parser.add_argument("--cache-file",
-                        default=None,
-                        help="incremental cache location (default: "
-                             ".repro-lint-cache.json)")
     parser.add_argument("--determinism", action="store_true",
                         help="also run the run-twice determinism "
                              "harness")
-    parser.add_argument("--sanitize", action="store_true",
-                        help="also run the runtime sanitizer "
-                             "scenarios (python -m repro.sanitize) "
-                             "and merge violations into the findings")
     parser.add_argument("--seed", type=int, default=1998,
-                        help="seed for --determinism / --sanitize")
+                        help="seed for --determinism")
     return parser
 
 
@@ -76,32 +65,10 @@ def main(argv: Optional[List[str]] = None) -> int:
         print(f"repro.lint: {exc}", file=sys.stderr)
         return EXIT_USAGE
     try:
-        if args.no_cache:
-            from repro.lint.engine import lint_paths
-
-            findings = lint_paths(args.paths, rules=rules)
-        else:
-            from repro.lint.cache import (
-                DEFAULT_CACHE_FILE,
-                lint_paths_cached,
-            )
-
-            findings = lint_paths_cached(
-                args.paths, rules=rules,
-                cache_file=args.cache_file or DEFAULT_CACHE_FILE,
-            )
+        findings = lint_paths(args.paths, rules=rules)
     except FileNotFoundError as exc:
         print(f"repro.lint: {exc}", file=sys.stderr)
         return EXIT_USAGE
-    if args.sanitize:
-        from repro.sanitize.scenarios import run_all_scenarios
-
-        findings = list(findings)
-        for result in run_all_scenarios(seed=args.seed):
-            findings.extend(
-                violation.to_finding(f"<sanitize:{result.name}>")
-                for violation in result.violations
-            )
     if args.format == "json":
         from repro.lint.report import render_json
 

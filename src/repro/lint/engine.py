@@ -11,6 +11,10 @@ Suppression syntax (comments, anywhere tokenize finds them):
 Scoped rules (see :mod:`repro.lint.rules`) are applied according to the
 module's subpackage under ``repro``; files whose package cannot be
 determined (e.g. scratch files) get the full rule set.
+
+One run lints a whole tree in one uncached pass: every file is parsed
+and given the per-file rules, then each :class:`~repro.lint.rules.TreeRule`
+(such as the stream-key collision check) sees all parsed files at once.
 """
 
 from __future__ import annotations
@@ -21,9 +25,9 @@ import re
 import tokenize
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Dict, Iterable, List, Optional, Sequence, Set
+from typing import Dict, Iterable, List, Optional, Sequence, Set, Tuple
 
-from repro.lint.rules import ALL_RULES, Rule
+from repro.lint.rules import ALL_RULES, Rule, TreeRule
 
 _SUPPRESS_RE = re.compile(
     r"#\s*simlint:\s*(disable-file|disable)"
@@ -120,49 +124,72 @@ def package_of(path: str) -> Optional[str]:
     return None
 
 
-def lint_source(text: str, path: str = "<string>",
-                rules: Optional[Sequence[Rule]] = None,
-                package: Optional[str] = _AUTO) -> List[Finding]:
-    """Lint one source string; returns sorted findings.
+def _applies(rule: Rule, package: Optional[str]) -> bool:
+    return rule.scope is None or package is None or package in rule.scope
+
+
+def lint_sources(sources: Iterable[Tuple[str, str]],
+                 rules: Optional[Sequence[Rule]] = None,
+                 package: Optional[str] = _AUTO) -> List[Finding]:
+    """Lint ``(path, text)`` pairs as one tree; returns sorted findings.
 
     Args:
-        text: Python source.
-        path: reported in findings and used for package scoping.
-        rules: rule set (default: the full registry).
+        sources: the files, as path and Python source.
+        rules: rule set (default: the full SIM registry).
         package: override the package used for rule scoping; the
-            default derives it from ``path``.
+            default derives it from each path.
     """
     if rules is None:
         rules = ALL_RULES
-    if package == _AUTO:
-        package = package_of(path)
-    try:
-        tree = ast.parse(text)
-    except SyntaxError as exc:
-        return [Finding(
-            path=path, line=exc.lineno or 1, col=exc.offset or 0,
-            code="SIM000", rule="parse-error",
-            message=f"could not parse: {exc.msg}",
-        )]
-    suppressions = parse_suppressions(text)
     findings: List[Finding] = []
-    for rule in rules:
-        if rule.scope is not None and package is not None \
-                and package not in rule.scope:
-            continue
-        for line, col, message in rule.check(tree):
-            if suppressions.suppressed(line, rule.name):
-                continue
+    parsed: List[Tuple[str, ast.AST, Optional[str]]] = []
+    suppressions: Dict[str, Suppressions] = {}
+
+    def report(rule: Rule, path: str, line: int, col: int,
+               message: str) -> None:
+        if not suppressions[path].suppressed(line, rule.name):
             findings.append(Finding(
                 path=path, line=line, col=col, code=rule.code,
                 rule=rule.name, message=message,
             ))
+
+    for path, text in sources:
+        scope = package_of(path) if package == _AUTO else package
+        try:
+            tree = ast.parse(text)
+        except SyntaxError as exc:
+            findings.append(Finding(
+                path=path, line=exc.lineno or 1, col=exc.offset or 0,
+                code="SIM000", rule="parse-error",
+                message=f"could not parse: {exc.msg}",
+            ))
+            continue
+        suppressions[path] = parse_suppressions(text)
+        parsed.append((path, tree, scope))
+        for rule in rules:
+            if isinstance(rule, TreeRule) or not _applies(rule, scope):
+                continue
+            for line, col, message in rule.check(tree):
+                report(rule, path, line, col, message)
+    for rule in rules:
+        if isinstance(rule, TreeRule):
+            modules = [(path, tree) for path, tree, scope in parsed
+                       if _applies(rule, scope)]
+            for path, line, col, message in rule.check_tree(modules):
+                report(rule, path, line, col, message)
     findings.sort(key=lambda f: (f.path, f.line, f.col, f.code))
     return findings
 
 
+def lint_source(text: str, path: str = "<string>",
+                rules: Optional[Sequence[Rule]] = None,
+                package: Optional[str] = _AUTO) -> List[Finding]:
+    """Lint one source string as a tree of one file."""
+    return lint_sources([(path, text)], rules=rules, package=package)
+
+
 def iter_python_files(paths: Iterable[str]) -> List[str]:
-    """Expand files/directories into a sorted list of ``.py`` files.
+    """Expand files/directories into a list of ``.py`` files, each once.
 
     Raises:
         FileNotFoundError: if a named path does not exist.
@@ -176,15 +203,15 @@ def iter_python_files(paths: Iterable[str]) -> List[str]:
             out.append(str(path))
         else:
             raise FileNotFoundError(f"no such file or directory: {raw}")
-    return out
+    return list(dict.fromkeys(out))
 
 
 def lint_paths(paths: Iterable[str],
                rules: Optional[Sequence[Rule]] = None) -> List[Finding]:
-    """Lint files and directory trees; returns sorted findings."""
-    findings: List[Finding] = []
-    for file_path in iter_python_files(paths):
-        text = Path(file_path).read_text(encoding="utf-8")
-        findings.extend(lint_source(text, path=file_path, rules=rules))
-    findings.sort(key=lambda f: (f.path, f.line, f.col, f.code))
-    return findings
+    """Lint files and directory trees in one pass; returns sorted
+    findings."""
+    return lint_sources(
+        ((file_path, Path(file_path).read_text(encoding="utf-8"))
+         for file_path in iter_python_files(paths)),
+        rules=rules,
+    )

@@ -1,28 +1,23 @@
-"""One registry for every check the repo's five analysis tools run.
+"""One registry for every check the repo's four analysis tools run.
 
 The static linter (SIM1xx), the runtime sanitizer (SAN2xx), the
 model-check spec cross-checker (MC301–MC304), the model-check runtime
-invariants (MC31x), the whole-program flow analysis (FLOW6xx) and the
-scenario engine's workload invariants (SCN9xx) each grew their own
-code space; this module is the single place that enumerates all of
-them, so
+invariants (MC31x) and the scenario engine's workload invariants
+(SCN9xx) each grew their own code space; this module is the single
+place that enumerates all of them, so
 
 * ``--list-rules`` prints the same registry from ``repro.lint``,
-  ``repro.sanitize``, ``repro.modelcheck``, ``repro.flow`` and
-  ``repro.scenario`` alike;
-* the five CLIs share one exit-code contract
+  ``repro.sanitize``, ``repro.modelcheck`` and ``repro.scenario``
+  alike;
+* the four CLIs share one exit-code contract
   (:data:`EXIT_CLEAN` / :data:`EXIT_FINDINGS` / :data:`EXIT_USAGE`)
   and one reporting surface (:func:`add_report_arguments`);
 * the static rule set the engine runs is assembled here (SIM rules
   plus the MC spec rules), so "lint the tree" always means the full
-  static contract.  FLOW6xx rules are listed here but run from
-  :mod:`repro.flow.analysis` — they need the whole program, not one
-  file at a time;
-* every per-tool on-disk cache filename lives in
-  :data:`CACHE_FILES`, so tool code and ``.gitignore`` cannot drift.
+  static contract.
 
 Import direction: ``lint.rules`` and ``lint.engine`` stay free of
-modelcheck/flow imports; this module sits above both and is what the
+modelcheck imports; this module sits above both and is what the
 CLIs consume.
 """
 
@@ -35,21 +30,11 @@ from typing import List, Optional, Tuple
 from repro.lint.rules import ALL_RULES, Rule
 
 #: Shared CLI exit-code contract for repro.lint / repro.sanitize /
-#: repro.modelcheck / repro.flow / repro.scenario: clean, findings
-#: reported, usage error.
+#: repro.modelcheck / repro.scenario: clean, findings reported, usage
+#: error.
 EXIT_CLEAN = 0
 EXIT_FINDINGS = 1
 EXIT_USAGE = 2
-
-#: Per-tool on-disk cache filenames.  The single source of truth —
-#: each tool's ``DEFAULT_CACHE_FILE`` reads from here and
-#: ``.gitignore`` lists exactly these names (asserted by the registry
-#: tests), so the two can never drift.
-CACHE_FILES = {
-    "lint": ".repro-lint-cache.json",
-    "flow": ".repro-flow-cache.json",
-    "scenario": ".repro-scenario-cache.json",
-}
 
 #: Runtime model-check invariants (emitted by the explorer harness,
 #: not by an AST rule), mirroring sanitize's VIOLATION_CODES shape.
@@ -86,7 +71,7 @@ class RegistryEntry:
     code: str
     name: str
     kind: str  # "static" | "runtime"
-    tool: str  # lint|sanitize|modelcheck|flow|scenario
+    tool: str  # lint|sanitize|modelcheck|scenario
     description: str
     scope: Optional[frozenset] = None
     advisory: bool = False
@@ -95,7 +80,7 @@ class RegistryEntry:
 def add_report_arguments(parser: argparse.ArgumentParser) -> None:
     """The reporting flags every tool CLI shares.
 
-    Each of the five CLIs used to wire ``--format``/``--list-rules``
+    Each of the four CLIs used to wire ``--format``/``--list-rules``
     by hand, slightly different ways; this is the one place the
     contract lives now.
     """
@@ -140,8 +125,7 @@ def get_static_rules(select: Optional[List[str]] = None,
 
 
 def all_entries() -> Tuple[RegistryEntry, ...]:
-    """Every check across the five tools, in code order."""
-    from repro.flow.rules import FLOW_RULES
+    """Every check across the four tools, in code order."""
     from repro.sanitize.report import VIOLATION_CODES
     from repro.scenario.rules import (
         SCENARIO_ADVISORY_CODES,
@@ -167,11 +151,6 @@ def all_entries() -> Tuple[RegistryEntry, ...]:
             code=code, name=name, kind="runtime", tool="modelcheck",
             description=_RUNTIME_DESCRIPTIONS.get(code, ""),
         ))
-    for code, name, description in FLOW_RULES:
-        entries.append(RegistryEntry(
-            code=code, name=name, kind="static", tool="flow",
-            description=description,
-        ))
     for code, name in SCENARIO_RUNTIME_CODES.items():
         entries.append(RegistryEntry(
             code=code, name=name, kind="runtime", tool="scenario",
@@ -182,7 +161,7 @@ def all_entries() -> Tuple[RegistryEntry, ...]:
 
 
 def render_registry() -> str:
-    """``--list-rules`` text, shared by all five CLIs."""
+    """``--list-rules`` text, shared by all four CLIs."""
     lines = []
     for entry in all_entries():
         if entry.kind == "static":
@@ -197,19 +176,3 @@ def render_registry() -> str:
         lines.append(f"        {entry.description}")
     return "\n".join(lines)
 
-
-def ruleset_signature(rules: Tuple[Rule, ...]) -> str:
-    """A stable identity for a rule set, for cache keying.
-
-    Any change to a rule's code, name, description or scope — or to
-    the set itself — must invalidate cached findings.
-    """
-    import hashlib
-
-    parts = [
-        (rule.code, rule.name, rule.description,
-         tuple(sorted(rule.scope)) if rule.scope is not None else None)
-        for rule in rules
-    ]
-    digest = hashlib.sha256(repr(sorted(parts)).encode("utf-8"))
-    return digest.hexdigest()[:16]

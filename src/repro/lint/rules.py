@@ -4,18 +4,23 @@ Each rule is a small AST visitor over one module.  Rules are scoped:
 most apply only to the simulation-critical subpackages (``sim``,
 ``core``, ``sap``, ``experiments``, ``routing``, ``topology``) where
 nondeterminism silently corrupts results; a few (mutable defaults,
-timestamp equality) apply everywhere.
+timestamp equality, and the RNG rules SIM101, SIM115 and SIM116,
+since every generator a draw can use is built somewhere in the tree)
+apply everywhere.
 
 Rules yield ``(line, col, message)`` tuples; the engine attaches file
-paths and applies ``# simlint: disable=...`` suppressions.
+paths and applies ``# simlint: disable=...`` suppressions.  A
+:class:`TreeRule` sees every linted module at once and yields
+``(path, line, col, message)``.
 """
 
 from __future__ import annotations
 
 import ast
-from typing import Iterator, List, Optional, Tuple
+from typing import Dict, Iterator, List, Optional, Sequence, Tuple
 
 RawFinding = Tuple[int, int, str]
+RawTreeFinding = Tuple[str, int, int, str]
 
 #: Subpackages of ``repro`` whose behaviour feeds simulation results.
 #: ``sanitize`` is included: the runtime sanitizers observe simulations
@@ -60,6 +65,15 @@ _MUTABLE_FACTORIES = frozenset({
     "deque",
 })
 
+#: Calls (or, for ``os.environ``, subscripts) whose value differs
+#: between runs or hosts, as resolved dotted prefixes.
+_TAINT_PREFIXES = (
+    "time.", "datetime.", "os.getpid", "os.urandom", "os.environ",
+    "os.getenv", "uuid.", "random.", "secrets.", "socket.gethostname",
+    "platform.",
+)
+_TAINT_BUILTINS = frozenset({"id", "hash"})
+
 
 def dotted_name(node: ast.AST) -> Optional[str]:
     """``a.b.c`` for an Attribute/Name chain, else None."""
@@ -71,6 +85,39 @@ def dotted_name(node: ast.AST) -> Optional[str]:
         parts.append(node.id)
         return ".".join(reversed(parts))
     return None
+
+
+def import_aliases(tree: ast.AST) -> Dict[str, str]:
+    """Local name -> the dotted path a module's imports bind it to.
+
+    ``import numpy.random as npr`` gives ``npr -> numpy.random`` and
+    ``from numpy import random as nr`` gives ``nr -> numpy.random``;
+    a plain ``import a.b`` binds only ``a``.
+    """
+    aliases: Dict[str, str] = {}
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            for alias in node.names:
+                head = alias.name.split(".")[0]
+                aliases[alias.asname or head] = (
+                    alias.name if alias.asname else head)
+        elif isinstance(node, ast.ImportFrom) and node.module \
+                and not node.level:
+            for alias in node.names:
+                aliases[alias.asname or alias.name] = \
+                    f"{node.module}.{alias.name}"
+    return aliases
+
+
+def resolved_name(node: ast.AST, aliases: Dict[str, str]
+                  ) -> Optional[str]:
+    """:func:`dotted_name` with its first part resolved through
+    ``aliases`` (``npr.default_rng`` -> ``numpy.random.default_rng``)."""
+    dotted = dotted_name(node)
+    if dotted is None:
+        return None
+    head, dot, rest = dotted.partition(".")
+    return aliases.get(head, head) + dot + rest
 
 
 class Rule:
@@ -93,47 +140,46 @@ class Rule:
         raise NotImplementedError
 
 
+class TreeRule(Rule):
+    """A rule over every linted module at once.
+
+    The engine calls :meth:`check_tree` once per run, after the
+    per-file rules, with each parsed module the rule's scope admits,
+    and applies that module's suppressions at the reported line.
+    """
+
+    def check_tree(self, modules: Sequence[Tuple[str, ast.AST]]
+                   ) -> Iterator[RawTreeFinding]:
+        raise NotImplementedError
+
+
 class UnseededRngRule(Rule):
     name = "unseeded-rng"
     code = "SIM101"
     description = ("np.random.default_rng() without a seed, or legacy "
                    "module-global numpy RNG calls, in simulation code")
-    scope = SIM_PACKAGES
 
     def check(self, tree: ast.AST) -> Iterator[RawFinding]:
-        aliases = set()
-        for node in ast.walk(tree):
-            if isinstance(node, ast.ImportFrom) and \
-                    node.module == "numpy.random":
-                for alias in node.names:
-                    if alias.name == "default_rng":
-                        aliases.add(alias.asname or alias.name)
+        aliases = import_aliases(tree)
         for node in ast.walk(tree):
             if not isinstance(node, ast.Call):
                 continue
-            dotted = dotted_name(node.func)
-            if dotted in ("np.random.default_rng",
-                          "numpy.random.default_rng"):
+            target = resolved_name(node.func, aliases) or ""
+            if not target.startswith("numpy.random."):
+                continue
+            leaf = target[len("numpy.random."):]
+            written = dotted_name(node.func)
+            if leaf == "default_rng":
                 if not node.args and not node.keywords:
                     yield (node.lineno, node.col_offset,
-                           "unseeded np.random.default_rng(); inject an "
-                           "np.random.Generator or derive one from "
-                           "RandomStreams (e.g. rng.derived_stream)")
-            elif dotted is not None and dotted.startswith(
-                    ("np.random.", "numpy.random.")):
-                leaf = dotted.rsplit(".", 1)[1]
-                if leaf in _LEGACY_NP_RANDOM:
-                    yield (node.lineno, node.col_offset,
-                           f"legacy module-global numpy RNG call "
-                           f"{dotted}(); use an injected Generator "
-                           f"or RandomStreams")
-            elif isinstance(node.func, ast.Name) and \
-                    node.func.id in aliases and \
-                    not node.args and not node.keywords:
+                           f"unseeded {written}(); inject an "
+                           f"np.random.Generator or derive one from "
+                           f"RandomStreams (e.g. rng.derived_stream)")
+            elif leaf in _LEGACY_NP_RANDOM:
                 yield (node.lineno, node.col_offset,
-                       "unseeded default_rng(); inject an "
-                       "np.random.Generator or derive one from "
-                       "RandomStreams")
+                       f"legacy module-global numpy RNG call "
+                       f"{written}(); use an injected Generator "
+                       f"or RandomStreams")
 
 
 class BareRandomRule(Rule):
@@ -614,6 +660,113 @@ class LoopCaptureRule(Rule):
         return captured
 
 
+def stream_key_sites(tree: ast.AST
+                     ) -> Iterator[Tuple[ast.Call, ast.expr, str]]:
+    """Every call that names an RNG stream: ``(call, key, seed)``.
+
+    ``derived_stream(key, seed)`` is keyed by its seed expression too,
+    as source text (``"0"`` when omitted); ``<x>.get(key)`` on a
+    receiver whose name contains ``streams`` (a ``RandomStreams``) is
+    scoped to that instance, whose seed is not known statically.
+    """
+    for node in ast.walk(tree):
+        if not isinstance(node, ast.Call) or not node.args:
+            continue
+        func = node.func
+        name = func.attr if isinstance(func, ast.Attribute) \
+            else getattr(func, "id", "")
+        if name == "derived_stream":
+            seeds = node.args[1:2] + [keyword.value for keyword
+                                      in node.keywords
+                                      if keyword.arg == "seed"]
+            yield (node, node.args[0],
+                   ast.unparse(seeds[0]) if seeds else "0")
+        elif isinstance(func, ast.Attribute) and name == "get" and \
+                "streams" in (dotted_name(func.value) or "").lower():
+            yield node, node.args[0], "<instance>"
+
+
+def fold_key(node: ast.expr) -> Tuple[str, List[ast.expr]]:
+    """A key expression as ``(pattern, holes)``: constant text kept,
+    each non-constant part rendered ``{}`` and returned as a hole."""
+    if isinstance(node, ast.Constant):
+        return str(node.value), []
+    if isinstance(node, ast.JoinedStr):
+        pattern, holes = "", []
+        for value in node.values:
+            if isinstance(value, ast.FormattedValue):
+                pattern += "{}"
+                holes.append(value.value)
+            elif isinstance(value, ast.Constant):
+                pattern += str(value.value)
+        return pattern, holes
+    if isinstance(node, ast.BinOp) and isinstance(node.op, ast.Add):
+        left, right = fold_key(node.left), fold_key(node.right)
+        return left[0] + right[0], left[1] + right[1]
+    return "{}", [node]
+
+
+class TaintedStreamKeyRule(Rule):
+    name = "tainted-stream-key"
+    code = "SIM115"
+    description = ("a stream key folded from non-replayable values "
+                   "(wall clock, pid, environment, uuid, id(), hash())")
+
+    def check(self, tree: ast.AST) -> Iterator[RawFinding]:
+        aliases = import_aliases(tree)
+        for call, key, _ in stream_key_sites(tree):
+            pattern, holes = fold_key(key)
+            if any(self._tainted(hole, aliases) for hole in holes):
+                yield (call.lineno, call.col_offset,
+                       f"stream key {pattern!r} folds in a value that "
+                       f"differs between runs (wall clock, pid, "
+                       f"environment, uuid, id() or hash()); the "
+                       f"stream is not replayable")
+
+    @staticmethod
+    def _tainted(hole: ast.expr, aliases: Dict[str, str]) -> bool:
+        for node in ast.walk(hole):
+            if isinstance(node, ast.Call):
+                target = resolved_name(node.func, aliases)
+            elif isinstance(node, ast.Subscript):  # os.environ["X"]
+                target = resolved_name(node.value, aliases)
+            else:
+                continue
+            if target in _TAINT_BUILTINS or \
+                    (target or "").startswith(_TAINT_PREFIXES):
+                return True
+        return False
+
+
+class StreamKeyCollisionRule(TreeRule):
+    name = "stream-key-collision"
+    code = "SIM116"
+    description = ("two call sites derive the same fully-constant "
+                   "stream key and seed: the components draw "
+                   "correlated values")
+
+    def check_tree(self, modules: Sequence[Tuple[str, ast.AST]]
+                   ) -> Iterator[RawTreeFinding]:
+        by_key: Dict[Tuple[str, str], List[Tuple[str, int, int]]] = {}
+        for path, tree in modules:
+            for call, key, seed in stream_key_sites(tree):
+                pattern, holes = fold_key(key)
+                if not holes:
+                    by_key.setdefault((pattern, seed), []).append(
+                        (path, call.lineno, call.col_offset))
+        for (pattern, seed), sites in by_key.items():
+            if len(sites) < 2:
+                continue
+            for site in sites:
+                others = ", ".join(f"{path}:{line}"
+                                   for path, line, col in sites
+                                   if (path, line, col) != site)
+                yield site + (
+                    f"stream key {pattern!r} (seed={seed}) is also "
+                    f"derived at {others}; distinct components "
+                    f"sharing a stream draw correlated values",)
+
+
 #: Every rule, in code order.  The registry is intentionally a tuple:
 #: rule identity is part of the repo's public determinism contract.
 ALL_RULES: Tuple[Rule, ...] = (
@@ -631,29 +784,6 @@ ALL_RULES: Tuple[Rule, ...] = (
     AddressTtlConfusionRule(),
     UninformedAllocateOverrideRule(),
     LoopCaptureRule(),
+    TaintedStreamKeyRule(),
+    StreamKeyCollisionRule(),
 )
-
-
-def rules_by_name() -> dict:
-    return {rule.name: rule for rule in ALL_RULES}
-
-
-def get_rules(select: Optional[List[str]] = None,
-              ignore: Optional[List[str]] = None) -> Tuple[Rule, ...]:
-    """The active rule set after ``--select`` / ``--ignore`` filters.
-
-    Raises:
-        ValueError: if an unknown rule name is given.
-    """
-    known = rules_by_name()
-    for name in (select or []) + (ignore or []):
-        if name not in known:
-            raise ValueError(
-                f"unknown rule {name!r}; known: {sorted(known)}"
-            )
-    chosen = list(ALL_RULES)
-    if select:
-        chosen = [r for r in chosen if r.name in set(select)]
-    if ignore:
-        chosen = [r for r in chosen if r.name not in set(ignore)]
-    return tuple(chosen)

@@ -25,7 +25,6 @@ Run scenarios from the command line::
 
     python -m repro.sanitize              # all scenarios
     python -m repro.sanitize kernel --format json
-    python -m repro.lint src --sanitize   # merged with static lint
 """
 
 from repro.sanitize.address_checker import AddressSanitizer

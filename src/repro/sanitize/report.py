@@ -4,9 +4,9 @@ A :class:`Violation` is the runtime analogue of a lint
 :class:`~repro.lint.engine.Finding`: instead of a source location it
 carries the simulated time at which the invariant broke.  The bridge
 :meth:`Violation.to_finding` maps violations into the lint report
-model so ``repro lint --sanitize`` and ``python -m repro.sanitize
---format json`` emit exactly the same JSON schema as the static
-linter (``{"count": N, "findings": [...]}``).
+model, so ``python -m repro.sanitize --format json`` emits exactly
+the same JSON schema as the static linter
+(``{"count": N, "findings": [...]}``).
 """
 
 from __future__ import annotations

@@ -6,10 +6,9 @@ and trace hash can be reused across fuzz invocations — which matters
 because the shrinker re-runs many near-identical candidates and the
 smoke fuzz in ``check.sh`` repeats the same early corpus every time.
 
-The filename lives in :data:`repro.lint.registry.CACHE_FILES` (and so
-in ``.gitignore``), like every other tool cache.  A signature covering
-the SCN rule table and the engine format invalidates everything when
-either changes.
+The file (:data:`DEFAULT_CACHE_FILE`) is listed in ``.gitignore``.  A
+signature covering the SCN rule table and the engine format
+invalidates everything when either changes.
 """
 
 from __future__ import annotations
@@ -19,13 +18,13 @@ import json
 import os
 from typing import Any, Dict, Optional
 
-from repro.lint.registry import CACHE_FILES
 from repro.scenario.rules import SCENARIO_RUNTIME_CODES
 
 #: Bumped whenever the engine or the on-disk schema changes shape.
 CACHE_FORMAT = 1
 
-DEFAULT_CACHE_FILE = CACHE_FILES["scenario"]
+#: Default cache location, relative to the working directory.
+DEFAULT_CACHE_FILE = ".repro-scenario-cache.json"
 
 
 def runs_signature() -> str:

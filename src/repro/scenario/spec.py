@@ -324,7 +324,7 @@ class ScenarioSpec:
         return hashlib.sha256(raw).hexdigest()[:16]
 
     def stream_prefix(self) -> str:
-        """Every engine RNG key starts here (FLOW602 namespace)."""
+        """Every engine RNG key starts here (SIM116 key space)."""
         return f"scenario/{self.digest()}"
 
     def legacy_params(self) -> Dict[str, Any]:

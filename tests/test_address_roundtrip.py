@@ -90,7 +90,7 @@ class TestIndexAddressRoundTrip:
             space.index_to_address(-1)
 
     @pytest.mark.parametrize("space", SPACES, ids=space_id)
-    def test_addresses_just_outside_the_block_raise(self, space):
+    def test_outside_the_block_raises(self, space):
         for addr in (space.base - 1, space.base + space.size):
             assert not space.contains_address(addr)
             with pytest.raises(ValueError):

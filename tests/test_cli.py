@@ -139,9 +139,8 @@ class TestParallelSweeps:
 
 
 @pytest.mark.parametrize("tool, args", [
-    ("lint", ["src", "--cache-file", "lint.json", "--seed", "7"]),
+    ("lint", ["src", "--select", "unseeded-rng", "--seed", "7"]),
     ("modelcheck", ["smoke", "--max-states", "10", "--seed", "3"]),
-    ("flow", ["src", "--cache-file", "flow.json"]),
     ("scenario", ["fuzz", "--shrink-budget", "4", "--seed", "0x1"]),
 ])
 def test_tool_arguments_pass_through_unchanged(monkeypatch, tool, args):

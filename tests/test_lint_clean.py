@@ -27,7 +27,7 @@ def run_cli(args, cwd=None):
         os.pathsep + env["PYTHONPATH"] if env.get("PYTHONPATH") else ""
     )
     return subprocess.run(
-        [sys.executable, "-m", "repro.lint", "--no-cache", *args],
+        [sys.executable, "-m", "repro.lint", *args],
         cwd=cwd or REPO_ROOT, env=env,
         capture_output=True, text=True,
     )
@@ -43,6 +43,11 @@ class TestTreeIsClean:
         result = run_cli(["src"])
         assert result.returncode == 0, result.stdout + result.stderr
         assert "clean" in result.stdout
+
+    def test_cli_writes_no_files(self, tmp_path):
+        result = run_cli([str(SRC)], cwd=tmp_path)
+        assert result.returncode == 0, result.stdout + result.stderr
+        assert list(tmp_path.iterdir()) == []
 
 
 class TestSeededViolationsAreCaught:
@@ -92,40 +97,18 @@ class TestSeededViolationsAreCaught:
             assert code in result.stdout
 
 
-class TestSanitizeBridge:
-    def test_lint_cli_sanitize_merges_clean(self):
-        result = run_cli(["src", "--sanitize"])
-        assert result.returncode == 0, result.stdout + result.stderr
-        assert "clean" in result.stdout
-
-    def test_lint_cli_sanitize_json_schema(self):
-        result = run_cli(["src", "--sanitize", "--format", "json"])
-        assert result.returncode == 0, result.stdout + result.stderr
-        data = json.loads(result.stdout)
-        assert data == {"count": 0, "findings": []}
-
-
 class TestReproCliIntegration:
-    def test_repro_cli_lint_subcommand(self, tmp_path):
+    def test_repro_cli_lint_subcommand(self, capsys):
         from repro.cli import main
 
-        cache = str(tmp_path / "lint-cache.json")
-        assert main(["lint", "src", "--cache-file", cache]) == 0
-
-    def test_repro_cli_lint_sanitize_passthrough(self, tmp_path):
-        from repro.cli import main
-
-        cache = str(tmp_path / "lint-cache.json")
-        assert main(["lint", "src", "--sanitize",
-                     "--cache-file", cache]) == 0
+        assert main(["lint", "src"]) == 0
+        assert "clean" in capsys.readouterr().out
 
     def test_repro_cli_lint_select(self, tmp_path, capsys):
         from repro.cli import main
 
         bad = tmp_path / "bad.py"
         bad.write_text("key = hash('x')\n")
-        cache = str(tmp_path / "lint-cache.json")
-        assert main(["lint", str(bad), "--select", "builtin-hash",
-                     "--cache-file", cache]) == 1
+        assert main(["lint", str(bad), "--select", "builtin-hash"]) == 1
         out = capsys.readouterr().out
         assert "builtin-hash" in out

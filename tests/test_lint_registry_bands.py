@@ -1,9 +1,8 @@
 """Cross-tool registry invariants, grown with each new tool.
 
-Five tools share one rule registry; these tests make the code
+Four tools share one rule registry; these tests make the code
 bands structural (no future rule can silently collide), make every
-CLI list every rule, and pin the cache-filename single-source so tool
-defaults and ``.gitignore`` cannot drift.
+CLI list every rule, and keep the scenario run cache out of git.
 """
 
 import re
@@ -13,14 +12,12 @@ from repro.lint import registry
 
 REPO_ROOT = Path(__file__).resolve().parents[1]
 
-#: tool -> (band regex, example rule). The bands are the public
-#: contract: SIM1xx lint, SAN2xx sanitize, MC3xx modelcheck,
-#: FLOW6xx flow, SCN9xx scenario.
+#: tool -> band regex. The bands are the public contract: SIM1xx
+#: lint, SAN2xx sanitize, MC3xx modelcheck, SCN9xx scenario.
 BANDS = {
     "lint": re.compile(r"^SIM1\d\d$"),
     "sanitize": re.compile(r"^SAN2\d\d$"),
     "modelcheck": re.compile(r"^MC3\d\d$"),
-    "flow": re.compile(r"^FLOW6\d\d$"),
     "scenario": re.compile(r"^SCN9\d\d$"),
 }
 
@@ -70,16 +67,14 @@ class TestBands:
 
 
 class TestEveryCliListsEveryRule:
-    def test_five_clis_print_identical_registry(self, capsys):
-        from repro.flow.cli import main as flow_main
+    def test_four_clis_print_identical_registry(self, capsys):
         from repro.lint.cli import main as lint_main
         from repro.modelcheck.cli import main as mc_main
         from repro.sanitize.cli import main as san_main
         from repro.scenario.cli import main as scenario_main
 
         outputs = set()
-        for main in (lint_main, san_main, mc_main, flow_main,
-                     scenario_main):
+        for main in (lint_main, san_main, mc_main, scenario_main):
             assert main(["--list-rules"]) == 0
             outputs.add(capsys.readouterr().out)
         assert len(outputs) == 1
@@ -92,20 +87,8 @@ class TestEveryCliListsEveryRule:
 
 
 class TestCacheFilenameRegistry:
-    def test_tool_defaults_read_from_the_registry(self):
-        from repro.flow.cache import DEFAULT_CACHE_FILE as flow_file
-        from repro.lint.cache import DEFAULT_CACHE_FILE as lint_file
-        from repro.scenario.cache import (
-            DEFAULT_CACHE_FILE as scenario_file,
-        )
-
-        assert lint_file == registry.CACHE_FILES["lint"]
-        assert flow_file == registry.CACHE_FILES["flow"]
-        assert scenario_file == registry.CACHE_FILES["scenario"]
-
     def test_gitignore_lists_every_cache_file(self):
+        from repro.scenario.cache import DEFAULT_CACHE_FILE
+
         ignored = (REPO_ROOT / ".gitignore").read_text().splitlines()
-        for filename in registry.CACHE_FILES.values():
-            assert filename in ignored, (
-                f"{filename} missing from .gitignore"
-            )
+        assert DEFAULT_CACHE_FILE in ignored

@@ -2,14 +2,17 @@
 
 import json
 
+import pytest
+
 from repro.lint.engine import (
     Finding,
     lint_source,
     package_of,
     parse_suppressions,
 )
+from repro.lint.registry import get_static_rules
 from repro.lint.report import render_json, render_text
-from repro.lint.rules import ALL_RULES, SIM_PACKAGES, get_rules
+from repro.lint.rules import ALL_RULES, SIM_PACKAGES
 
 
 def names(code, package="sim"):
@@ -47,9 +50,24 @@ class TestUnseededRng:
                 "r = default_rng()\n")
         assert "unseeded-rng" in names(code)
 
-    def test_not_applied_outside_sim_scope(self):
+    @pytest.mark.parametrize("module, imports", [
+        ("npr", "import numpy.random as npr"),
+        ("nr", "from numpy import random as nr"),
+        ("xp.random", "import numpy as xp"),
+    ], ids=["numpy-random-as", "from-numpy-import-random-as",
+            "numpy-as"])
+    def test_numpy_import_alias_flagged(self, module, imports):
+        # Both branches: the unseeded constructor and a legacy call.
+        code = (f"{imports}\n"
+                f"r = {module}.default_rng()\n"
+                f"{module}.shuffle(items)\n")
+        assert names(code) == ["unseeded-rng", "unseeded-rng"]
+
+    def test_applies_outside_sim_scope(self):
+        # Every generator a draw can use is built somewhere in src/,
+        # so the rule has no package scope.
         code = "import numpy as np\nr = np.random.default_rng()\n"
-        assert names(code, package="analysis") == []
+        assert names(code, package="analysis") == ["unseeded-rng"]
 
 
 class TestBareRandom:
@@ -420,14 +438,14 @@ class TestEngine:
         assert [f.line for f in findings] == [1, 2]
 
     def test_get_rules_select_and_ignore(self):
-        only = get_rules(select=["builtin-hash"])
+        only = get_static_rules(select=["builtin-hash"])
         assert [r.name for r in only] == ["builtin-hash"]
-        rest = get_rules(ignore=["builtin-hash"])
+        rest = get_static_rules(ignore=["builtin-hash"])
         assert "builtin-hash" not in [r.name for r in rest]
 
     def test_get_rules_unknown_name_raises(self):
         try:
-            get_rules(select=["no-such-rule"])
+            get_static_rules(select=["no-such-rule"])
         except ValueError as exc:
             assert "no-such-rule" in str(exc)
         else:
@@ -436,7 +454,7 @@ class TestEngine:
     def test_registry_codes_unique_and_scoped(self):
         codes = [r.code for r in ALL_RULES]
         assert len(codes) == len(set(codes))
-        assert len(ALL_RULES) == 14
+        assert len(ALL_RULES) == 16
         for rule in ALL_RULES:
             assert rule.scope is None or rule.scope <= SIM_PACKAGES
 

@@ -1,6 +1,6 @@
 """Seeded-defect tests: every SCN9xx rule must catch its scenario.
 
-Same shape as the modelcheck/flow mutation suites: for each rule a
+Same shape as the modelcheck mutation suite: for each rule a
 *violating* spec that fires it and a minimally-different *clean twin*
 that does not, all at one pinned seed.  This is the evidence the
 monitor detects what it claims to detect — not merely that quiet
