@@ -28,14 +28,6 @@ echo "== repro.modelcheck (bounded exhaustive exploration) =="
 # scenario (~1 min) runs in CI's model-check step, not the local gate.
 python -m repro.modelcheck smoke simultaneous
 
-echo "== repro.scenario (bounded smoke fuzz, SCN9xx invariants) =="
-# 25 sampled workloads through the full sanitizer + monitor stack;
-# found violations are the campaign's product (exit 0), only an
-# SCN912 replay mismatch — broken determinism machinery — fails.
-# Memoized in .repro-scenario-cache.json, so a warm gate re-checks
-# in seconds.
-python -m repro.scenario fuzz --runs 25 --seed 0x19980902
-
 echo "== examples (every script runs to completion) =="
 # The examples are documentation that executes; any non-zero exit
 # fails the gate.  The whole set takes a few seconds.

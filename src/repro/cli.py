@@ -13,12 +13,11 @@ Exposes the library's main workflows without writing Python:
     python -m repro analyze responders --sites 1600 --buckets 32
     python -m repro lint src --determinism
     python -m repro modelcheck smoke
-    python -m repro scenario fuzz --runs 100 --seed 0x19980902
 
 Every simulation is deterministic for a given ``--seed``; the ``lint``
 subcommand statically enforces the invariants that make that true, and
 ``modelcheck`` exhausts small protocol configurations against the
-paper's safety claims.  The three analysis tools in :data:`TOOLS` own
+paper's safety claims.  The two analysis tools in :data:`TOOLS` own
 their command lines: ``python -m repro <tool> ARGS`` hands ARGS
 unchanged to ``python -m repro.<tool>``'s ``main``.
 """
@@ -65,8 +64,6 @@ from repro.topology.stats import format_summary, summarize
 TOOLS = {
     "lint": "determinism & simulation-correctness linter",
     "modelcheck": "bounded explicit-state model checker",
-    "scenario": "declarative workload/adversary scenarios and the "
-                "deterministic fuzzing loop",
 }
 
 

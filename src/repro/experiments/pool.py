@@ -1,7 +1,8 @@
 """An in-order map over worker processes for the ``--jobs`` options.
 
-The sweep cells (``fig5_cell_job``, ``steady_cell_job``, the scenario
-``fuzz_cell``) are pure functions of picklable params, and
+The two ``--jobs`` commands, ``repro fig5`` and ``repro steady-state``,
+map their sweep cells (``fig5_cell_job``, ``steady_cell_job``) through
+here.  The cells are pure functions of picklable params, and
 ``Executor.map`` yields results in submission order, so ``--jobs N``
 prints the same bytes as the serial run.  A cell that raises fails
 the command with the worker's traceback.

@@ -15,33 +15,13 @@ one vectorised gather per allocation.
 
 from __future__ import annotations
 
-from typing import Dict, List, Sequence, Tuple
+from typing import Dict, List
 
 import numpy as np
 
 from repro.core.allocator import VisibleSet
 from repro.core.session import Session
 from repro.routing.scoping import ScopeMap
-
-
-def mesh_clashing_pairs(
-        sessions: Sequence[Session]) -> List[Tuple[int, int]]:
-    """All same-address index pairs (i < j) in a full mesh.
-
-    The scoped variant is
-    :func:`repro.core.clash.find_clashing_pairs`; the scenario
-    engine's synthetic substrate is an unscoped full mesh — every
-    site hears every other, so two live sessions clash iff they
-    share an address, no scope map needed.
-    """
-    by_address: Dict[int, List[int]] = {}
-    for index, session in enumerate(sessions):
-        by_address.setdefault(session.address, []).append(index)
-    pairs: List[Tuple[int, int]] = []
-    for indices in by_address.values():
-        for pos, i in enumerate(indices):
-            pairs.extend((i, j) for j in indices[pos + 1:])
-    return pairs
 
 
 class AllocationWorld:

@@ -8,9 +8,9 @@ scheduler breaks timestamp ties by insertion order.  This subpackage
 * :mod:`repro.lint.rules` — the SIM1xx rule set (unseeded RNGs,
   wall-clock reads, set-iteration order, discarded event handles,
   tainted or colliding stream keys, ...).
-* :mod:`repro.lint.registry` — the shared registry across all four
+* :mod:`repro.lint.registry` — the shared registry across all three
   analysis tools (SIM static rules, MC30x spec cross-checks, SAN2xx /
-  MC31x / SCN9xx runtime codes) plus the common exit-code contract.
+  MC31x runtime codes) plus the common exit-code contract.
 * :mod:`repro.lint.engine` — one AST pass over a tree, ``# simlint:``
   suppressions.
 * :mod:`repro.lint.report` — text, JSON and GitHub-annotation

@@ -8,9 +8,9 @@ finding (or a trace divergence, with ``--determinism``) is reported,
 
 The static rule set is the full registry — SIM1xx determinism rules
 plus the MC30x protocol-spec cross-checks — and ``--list-rules``
-prints every check the repo's four analysis tools run, including the
-runtime SAN2xx / MC31x / SCN9xx codes that only ``repro.sanitize``,
-``repro.modelcheck`` and ``repro.scenario`` can emit.
+prints every check the repo's three analysis tools run, including the
+runtime SAN2xx / MC31x codes that only ``repro.sanitize`` and
+``repro.modelcheck`` can emit.
 
 Every run lints the named paths afresh, in one pass: the stream-key
 collision check (SIM116) compares call sites across all of them.

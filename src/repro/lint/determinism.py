@@ -154,11 +154,12 @@ def verify(seed: int = 1998, **scenario_kwargs) -> DeterminismReport:
     """Run the scenario twice with one seed; compare traces exactly."""
     first = run_scenario(seed=seed, **scenario_kwargs)
     second = run_scenario(seed=seed, **scenario_kwargs)
-    events = first.count("\n")
+    events = _events_run(first)
+    lines = first.count("\n")
     if first == second:
         return DeterminismReport(
             identical=True, seed=seed, events_run=events,
-            trace_lines=events, first_divergence=None,
+            trace_lines=lines, first_divergence=None,
         )
     divergence = None
     for number, (a, b) in enumerate(
@@ -171,5 +172,12 @@ def verify(seed: int = 1998, **scenario_kwargs) -> DeterminismReport:
         divergence = "traces differ in length only"
     return DeterminismReport(
         identical=False, seed=seed, events_run=events,
-        trace_lines=events, first_divergence=divergence,
+        trace_lines=lines, first_divergence=divergence,
     )
+
+
+def _events_run(trace: str) -> int:
+    """The scheduler's event count, read from the counters footer."""
+    marker = "\nevents_run="
+    start = trace.rindex(marker) + len(marker)
+    return int(trace[start:trace.index("\n", start)])

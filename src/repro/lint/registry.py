@@ -1,15 +1,13 @@
-"""One registry for every check the repo's four analysis tools run.
+"""One registry for every check the repo's three analysis tools run.
 
 The static linter (SIM1xx), the runtime sanitizer (SAN2xx), the
-model-check spec cross-checker (MC301–MC304), the model-check runtime
-invariants (MC31x) and the scenario engine's workload invariants
-(SCN9xx) each grew their own code space; this module is the single
-place that enumerates all of them, so
+model-check spec cross-checker (MC301–MC304) and the model-check
+runtime invariants (MC31x) each grew their own code space; this
+module is the single place that enumerates all of them, so
 
 * ``--list-rules`` prints the same registry from ``repro.lint``,
-  ``repro.sanitize``, ``repro.modelcheck`` and ``repro.scenario``
-  alike;
-* the four CLIs share one exit-code contract
+  ``repro.sanitize`` and ``repro.modelcheck`` alike;
+* the three CLIs share one exit-code contract
   (:data:`EXIT_CLEAN` / :data:`EXIT_FINDINGS` / :data:`EXIT_USAGE`)
   and one reporting surface (:func:`add_report_arguments`);
 * the static rule set the engine runs is assembled here (SIM rules
@@ -30,8 +28,7 @@ from typing import List, Optional, Tuple
 from repro.lint.rules import ALL_RULES, Rule
 
 #: Shared CLI exit-code contract for repro.lint / repro.sanitize /
-#: repro.modelcheck / repro.scenario: clean, findings reported, usage
-#: error.
+#: repro.modelcheck: clean, findings reported, usage error.
 EXIT_CLEAN = 0
 EXIT_FINDINGS = 1
 EXIT_USAGE = 2
@@ -71,16 +68,15 @@ class RegistryEntry:
     code: str
     name: str
     kind: str  # "static" | "runtime"
-    tool: str  # lint|sanitize|modelcheck|scenario
+    tool: str  # lint|sanitize|modelcheck
     description: str
     scope: Optional[frozenset] = None
-    advisory: bool = False
 
 
 def add_report_arguments(parser: argparse.ArgumentParser) -> None:
     """The reporting flags every tool CLI shares.
 
-    Each of the four CLIs used to wire ``--format``/``--list-rules``
+    Each of the three CLIs used to wire ``--format``/``--list-rules``
     by hand, slightly different ways; this is the one place the
     contract lives now.
     """
@@ -125,13 +121,8 @@ def get_static_rules(select: Optional[List[str]] = None,
 
 
 def all_entries() -> Tuple[RegistryEntry, ...]:
-    """Every check across the four tools, in code order."""
+    """Every check across the three tools, in code order."""
     from repro.sanitize.report import VIOLATION_CODES
-    from repro.scenario.rules import (
-        SCENARIO_ADVISORY_CODES,
-        SCENARIO_RULE_DESCRIPTIONS,
-        SCENARIO_RUNTIME_CODES,
-    )
 
     entries = [
         RegistryEntry(
@@ -151,17 +142,11 @@ def all_entries() -> Tuple[RegistryEntry, ...]:
             code=code, name=name, kind="runtime", tool="modelcheck",
             description=_RUNTIME_DESCRIPTIONS.get(code, ""),
         ))
-    for code, name in SCENARIO_RUNTIME_CODES.items():
-        entries.append(RegistryEntry(
-            code=code, name=name, kind="runtime", tool="scenario",
-            description=SCENARIO_RULE_DESCRIPTIONS.get(code, ""),
-            advisory=code in SCENARIO_ADVISORY_CODES,
-        ))
     return tuple(sorted(entries, key=lambda entry: entry.code))
 
 
 def render_registry() -> str:
-    """``--list-rules`` text, shared by all four CLIs."""
+    """``--list-rules`` text, shared by all three CLIs."""
     lines = []
     for entry in all_entries():
         if entry.kind == "static":
@@ -170,8 +155,6 @@ def render_registry() -> str:
             origin = f"static/{entry.tool} [{where}]"
         else:
             origin = f"runtime/{entry.tool}"
-        if entry.advisory:
-            origin += " (advisory)"
         lines.append(f"{entry.code} {entry.name:<26s} {origin}")
         lines.append(f"        {entry.description}")
     return "\n".join(lines)

@@ -29,7 +29,7 @@ RawTreeFinding = Tuple[str, int, int, str]
 #: bit-identical across processes or restore() diverges.
 SIM_PACKAGES = frozenset(
     {"sim", "core", "sap", "experiments", "routing", "topology",
-     "sanitize", "modelcheck", "scenario"}
+     "sanitize", "modelcheck"}
 )
 
 #: Legacy module-global numpy RNG entry points (shared hidden state).

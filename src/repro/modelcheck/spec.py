@@ -168,11 +168,7 @@ SPEC_MACHINES: Dict[str, MachineSpec] = {
                 name="retreat",
                 state="newcomer",
                 event="clash handler phase-2 callback",
-                # "defend" is the scenario-persona override branch: an
-                # always-defends adversary holds its claim where the
-                # protocol says a newcomer must yield.  The honest
-                # path must still allocate and re-announce.
-                allowed=_fs("allocate", "send", "defend"),
+                allowed=_fs("allocate", "send"),
                 required=_fs("allocate", "send"),
             ),
             HandlerSpec(

@@ -4,7 +4,7 @@ A small full mesh where the adaptive AIPR-1 allocator runs against a
 deliberately tight address space while sessions expire and are
 replaced, so allocation, cache hits and misses and all three clash
 phases accumulate under continuous load.  The benchmark's
-``sap-churn`` workload and the ``steady`` scenario fixture build it.
+``sap-churn`` workload builds it; tests/test_sap_directory.py pins it.
 """
 
 from __future__ import annotations

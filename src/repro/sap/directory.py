@@ -109,12 +109,6 @@ class SessionDirectory:
         #: None in normal operation; one attribute check per session
         #: create/delete/retreat when sanitizers are off.
         self._sanitizer = None
-        #: Optional misbehaviour policy (see
-        #: :mod:`repro.scenario.personas`).  None in normal
-        #: operation — the honest path is byte-identical with no
-        #: persona attached; the scenario engine installs adversaries
-        #: here (never-listens, always-defends, ttl-liar, ...).
-        self._persona = None
         self.clash_handler: Optional[ClashHandler] = None
         if enable_clash_protocol:
             policy = clash_policy if clash_policy is not None else (
@@ -278,12 +272,6 @@ class SessionDirectory:
 
     def retreat(self, own: OwnSession) -> None:
         """Phase 2: move a just-announced session to a new address."""
-        if (self._persona is not None
-                and self._persona.overrides_retreat(self, own)):
-            # An always-defends adversary holds its claim where the
-            # protocol says a newcomer must yield.
-            self.defend(own)
-            return
         visible = self._allocation_view()
         result = self.allocator.allocate(own.session.ttl, visible)
         old_address = own.session.address
@@ -358,8 +346,6 @@ class SessionDirectory:
         )
 
     def _multicast(self, message: SapMessage, ttl: int) -> None:
-        if self._persona is not None:
-            ttl = self._persona.announce_ttl(self, ttl)
         if self.authenticator is not None:
             payload = self.authenticator.seal(message)
         else:
@@ -369,9 +355,6 @@ class SessionDirectory:
         self.network.send(packet)
 
     def _on_packet(self, receiver: int, packet: Packet) -> None:
-        if (self._persona is not None
-                and self._persona.drops_packet(self, packet)):
-            return
         if self.authenticator is not None:
             message = self.authenticator.verify(packet.payload)
             if message is None:

@@ -100,7 +100,6 @@ class NetworkModel:
         #: delivery when sanitizers are off.
         self._monitor: Optional[Any] = None
         self._partition: Optional[frozenset] = None
-        self._detached: set = set()
         self.packets_sent = 0
         self.packets_delivered = 0
         self.packets_lost = 0
@@ -124,38 +123,6 @@ class NetworkModel:
     @property
     def partitioned(self) -> bool:
         return self._partition is not None
-
-    # ------------------------------------------------------------------
-    # Membership churn and loss dynamics
-    # ------------------------------------------------------------------
-    def detach(self, node: int) -> None:
-        """Take ``node`` off the mesh (MANET-style churn).
-
-        While detached, nothing the node sends is delivered anywhere,
-        nothing is delivered *to* it (including packets already in
-        flight when it detached), and its listeners stay registered
-        so :meth:`attach` restores service without re-wiring.
-        """
-        self._detached.add(int(node))
-
-    def attach(self, node: int) -> None:
-        """Return a detached node to the mesh.  Idempotent."""
-        self._detached.discard(int(node))
-
-    def detached(self, node: int) -> bool:
-        return int(node) in self._detached
-
-    def set_loss_rate(self, loss_rate: float) -> None:
-        """Change the end-to-end loss rate mid-run (loss ramps).
-
-        Raises:
-            ValueError: if ``loss_rate`` is not a probability.
-        """
-        if not 0.0 <= loss_rate <= 1.0:
-            raise ValueError(
-                f"loss_rate must be a probability: {loss_rate}"
-            )
-        self.loss_rate = loss_rate
 
     def _same_side(self, a: int, b: int) -> bool:
         if self._partition is None:
@@ -194,8 +161,6 @@ class NetworkModel:
         self.packets_sent += 1
         if self._monitor is not None:
             self._monitor.on_send(packet)
-        if packet.source in self._detached:
-            return 0
         loss_rng = self.streams.get("net.loss")
         jitter_rng = self.streams.get("net.jitter")
         scheduled = 0
@@ -203,8 +168,6 @@ class NetworkModel:
             if receiver == packet.source:
                 continue
             if receiver not in self._listeners:
-                continue
-            if receiver in self._detached:
                 continue
             if not self._same_side(packet.source, receiver):
                 continue
@@ -221,10 +184,6 @@ class NetworkModel:
     def _schedule_delivery(self, receiver: int, packet: Packet,
                            delay: Duration) -> None:
         def deliver() -> None:
-            if receiver in self._detached:
-                # The receiver churned away while the packet was in
-                # flight; it never arrives.
-                return
             callbacks = self._listeners.get(receiver)
             if callbacks:
                 self.packets_delivered += 1

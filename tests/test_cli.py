@@ -129,8 +129,7 @@ class TestParallelSweeps:
     @pytest.mark.parametrize("argv", [
         ["fig5", "--jobs", "0"],
         ["steady-state", "--jobs", "-4"],
-        ["scenario", "fuzz", "--jobs", "0"],
-    ], ids=["fig5", "steady-state", "scenario-fuzz"])
+    ], ids=["fig5", "steady-state"])
     def test_jobs_below_one_is_a_usage_error(self, argv, capsys):
         with pytest.raises(SystemExit) as exit_info:
             main(argv)
@@ -141,7 +140,6 @@ class TestParallelSweeps:
 @pytest.mark.parametrize("tool, args", [
     ("lint", ["src", "--select", "unseeded-rng", "--seed", "7"]),
     ("modelcheck", ["smoke", "--max-states", "10", "--seed", "3"]),
-    ("scenario", ["fuzz", "--shrink-budget", "4", "--seed", "0x1"]),
 ])
 def test_tool_arguments_pass_through_unchanged(monkeypatch, tool, args):
     received = []

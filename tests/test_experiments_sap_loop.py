@@ -4,6 +4,7 @@ import pytest
 
 from repro.experiments.sap_in_the_loop import (
     SapLoopConfig,
+    SapLoopResult,
     run_sap_in_the_loop,
 )
 from repro.experiments.ttl_distributions import DS1
@@ -89,3 +90,23 @@ class TestRun:
                                seed=7, settle_time=600.0)
         result = run_sap_in_the_loop(topology, scope_map, config)
         assert result.announcements_lost > 0
+
+
+class TestPinned:
+    def test_seed_1998_clash_configuration(self):
+        """Eight directories of three sessions each in a 64-address
+        space on a 60-node map: every session settles clash-free
+        without a move."""
+        topology = generate_mbone(MboneParams(total_nodes=60, seed=1998))
+        config = SapLoopConfig(num_directories=8,
+                               sessions_per_directory=3, space_size=64,
+                               loss=0.02, strategy="backoff",
+                               inter_arrival=5.0, settle_time=300.0,
+                               seed=1998)
+        result = run_sap_in_the_loop(
+            topology, ScopeMap.from_topology(topology), config)
+        assert result == SapLoopResult(
+            allocations=24, residual_clashing_pairs=0,
+            address_changes=0, announcements_sent=167,
+            announcements_lost=5, clash_rate=0.0,
+        )

@@ -1,11 +1,10 @@
 """The shared registry and the unified CLI surface.
 
 One registry enumerates every check across repro.lint (SIM1xx),
-repro.sanitize (SAN2xx), repro.modelcheck (MC30x static, MC31x
-runtime) and repro.scenario (SCN9xx); the CLIs
-share the 0/1/2 exit-code contract and all speak ``--format github``
-(that they print one ``--list-rules`` output is pinned in
-``test_lint_registry_bands.py``).
+repro.sanitize (SAN2xx) and repro.modelcheck (MC30x static, MC31x
+runtime); the three CLIs share the 0/1/2 exit-code contract and all
+speak ``--format github`` (that they print one ``--list-rules``
+output is pinned in ``test_lint_registry_bands.py``).
 """
 
 import pytest
@@ -17,8 +16,8 @@ class TestRegistry:
     def test_every_code_space_is_present(self):
         codes = {entry.code for entry in registry.all_entries()}
         assert {"SIM101", "SIM114", "SIM115", "SIM116", "MC301",
-                "MC304", "MC311", "MC312", "SAN204", "SAN231",
-                "SCN901"} <= codes
+                "MC304", "MC311", "MC312", "SAN204",
+                "SAN231"} <= codes
 
     def test_codes_are_unique_and_sorted(self):
         entries = registry.all_entries()
@@ -30,8 +29,7 @@ class TestRegistry:
         for entry in registry.all_entries():
             assert entry.description, entry.code
             assert entry.kind in ("static", "runtime")
-            assert entry.tool in ("lint", "sanitize", "modelcheck",
-                                  "scenario")
+            assert entry.tool in ("lint", "sanitize", "modelcheck")
 
     def test_static_rules_include_mc_spec_rules(self):
         names = {rule.name for rule in registry.static_rules()}

@@ -148,18 +148,6 @@ def test_scenario_fuzz_key_reused_cross_site_fires_sim116():
         (CLI_PATH, "SIM116"), ("src/repro/scenario/mut.py", "SIM116")]
 
 
-def test_real_scenario_sources_do_not_collide_with_harnesses():
-    # Digest-keyed engine streams and the ``scenario/fuzz/run-<i>``
-    # keys stay disjoint from the harness workload keys.
-    findings = lint_sources([
-        real("src/repro/scenario/engine.py"),
-        real("src/repro/scenario/fuzz.py"),
-        real("src/repro/lint/determinism.py"),
-        real("src/repro/obs/scenarios.py"),
-    ], rules=get_static_rules(select=["stream-key-collision"]))
-    assert findings == []
-
-
 def test_harnesses_sharing_a_workload_key_fire_sim116():
     # The bug this check has caught: two harnesses both drew from
     # ``streams.get("workload")``, so their workloads were the same.

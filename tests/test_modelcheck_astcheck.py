@@ -23,6 +23,29 @@ class TestSourceTreeConformsToSpec:
         assert findings == [], "\n".join(f.format() for f in findings)
 
 
+class TestRetreatMustYield:
+    def test_retreat_that_defends_is_undeclared(self):
+        """Phase 2 yields the address: a copy of the directory whose
+        ``retreat`` can hold its claim by defending instead is MC302,
+        linted under the real file's path."""
+        path = REPO_ROOT / "src" / "repro" / "sap" / "directory.py"
+        source = path.read_text(encoding="utf-8")
+        doc = ('        """Phase 2: move a just-announced session to a '
+               'new address."""\n')
+        assert source.count(doc) == 1
+        holds = source.replace(doc, doc + (
+            "        if own.session.ttl > 127:\n"
+            "            self.defend(own)\n"
+            "            return\n"
+        ))
+        findings = lint_source(holds, path=str(path), rules=MC_RULES)
+        assert [(f.code, f.message) for f in findings] == [(
+            "MC302",
+            "SessionDirectory.retreat performs 'defend', not in its "
+            "declared allowed set ['allocate', 'send']",
+        )]
+
+
 class TestBrokenFixtureFires:
     def test_all_four_codes_fire(self):
         findings = lint_paths([str(FIXTURE)], rules=MC_RULES)

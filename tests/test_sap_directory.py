@@ -36,6 +36,17 @@ def net(sched):
     return NetworkModel(sched, full_mesh)
 
 
+@pytest.fixture(scope="module")
+def steady_1998():
+    """The steady churn harness at seed 1998, run to its 600 s
+    horizon; returns ``(scheduler, directories)``."""
+    from repro.obs.scenarios import build_steady
+
+    scheduler, directories = build_steady(1998)
+    scheduler.run(until=600.0)
+    return scheduler, directories
+
+
 class TestDiscovery:
     def test_peer_learns_session(self, sched, net):
         alice = make_directory(0, sched, net)
@@ -224,13 +235,10 @@ class TestClashPhases:
         # defences (plus nothing else).
         assert 1 <= defences <= 4
 
-    def test_steady_harness_counts_every_phase(self):
+    def test_steady_harness_counts_every_phase(self, steady_1998):
         """The clash handler's counters over the steady churn harness
         (seed 1998, 8 sites, 600 s), summed over its sites."""
-        from repro.obs.scenarios import build_steady
-
-        scheduler, directories = build_steady(1998)
-        scheduler.run(until=600.0)
+        __, directories = steady_1998
         handlers = [d.clash_handler for d in directories]
         totals = {name: sum(getattr(h, name) for h in handlers)
                   for name in ("clashes_seen", "own_defences", "retreats",
@@ -242,6 +250,18 @@ class TestClashPhases:
             "proxy_suppressed": 2_491,  # phase 3, someone answered first
             "defences_sent": 684,      # phase 3, fired
         }
+
+    def test_steady_harness_end_state(self, steady_1998):
+        """Where the same run ends: every session has expired, and each
+        site's (moves, cache size, announcements received)."""
+        scheduler, directories = steady_1998
+        assert (scheduler.now, scheduler.events_run) == (600.0, 17_826)
+        assert [d.own_sessions() for d in directories] == [[]] * 8
+        assert [(d.address_changes, len(d.cache),
+                 d.announcements_received) for d in directories] == [
+            (0, 16, 1357), (20, 18, 1377), (11, 20, 1433), (27, 18, 1237),
+            (38, 17, 1371), (37, 20, 1412), (32, 20, 1433), (113, 18, 1256),
+        ]
 
 
 # --------------------------------------------------------------------
