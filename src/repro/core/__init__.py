@@ -26,7 +26,6 @@ from repro.core.allocator import (
     nth_free_address,
 )
 from repro.core.clash import (
-    AddressUsageIndex,
     clashes_with_any,
     find_clashing_pairs,
     sessions_clash,
@@ -45,7 +44,6 @@ from repro.core.session import Session
 
 __all__ = [
     "AdaptiveIprmaAllocator",
-    "AddressUsageIndex",
     "AddressBlock",
     "AdminScopedAllocator",
     "LegacyAdaptiveIprmaAllocator",

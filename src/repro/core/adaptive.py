@@ -94,7 +94,9 @@ class AdaptiveIprmaAllocator(Allocator):
         Bands cluster at the top of the space; band *i*'s geometry is a
         function of the visible session counts in bands >= i only.
         """
-        counts = self.partition_map.band_counts(visible.ttls)
+        # As Python ints: the per-band arithmetic below is scalar, and
+        # numpy scalars cost about ten times as much per operation.
+        counts = self.partition_map.band_counts(visible.ttls).tolist()
         num_bands = self.partition_map.num_bands
         gap = int(self.gap_fraction * self.space_size) // num_bands
         ranges: List[Optional[Tuple[int, int]]] = [None] * num_bands

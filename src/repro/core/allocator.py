@@ -138,20 +138,24 @@ class Allocator(abc.ABC):
         fully occupied (as far as this site knows), falls back to a
         uniform pick — the allocation still has to happen, the paper's
         simulations then count the resulting clash.
+
+        The free addresses are the unmarked slots of one bool array
+        over ``[lo, hi)``; a uniform rank ``r`` among them picks the
+        ``r``-th, the address :func:`nth_free_address` would return
+        for the sorted used set.
         """
-        used = np.unique(
-            visible.in_address_range(lo, hi).addresses
-        )
-        free = (hi - lo) - len(used)
-        if free <= 0:
+        addresses = visible.addresses
+        occupied = np.zeros(hi - lo, dtype=bool)
+        occupied[addresses[(addresses >= lo) & (addresses < hi)] - lo] = True
+        free = np.flatnonzero(~occupied)
+        if len(free) == 0:
             self.forced_allocations += 1
             address = int(self.rng.integers(lo, hi))
             return AllocationResult(address, band=band, informed=False,
                                     forced=True)
-        r = int(self.rng.integers(0, free))
-        address = nth_free_address(used, r, lo, hi)
-        return AllocationResult(address, band=band, informed=True,
-                                forced=False)
+        r = int(self.rng.integers(0, len(free)))
+        return AllocationResult(lo + int(free[r]), band=band,
+                                informed=True, forced=False)
 
 
 def nth_free_address(used_sorted: np.ndarray, r: Count, lo: SlotIndex,

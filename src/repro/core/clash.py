@@ -52,48 +52,3 @@ def find_clashing_pairs(sessions: Sequence[Session],
                 ):
                     pairs.append((i, j))
     return pairs
-
-
-class AddressUsageIndex:
-    """Mutable index of live sessions keyed by address.
-
-    The steady-state experiments add and remove thousands of sessions;
-    this keeps clash checks O(sessions sharing the address) instead of
-    O(all sessions).
-    """
-
-    def __init__(self) -> None:
-        self._by_address: Dict[int, List[Session]] = defaultdict(list)
-        self._count = 0
-
-    def add(self, session: Session) -> None:
-        self._by_address[session.address].append(session)
-        self._count += 1
-
-    def remove(self, session: Session) -> None:
-        """Remove by identity key.
-
-        Raises:
-            KeyError: if the session is not present.
-        """
-        bucket = self._by_address.get(session.address, [])
-        for i, existing in enumerate(bucket):
-            if existing.key() == session.key():
-                bucket.pop(i)
-                self._count -= 1
-                if not bucket:
-                    del self._by_address[session.address]
-                return
-        raise KeyError(f"session {session.key()} not in index")
-
-    def same_address(self, address: int) -> List[Session]:
-        """Live sessions currently using ``address``."""
-        return list(self._by_address.get(address, ()))
-
-    def clash_for(self, new: Session, scope_map: ScopeMap) -> bool:
-        """Would ``new`` clash with any indexed session?"""
-        return clashes_with_any(new, self.same_address(new.address),
-                                scope_map)
-
-    def __len__(self) -> int:
-        return self._count

@@ -18,7 +18,8 @@ TTL 255 (fig. 11).
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from bisect import bisect_right
+from dataclasses import dataclass, field
 from typing import List, Tuple
 
 import numpy as np
@@ -44,6 +45,7 @@ class PartitionMap:
     """
 
     edges: Tuple[int, ...]
+    _band_table: np.ndarray = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         if list(self.edges) != sorted(set(self.edges)):
@@ -52,17 +54,24 @@ class PartitionMap:
         if self.edges and not (1 < self.edges[0] and
                                self.edges[-1] <= MAX_TTL):
             raise ValueError(f"edges must lie in (1, 255]: {self.edges}")
+        # Band of every TTL 0..255.  The edges lie in (1, 255], so a
+        # TTL below 0 shares TTL 0's band and one above 255 shares
+        # TTL 255's: clipping into the table is exact for any integer.
+        # ``take(..., mode="clip")`` clips the indices to 0..255 itself,
+        # at a tenth of the cost of a separate ``np.clip``.
+        table = np.searchsorted(np.asarray(self.edges, dtype=np.int64),
+                                np.arange(MAX_TTL + 1), side="right")
+        object.__setattr__(self, "_band_table", table)
 
     @property
     def num_bands(self) -> int:
         return len(self.edges) + 1
 
     def band_of(self, ttl) -> "np.ndarray | int":
-        """Band index for a TTL (scalar or array)."""
-        result = np.searchsorted(np.asarray(self.edges), ttl, side="right")
-        if np.isscalar(ttl):
-            return int(result)
-        return result
+        """Band index for a TTL (integer scalar or integer array)."""
+        if isinstance(ttl, (int, np.integer)):
+            return bisect_right(self.edges, ttl)
+        return self._band_table.take(ttl, mode="clip")
 
     def ttl_range(self, band: int) -> Tuple[int, int]:
         """Inclusive TTL range ``(lo, hi)`` covered by ``band``."""

@@ -33,13 +33,15 @@ class TtlDistribution:
         if any(not 1 <= v <= 255 for v in self.values):
             raise ValueError(f"TTLs outside [1, 255] in {self.values}")
 
-    def sample(self, rng: np.random.Generator, size=None):
-        """Draw one TTL (or ``size`` TTLs) uniformly from the values."""
-        choice = rng.choice(np.asarray(self.values, dtype=np.int64),
-                            size=size)
-        if size is None:
-            return int(choice)
-        return choice
+    def sample(self, rng: np.random.Generator) -> int:
+        """Draw one TTL uniformly from the values.
+
+        One ``integers(0, len(values))`` draw: the index, and the
+        generator state after it, that ``rng.choice`` makes on the
+        values as a 1-D array (``tests/test_allocation_kernels.py``
+        pins the two together).
+        """
+        return self.values[int(rng.integers(0, len(self.values)))]
 
     def distinct(self) -> Tuple[int, ...]:
         """The distinct TTL values, ascending."""

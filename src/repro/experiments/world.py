@@ -10,7 +10,8 @@ internetwork and answers the two questions the experiments keep asking:
   overlapping data scopes).
 
 Session state is kept in parallel numpy-backed columns so visibility is
-one vectorised gather per allocation.
+one vectorised gather per allocation, from the scope map's node-major
+copy of ``need`` (one contiguous row per listening node).
 """
 
 from __future__ import annotations
@@ -100,10 +101,11 @@ class AllocationWorld:
     # ------------------------------------------------------------------
     def visible_at(self, node: int) -> VisibleSet:
         """Sessions whose announcements reach ``node``."""
-        sources = self._sources[: self._count]
-        ttls = self._ttls[: self._count]
-        mask = self.scope_map.need[sources, node] <= ttls
-        return VisibleSet(self._addresses[: self._count][mask], ttls[mask])
+        count = self._count
+        ttls = self._ttls[:count]
+        need = self.scope_map.need_by_listener[node]
+        mask = need.take(self._sources[:count]) <= ttls
+        return VisibleSet(self._addresses[:count][mask], ttls[mask])
 
     def clashes(self, session: Session) -> bool:
         """Would ``session`` clash with any live session?

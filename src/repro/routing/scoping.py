@@ -18,7 +18,8 @@ comparison:
 * which sessions are visible at a node ``b``:
   ``need[srcs, b] <= ttls``;
 * whether two sessions' data scopes overlap:
-  ``any(reach(a) & reach(b))``.
+  ``any(reach(a) & reach(b))``, asked of two reach masks packed into
+  Python ints, so one test is a single ``&``.
 
 The asymmetry the paper describes (§1 "Scoping Requirements") arises
 naturally: ``need`` is not symmetric when thresholds sit at different
@@ -39,13 +40,23 @@ UNREACHABLE_TTL = 10_000
 
 
 class ScopeMap:
-    """Minimum-required-TTL matrix plus cached reachability queries."""
+    """Minimum-required-TTL matrix plus cached reachability queries.
+
+    ``need`` is never written after construction, so two derived forms
+    are kept beside it: ``need_by_listener``, its transpose as a
+    contiguous copy (row ``v`` lists what every source needs to reach
+    ``v``, so "which sessions does ``v`` hear" gathers from one row),
+    and a cache of reach masks packed into ints for
+    :meth:`scopes_overlap`.
+    """
 
     def __init__(self, need: np.ndarray) -> None:
         if need.ndim != 2 or need.shape[0] != need.shape[1]:
             raise ValueError(f"need must be square, got {need.shape}")
         self.need = need
+        self.need_by_listener = np.ascontiguousarray(need.T)
         self._reach_cache: Dict[Tuple[int, int], np.ndarray] = {}
+        self._reach_bits: Dict[Tuple[int, int], int] = {}
 
     # ------------------------------------------------------------------
     # Construction
@@ -89,8 +100,9 @@ class ScopeMap:
             if np.array_equal(updated, need):
                 break
             need = updated
-        return cls(need.astype(np.int16, copy=False)
-                   if need.max() < 2 ** 15 else cls_need_int32(need))
+        if need.max() < 2 ** 15:
+            need = need.astype(np.int16)
+        return cls(need)
 
     # ------------------------------------------------------------------
     # Queries
@@ -127,27 +139,32 @@ class ScopeMap:
         """
         sources = np.asarray(sources, dtype=np.intp)
         ttls = np.asarray(ttls)
-        return self.need[sources, at_node] <= ttls
+        return self.need_by_listener[at_node].take(sources) <= ttls
 
     def scopes_overlap(self, src_a: int, ttl_a: int,
                        src_b: int, ttl_b: int) -> bool:
         """True if the data scopes of two sessions intersect anywhere.
 
         This is the clash condition: a receiver inside the intersection
-        gets both sessions' traffic on the same group address.
+        gets both sessions' traffic on the same group address.  Each
+        scope is a cached bitset (bit per node), so the test is one
+        ``&`` of two ints.
         """
-        reach_a = self.reachable(src_a, ttl_a)
-        reach_b = self.reachable(src_b, ttl_b)
-        return bool(np.any(reach_a & reach_b))
+        return bool(self._bits(src_a, ttl_a) & self._bits(src_b, ttl_b))
+
+    def _bits(self, source: int, ttl: int) -> int:
+        """The (source, ttl) reach mask packed into an int, cached."""
+        key = (source, ttl)
+        bits = self._reach_bits.get(key)
+        if bits is None:
+            packed = np.packbits(self.need[source] <= ttl)
+            bits = int.from_bytes(packed.tobytes(), "big")
+            self._reach_bits[key] = bits
+        return bits
 
     def scope_size(self, source: int, ttl: int) -> int:
         """Number of nodes inside the (source, ttl) scope."""
         return int(self.reachable(source, ttl).sum())
-
-
-def cls_need_int32(need: np.ndarray) -> np.ndarray:
-    """Keep the need matrix as int32 when values exceed int16 range."""
-    return need.astype(np.int32, copy=False)
 
 
 def _threshold_matrix(topology: Topology) -> np.ndarray:

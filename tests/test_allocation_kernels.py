@@ -1,0 +1,169 @@
+"""The per-allocation kernels, each pinned to the code it replaced.
+
+One allocation in the figure harnesses samples a TTL, gathers the
+visible set, looks up a band, picks an informed address and checks the
+new session for clashes.  Each of those steps has a fast form; these
+tests hold every fast form equal to the plain numpy expression it
+replaced, including the random draws it makes, because the figure rows
+and the benchmark fingerprints rest on both.
+"""
+
+import numpy as np
+import pytest
+
+from repro.core.allocator import VisibleSet, nth_free_address
+from repro.core.informed import InformedRandomAllocator
+from repro.core.partitions import (
+    IPR3_EDGES,
+    IPR7_EDGES,
+    PartitionMap,
+    margin_partition_map,
+)
+from repro.core.session import Session
+from repro.experiments.ttl_distributions import ALL_DISTRIBUTIONS, DS1
+from repro.experiments.world import AllocationWorld
+from repro.routing.scoping import ScopeMap
+from repro.topology.mbone import MboneParams, generate_mbone
+
+
+@pytest.fixture(scope="module")
+def mbone60_scope_map():
+    return ScopeMap.from_topology(
+        generate_mbone(MboneParams(total_nodes=60, seed=1998)))
+
+
+def _reference_pick(rng, visible, lo, hi):
+    """The informed pick as ``np.unique`` plus ``nth_free_address``."""
+    used = np.unique(visible.in_address_range(lo, hi).addresses)
+    free = (hi - lo) - len(used)
+    if free <= 0:
+        return int(rng.integers(lo, hi)), True
+    return nth_free_address(used, int(rng.integers(0, free)), lo, hi), False
+
+
+class TestInformedPick:
+    def _check(self, seed, visible, lo, hi):
+        allocator = InformedRandomAllocator(
+            hi, rng=np.random.default_rng(seed))
+        reference_rng = np.random.default_rng(seed)
+        result = allocator._informed_pick(visible, lo, hi, band=3)
+        address, forced = _reference_pick(reference_rng, visible, lo, hi)
+        assert (result.address, result.forced) == (address, forced)
+        assert result.informed is not forced
+        assert result.band == 3
+        assert allocator.forced_allocations == int(forced)
+        assert (allocator.rng.bit_generator.state
+                == reference_rng.bit_generator.state)
+        return result
+
+    def test_random_views(self):
+        rng = np.random.default_rng(20)
+        for seed in range(400):
+            lo = int(rng.integers(0, 50))
+            hi = lo + int(rng.integers(1, 60))
+            count = int(rng.integers(0, 80))
+            addresses = rng.integers(0, hi + 10, size=count)
+            ttls = rng.integers(1, 256, size=count)
+            self._check(seed, VisibleSet(addresses, ttls), lo, hi)
+
+    def test_empty_view(self):
+        for seed in range(50):
+            result = self._check(seed, VisibleSet.empty(), 7, 19)
+            assert not result.forced
+
+    def test_full_range_forces_a_pick(self):
+        addresses = np.array([12, 10, 11, 13, 10, 3, 40])
+        visible = VisibleSet(addresses, np.ones_like(addresses))
+        for seed in range(50):
+            result = self._check(seed, visible, 10, 14)
+            assert result.forced
+            assert 10 <= result.address < 14
+
+
+class TestScopesOverlap:
+    def test_every_ds1_scope_pair(self, mbone60_scope_map):
+        scope_map = mbone60_scope_map
+        scopes = [(source, ttl) for source in range(scope_map.num_nodes)
+                  for ttl in DS1.distinct()]
+        reach = np.array([scope_map.reachable(s, t) for s, t in scopes])
+        expected = (reach[:, None, :] & reach[None, :, :]).any(axis=2)
+        overlap = np.array([[scope_map.scopes_overlap(sa, ta, sb, tb)
+                             for sb, tb in scopes] for sa, ta in scopes])
+        assert overlap.tolist() == expected.tolist()
+        # Both answers are present, so the comparison has teeth.
+        assert 0 < expected.sum() < expected.size
+
+    def test_every_node_bit_at_boundary_ttls(self, mbone60_scope_map):
+        # A (v, 0) scope holds node v alone, so overlapping it reads
+        # v's bit; TTLs equal to need entries sit on the <= boundary.
+        scope_map = mbone60_scope_map
+        n = scope_map.num_nodes
+        for source in range(n):
+            need = scope_map.need[source]
+            for ttl in np.unique(need[need <= 255]).tolist():
+                bits = [scope_map.scopes_overlap(source, ttl, node, 0)
+                        for node in range(n)]
+                assert bits == (need <= ttl).tolist()
+
+
+class TestVisibleAt:
+    def test_matches_need_gather_under_churn(self, mbone60_scope_map):
+        scope_map = mbone60_scope_map
+        world = AllocationWorld(scope_map, initial_capacity=16)
+        rng = np.random.default_rng(5)
+        n = scope_map.num_nodes
+        for step in range(600):
+            if len(world) and rng.random() < 0.4:
+                world.remove_at(world.random_slot(rng))
+            else:
+                # Any TTL, so that some equal a need entry exactly.
+                world.add(Session(address=int(rng.integers(0, 100)),
+                                  ttl=int(rng.integers(1, 256)),
+                                  source=int(rng.integers(0, n))))
+            live = world.sessions
+            sources = np.array([s.source for s in live], dtype=np.int64)
+            ttls = np.array([s.ttl for s in live], dtype=np.int64)
+            addresses = np.array([s.address for s in live], dtype=np.int64)
+            node = step % n
+            mask = scope_map.need[sources, node] <= ttls
+            visible = world.visible_at(node)
+            assert visible.addresses.tolist() == addresses[mask].tolist()
+            assert visible.ttls.tolist() == ttls[mask].tolist()
+
+    def test_node_major_copy_is_the_transpose(self, mbone60_scope_map):
+        scope_map = mbone60_scope_map
+        assert scope_map.need_by_listener.flags.c_contiguous
+        assert np.array_equal(scope_map.need_by_listener, scope_map.need.T)
+
+
+class TestBandOf:
+    @pytest.mark.parametrize("partition_map", [
+        PartitionMap(IPR3_EDGES),
+        PartitionMap(IPR7_EDGES),
+        margin_partition_map(2),
+    ], ids=["ipr3", "ipr7", "margin2"])
+    def test_matches_searchsorted(self, partition_map):
+        edges = np.asarray(partition_map.edges)
+        ttls = np.arange(-1, 301)
+        expected = np.searchsorted(edges, ttls, side="right")
+        for ttl, band in zip(ttls.tolist(), expected.tolist()):
+            for scalar in (ttl, np.int64(ttl)):
+                got = partition_map.band_of(scalar)
+                assert type(got) is int
+                assert got == band
+        assert partition_map.band_of(ttls).tolist() == expected.tolist()
+
+
+class TestSample:
+    def test_matches_generator_choice(self):
+        for distribution in ALL_DISTRIBUTIONS:
+            values = np.asarray(distribution.values)
+            for seed in range(200):
+                ours = np.random.default_rng(seed)
+                theirs = np.random.default_rng(seed)
+                for __ in range(50):
+                    ttl = distribution.sample(ours)
+                    assert type(ttl) is int
+                    assert ttl == int(theirs.choice(values))
+                assert (ours.bit_generator.state
+                        == theirs.bit_generator.state)

@@ -3,7 +3,6 @@
 import pytest
 
 from repro.core.clash import (
-    AddressUsageIndex,
     clashes_with_any,
     find_clashing_pairs,
     sessions_clash,
@@ -86,50 +85,3 @@ class TestClashDetection:
         ]
         pairs = find_clashing_pairs(sessions, chain_scope_map)
         assert pairs == [(0, 1)]
-
-
-class TestAddressUsageIndex:
-    def test_add_remove_cycle(self, chain_scope_map):
-        index = AddressUsageIndex()
-        s = Session(address=3, ttl=18, source=0)
-        index.add(s)
-        assert len(index) == 1
-        assert index.same_address(3) == [s]
-        index.remove(s)
-        assert len(index) == 0
-        assert index.same_address(3) == []
-
-    def test_remove_missing_raises(self):
-        index = AddressUsageIndex()
-        with pytest.raises(KeyError):
-            index.remove(Session(address=3, ttl=18, source=0))
-
-    def test_clash_for(self, chain_scope_map):
-        index = AddressUsageIndex()
-        index.add(Session(address=3, ttl=18, source=0))
-        clasher = Session(address=3, ttl=18, source=1)
-        clean = Session(address=4, ttl=18, source=1)
-        assert index.clash_for(clasher, chain_scope_map)
-        assert not index.clash_for(clean, chain_scope_map)
-
-    def test_multiple_same_address(self, chain_scope_map):
-        index = AddressUsageIndex()
-        a = Session(address=3, ttl=2, source=0)
-        b = Session(address=3, ttl=64, source=4)
-        index.add(a)
-        index.add(b)
-        assert len(index.same_address(3)) == 2
-        index.remove(a)
-        assert index.same_address(3) == [b]
-
-
-def test_mutating_same_address_result_leaves_index_intact():
-    from repro.core.clash import AddressUsageIndex
-    from repro.core.session import Session
-    index = AddressUsageIndex()
-    session = Session(address=5, ttl=15, source=1)
-    index.add(session)
-    bucket = index.same_address(5)
-    bucket.clear()
-    assert len(index) == 1
-    assert index.same_address(5) == [session]

@@ -39,7 +39,7 @@ class TestTtlDistributions:
             assert dist.distinct() == (1, 15, 31, 47, 63, 127, 191)
 
     def test_sampling(self, rng):
-        samples = DS4.sample(rng, size=2000)
+        samples = [DS4.sample(rng) for __ in range(2000)]
         values, counts = np.unique(samples, return_counts=True)
         assert set(values) <= set(DS4.values)
         # TTL 1 appears 8/22 of the time.
