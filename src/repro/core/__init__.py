@@ -21,6 +21,7 @@ from repro.core.admin import AdminScopedAllocator
 from repro.core.blocks import AddressBlock, block_for
 from repro.core.allocator import (
     AllocationResult,
+    AllocationView,
     Allocator,
     VisibleSet,
     nth_free_address,
@@ -50,6 +51,7 @@ __all__ = [
     "block_for",
     "sessions_clash",
     "AllocationResult",
+    "AllocationView",
     "Allocator",
     "HierarchicalAllocator",
     "HybridIprmaAllocator",

@@ -32,7 +32,7 @@ from typing import List, Optional, Sequence, Tuple
 
 import numpy as np
 
-from repro.core.allocator import AllocationResult, Allocator, VisibleSet
+from repro.core.allocator import AllocationResult, AllocationView, Allocator
 from repro.core.partitions import IPR7_EDGES, PartitionMap
 
 #: Target band occupancy; "67% was chosen from figure 6 as approximately
@@ -88,15 +88,15 @@ class AdaptiveIprmaAllocator(Allocator):
         return cls(space_size, gap_fraction=0.7, rng=rng)
 
     # -------------------------------------------------------------------
-    def band_geometry(self, visible: VisibleSet) -> List[Tuple[int, int]]:
+    def band_geometry(self, visible: AllocationView,
+                      min_ttl: int = 1) -> List[Tuple[int, int]]:
         """Half-open (lo, hi) address range of every band, low band first.
 
         Bands cluster at the top of the space; band *i*'s geometry is a
         function of the visible session counts in bands >= i only.
+        Sessions with TTL below ``min_ttl`` are left out of the counts.
         """
-        # As Python ints: the per-band arithmetic below is scalar, and
-        # numpy scalars cost about ten times as much per operation.
-        counts = self.partition_map.band_counts(visible.ttls).tolist()
+        counts = visible.band_counts(self.partition_map, min_ttl)
         num_bands = self.partition_map.num_bands
         gap = int(self.gap_fraction * self.space_size) // num_bands
         ranges: List[Optional[Tuple[int, int]]] = [None] * num_bands
@@ -110,14 +110,15 @@ class AdaptiveIprmaAllocator(Allocator):
         return ranges  # type: ignore[return-value]
 
     def declared_ranges(self, ttl: int,
-                        visible: VisibleSet) -> List[Tuple[int, int]]:
+                        visible: AllocationView) -> List[Tuple[int, int]]:
         """The band serving ``ttl`` under the deterministic geometry."""
         band = self.partition_map.band_of(ttl)
         lowest_ttl, __ = self.partition_map.ttl_range(band)
-        geometry = self.band_geometry(visible.with_ttl_at_least(lowest_ttl))
+        geometry = self.band_geometry(visible, lowest_ttl)
         return [geometry[band]]
 
-    def allocate(self, ttl: int, visible: VisibleSet) -> AllocationResult:
+    def allocate(self, ttl: int,
+                 visible: AllocationView) -> AllocationResult:
         self._check_ttl(ttl)
         band = self.partition_map.band_of(ttl)
         # Deterministic rule: geometry from sessions with TTL >= this

@@ -39,7 +39,7 @@ from typing import List, Optional, Sequence, Tuple
 import numpy as np
 
 from repro.core.adaptive import DEFAULT_OCCUPANCY
-from repro.core.allocator import AllocationResult, Allocator, VisibleSet
+from repro.core.allocator import AllocationResult, AllocationView, Allocator
 from repro.core.partitions import IPR7_EDGES, PartitionMap
 
 _MODES = ("push", "proportional")
@@ -68,15 +68,16 @@ class LegacyAdaptiveIprmaAllocator(Allocator):
         self.partition_map = PartitionMap(tuple(edges))
         self.name = f"Adaptive-legacy ({mode})"
 
-    def band_geometry(self, visible: VisibleSet) -> List[Tuple[int, int]]:
+    def band_geometry(self,
+                      visible: AllocationView) -> List[Tuple[int, int]]:
         """Half-open (lo, hi) per band — a function of ALL visible
         sessions, lower TTLs included (the flaw under test)."""
-        counts = self.partition_map.band_counts(visible.ttls)
+        counts = visible.band_counts(self.partition_map, 1)
         if self.mode == "push":
             return self._push_geometry(counts)
         return self._proportional_geometry(counts)
 
-    def _push_geometry(self, counts: np.ndarray) -> List[Tuple[int, int]]:
+    def _push_geometry(self, counts: List[int]) -> List[Tuple[int, int]]:
         """Bands sized by occupancy, laid out bottom-up in TTL order.
 
         A growing band pushes every higher band upwards; bands at the
@@ -97,9 +98,9 @@ class LegacyAdaptiveIprmaAllocator(Allocator):
         return ranges
 
     def _proportional_geometry(self,
-                               counts: np.ndarray) -> List[Tuple[int, int]]:
+                               counts: List[int]) -> List[Tuple[int, int]]:
         """The whole space re-divided with widths ~ (count + 1)."""
-        weights = counts.astype(np.float64) + 1.0
+        weights = np.asarray(counts, dtype=np.float64) + 1.0
         total = weights.sum()
         ranges: List[Tuple[int, int]] = []
         position = 0
@@ -117,7 +118,8 @@ class LegacyAdaptiveIprmaAllocator(Allocator):
             position = ranges[-1][1]
         return ranges
 
-    def allocate(self, ttl: int, visible: VisibleSet) -> AllocationResult:
+    def allocate(self, ttl: int,
+                 visible: AllocationView) -> AllocationResult:
         self._check_ttl(ttl)
         band = self.partition_map.band_of(ttl)
         lo, hi = self.band_geometry(visible)[band]

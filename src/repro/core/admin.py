@@ -13,7 +13,7 @@ from typing import List, Optional, Tuple
 
 import numpy as np
 
-from repro.core.allocator import AllocationResult, Allocator, VisibleSet
+from repro.core.allocator import AllocationResult, AllocationView, Allocator
 from repro.routing.admin_scoping import AdminScopeMap, ScopeZone
 
 
@@ -50,14 +50,14 @@ class AdminScopedAllocator(Allocator):
         return min(zones, key=lambda z: len(z.members))
 
     def declared_ranges(self, ttl: int,
-                        visible: VisibleSet) -> List[Tuple[int, int]]:
+                        visible: AllocationView) -> List[Tuple[int, int]]:
         """The node's zone range (whole space when unzoned)."""
         zone = self.zone()
         if zone is None:
             return [(0, self.space_size)]
         return [(zone.range_lo, zone.range_hi)]
 
-    def allocate(self, ttl: int, visible: VisibleSet) -> AllocationResult:
+    def allocate(self, ttl: int, visible: AllocationView) -> AllocationResult:
         """Allocate inside the node's zone range.
 
         The ``ttl`` argument is accepted for interface compatibility;

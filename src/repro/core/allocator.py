@@ -13,21 +13,49 @@ from __future__ import annotations
 
 import abc
 from dataclasses import dataclass
-from typing import Iterable, List, Optional, Tuple
+from typing import Iterable, List, Optional, Protocol, Tuple
 
 import numpy as np
 
+from repro.core.partitions import PartitionMap
 from repro.core.session import Session
 from repro.sim.rng import derived_stream
 from repro.sim.types import Count, SlotIndex, Ttl
+
+
+class AllocationView(Protocol):
+    """What an allocator may ask of the sessions visible at its site.
+
+    An allocator's whole knowledge of the world is the set of sessions
+    whose announcements reach it.  It asks that set three questions,
+    and these are the only ones: which addresses of a range it sees in
+    use, how many visible sessions each band of a partition map holds,
+    and how many sessions it sees in all.  :class:`VisibleSet` answers
+    them from arrays of (address, ttl) pairs; the allocation
+    experiments' world answers them from per-node count tables
+    (:class:`repro.experiments.world.OccupancyView`).
+    """
+
+    def __len__(self) -> int:
+        """Number of visible sessions."""
+
+    def free_offsets(self, lo: SlotIndex, hi: SlotIndex) -> np.ndarray:
+        """Ascending offsets from ``lo`` of the addresses of
+        ``[lo, hi)`` that no visible session uses."""
+
+    def band_counts(self, partition_map: PartitionMap,
+                    min_ttl: Ttl) -> List[int]:
+        """Visible sessions per band of ``partition_map``, counting only
+        sessions with TTL >= ``min_ttl``."""
 
 
 @dataclass
 class VisibleSet:
     """The (address, ttl) pairs of sessions visible at a site.
 
-    Stored as parallel numpy arrays so that allocators can filter and
-    count in vectorised form.
+    Stored as parallel numpy arrays; an unordered multiset, since two
+    visible sessions may share an address.  Implements
+    :class:`AllocationView`.
     """
 
     addresses: np.ndarray
@@ -54,18 +82,21 @@ class VisibleSet:
     def __len__(self) -> int:
         return int(self.addresses.shape[0])
 
-    def used_addresses(self) -> np.ndarray:
-        """Sorted unique addresses in use (any TTL)."""
-        return np.unique(self.addresses)
+    def free_offsets(self, lo: SlotIndex, hi: SlotIndex) -> np.ndarray:
+        """The unmarked slots of one bool array over ``[lo, hi)``."""
+        addresses = self.addresses
+        occupied = np.zeros(hi - lo, dtype=bool)
+        occupied[addresses[(addresses >= lo) & (addresses < hi)] - lo] = True
+        return (~occupied).nonzero()[0]
+
+    def band_counts(self, partition_map: PartitionMap,
+                    min_ttl: Ttl) -> List[int]:
+        ttls = self.ttls
+        return partition_map.band_counts(ttls[ttls >= min_ttl]).tolist()
 
     def in_address_range(self, lo: SlotIndex, hi: SlotIndex) -> "VisibleSet":
         """Subset with ``lo <= address < hi``."""
         mask = (self.addresses >= lo) & (self.addresses < hi)
-        return VisibleSet(self.addresses[mask], self.ttls[mask])
-
-    def with_ttl_at_least(self, ttl: Ttl) -> "VisibleSet":
-        """Subset with ``ttl >= ttl`` (Deterministic Adaptive IPRMA)."""
-        mask = self.ttls >= ttl
         return VisibleSet(self.addresses[mask], self.ttls[mask])
 
 
@@ -109,11 +140,12 @@ class Allocator(abc.ABC):
         self.forced_allocations = 0
 
     @abc.abstractmethod
-    def allocate(self, ttl: Ttl, visible: VisibleSet) -> AllocationResult:
+    def allocate(self, ttl: Ttl,
+                 visible: AllocationView) -> AllocationResult:
         """Pick an address for a new session with scope ``ttl``."""
 
     def declared_ranges(self, ttl: Ttl,
-                        visible: VisibleSet
+                        visible: AllocationView
                         ) -> List[Tuple[SlotIndex, SlotIndex]]:
         """The half-open address ranges ``allocate`` may pick from.
 
@@ -129,7 +161,7 @@ class Allocator(abc.ABC):
         if not 1 <= ttl <= 255:
             raise ValueError(f"ttl {ttl} outside [1, 255]")
 
-    def _informed_pick(self, visible: VisibleSet, lo: SlotIndex,
+    def _informed_pick(self, visible: AllocationView, lo: SlotIndex,
                        hi: SlotIndex,
                        band: Optional[int] = None) -> AllocationResult:
         """Informed-random choice within ``[lo, hi)``.
@@ -139,15 +171,11 @@ class Allocator(abc.ABC):
         uniform pick — the allocation still has to happen, the paper's
         simulations then count the resulting clash.
 
-        The free addresses are the unmarked slots of one bool array
-        over ``[lo, hi)``; a uniform rank ``r`` among them picks the
-        ``r``-th, the address :func:`nth_free_address` would return
-        for the sorted used set.
+        A uniform rank ``r`` among the view's free offsets picks the
+        ``r``-th free address, the one :func:`nth_free_address` would
+        return for the sorted used set.
         """
-        addresses = visible.addresses
-        occupied = np.zeros(hi - lo, dtype=bool)
-        occupied[addresses[(addresses >= lo) & (addresses < hi)] - lo] = True
-        free = np.flatnonzero(~occupied)
+        free = visible.free_offsets(lo, hi)
         if len(free) == 0:
             self.forced_allocations += 1
             address = int(self.rng.integers(lo, hi))

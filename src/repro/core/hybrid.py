@@ -22,7 +22,7 @@ from typing import List, Optional, Sequence, Tuple
 import numpy as np
 
 from repro.core.adaptive import DEFAULT_OCCUPANCY
-from repro.core.allocator import AllocationResult, Allocator, VisibleSet
+from repro.core.allocator import AllocationResult, AllocationView, Allocator
 from repro.core.partitions import IPR7_EDGES, PartitionMap
 
 
@@ -68,11 +68,11 @@ class HybridIprmaAllocator(Allocator):
             self.initial_top[band] = max(1, position)
             position = position - self.initial_width - self.gap
 
-    def band_geometry(self, visible: VisibleSet) -> List[Tuple[int, int]]:
-        """Half-open (lo, hi) per band under the hybrid rules."""
-        # As Python ints: the per-band arithmetic below is scalar, and
-        # numpy scalars cost about ten times as much per operation.
-        counts = self.partition_map.band_counts(visible.ttls).tolist()
+    def band_geometry(self, visible: AllocationView,
+                      min_ttl: int = 1) -> List[Tuple[int, int]]:
+        """Half-open (lo, hi) per band under the hybrid rules, counting
+        the visible sessions with TTL >= ``min_ttl``."""
+        counts = visible.band_counts(self.partition_map, min_ttl)
         num_bands = self.partition_map.num_bands
         ranges: List[Optional[Tuple[int, int]]] = [None] * num_bands
         prev_lo = self.space_size + self.gap
@@ -87,14 +87,15 @@ class HybridIprmaAllocator(Allocator):
         return ranges  # type: ignore[return-value]
 
     def declared_ranges(self, ttl: int,
-                        visible: VisibleSet) -> List[Tuple[int, int]]:
+                        visible: AllocationView) -> List[Tuple[int, int]]:
         """The band serving ``ttl`` under the hybrid geometry."""
         band = self.partition_map.band_of(ttl)
         lowest_ttl, __ = self.partition_map.ttl_range(band)
-        geometry = self.band_geometry(visible.with_ttl_at_least(lowest_ttl))
+        geometry = self.band_geometry(visible, lowest_ttl)
         return [geometry[band]]
 
-    def allocate(self, ttl: int, visible: VisibleSet) -> AllocationResult:
+    def allocate(self, ttl: int,
+                 visible: AllocationView) -> AllocationResult:
         self._check_ttl(ttl)
         band = self.partition_map.band_of(ttl)
         (lo, hi), = self.declared_ranges(ttl, visible)

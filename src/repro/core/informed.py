@@ -10,7 +10,7 @@ dominate.
 
 from __future__ import annotations
 
-from repro.core.allocator import AllocationResult, Allocator, VisibleSet
+from repro.core.allocator import AllocationResult, AllocationView, Allocator
 
 
 class InformedRandomAllocator(Allocator):
@@ -18,6 +18,6 @@ class InformedRandomAllocator(Allocator):
 
     name = "IR"
 
-    def allocate(self, ttl: int, visible: VisibleSet) -> AllocationResult:
+    def allocate(self, ttl: int, visible: AllocationView) -> AllocationResult:
         self._check_ttl(ttl)
         return self._informed_pick(visible, 0, self.space_size, band=None)

@@ -20,7 +20,7 @@ from typing import List, Optional, Sequence, Tuple
 
 import numpy as np
 
-from repro.core.allocator import AllocationResult, Allocator, VisibleSet
+from repro.core.allocator import AllocationResult, AllocationView, Allocator
 from repro.core.partitions import (
     IPR3_EDGES,
     IPR7_EDGES,
@@ -67,11 +67,11 @@ class StaticIprmaAllocator(Allocator):
         return self.band_ranges[self.partition_map.band_of(ttl)]
 
     def declared_ranges(self, ttl: int,
-                        visible: VisibleSet) -> List[Tuple[int, int]]:
+                        visible: AllocationView) -> List[Tuple[int, int]]:
         """Static bands: the range serving ``ttl``, whatever is visible."""
         return [self.band_range(ttl)]
 
-    def allocate(self, ttl: int, visible: VisibleSet) -> AllocationResult:
+    def allocate(self, ttl: int, visible: AllocationView) -> AllocationResult:
         self._check_ttl(ttl)
         band = self.partition_map.band_of(ttl)
         lo, hi = self.band_ranges[band]

@@ -20,7 +20,7 @@ from __future__ import annotations
 import math
 from bisect import bisect_right
 from dataclasses import dataclass, field
-from typing import List, Tuple
+from typing import Dict, List, Tuple
 
 import numpy as np
 
@@ -46,6 +46,10 @@ class PartitionMap:
 
     edges: Tuple[int, ...]
     _band_table: np.ndarray = field(init=False, repr=False, compare=False)
+    #: ``min_ttl`` -> the TTLs at which :meth:`fold_ttl_counts` starts
+    #: each band's sum, filled on first use.
+    _fold_starts: Dict[int, np.ndarray] = field(
+        init=False, repr=False, compare=False, default_factory=dict)
 
     def __post_init__(self) -> None:
         if list(self.edges) != sorted(set(self.edges)):
@@ -85,6 +89,30 @@ class PartitionMap:
         """Number of the given TTLs in each band (length num_bands)."""
         bands = self.band_of(np.asarray(ttls))
         return np.bincount(bands, minlength=self.num_bands)
+
+    def fold_ttl_counts(self, per_ttl: np.ndarray,
+                        min_ttl: int) -> List[int]:
+        """Band totals of a count per TTL, from ``min_ttl`` up.
+
+        Args:
+            per_ttl: ``per_ttl[t]`` sessions of TTL ``t``, for t in
+                0..255.
+            min_ttl: TTLs below this are left out of the totals.
+
+        Returns:
+            One total per band, lowest band first: what
+            :meth:`band_counts` returns for the TTLs >= ``min_ttl``.
+            The sums are taken in ``per_ttl``'s dtype, which is exact
+            while the total of ``per_ttl`` fits it, and twice as fast
+            as widening a strided column first.
+        """
+        first = self.band_of(min_ttl)
+        starts = self._fold_starts.get(min_ttl)
+        if starts is None:
+            starts = np.array((min_ttl,) + self.edges[first:], dtype=np.intp)
+            self._fold_starts[min_ttl] = starts
+        totals = np.add.reduceat(per_ttl, starts, dtype=per_ttl.dtype)
+        return [0] * first + totals.tolist()
 
 
 def margin_partition_map(margin: int = 2) -> PartitionMap:

@@ -7,7 +7,7 @@ square root of the space size (the birthday problem, fig. 4).
 
 from __future__ import annotations
 
-from repro.core.allocator import AllocationResult, Allocator, VisibleSet
+from repro.core.allocator import AllocationResult, AllocationView, Allocator
 
 
 class RandomAllocator(Allocator):
@@ -15,7 +15,7 @@ class RandomAllocator(Allocator):
 
     name = "R"
 
-    def allocate(self, ttl: int, visible: VisibleSet) -> AllocationResult:
+    def allocate(self, ttl: int, visible: AllocationView) -> AllocationResult:
         self._check_ttl(ttl)
         address = int(self.rng.integers(0, self.space_size))
         return AllocationResult(address, band=None, informed=False,

@@ -53,7 +53,7 @@ def allocations_before_first_clash(
         Number of clash-free allocations made before the first clash.
     """
     allocator = allocator_factory(space_size, rng)
-    world = AllocationWorld(scope_map)
+    world = AllocationWorld(scope_map, space_size)
     num_nodes = scope_map.num_nodes
     cap = max_allocations if max_allocations is not None else (
         space_size * 16

@@ -94,7 +94,7 @@ def _one_trial_has_clash(scope_map, allocator_factory, space_size,
                          n_sessions, distribution, rng,
                          same_site_replacement) -> bool:
     allocator = allocator_factory(space_size, rng)
-    world = AllocationWorld(scope_map, initial_capacity=n_sessions * 2)
+    world = AllocationWorld(scope_map, space_size)
     num_nodes = scope_map.num_nodes
     # Steps 1+2 fused: allocate each session with the algorithm,
     # redrawing until clash-free (equivalent to "re-allocate the

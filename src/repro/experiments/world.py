@@ -9,9 +9,13 @@ internetwork and answers the two questions the experiments keep asking:
 * does a new session *clash* with any live session?  (same address,
   overlapping data scopes).
 
-Session state is kept in parallel numpy-backed columns so visibility is
-one vectorised gather per allocation, from the scope map's node-major
-copy of ``need`` (one contiguous row per listening node).
+Visibility is kept as counts, not gathered per allocation.  Two tables
+count the live sessions each node hears: one per (address, node) and
+one per (TTL, node).  Adding or removing a session adds or subtracts
+its reach mask ``need[source] <= ttl`` on one row of each, and
+:meth:`AllocationWorld.visible_at` hands the allocator one node's
+column of both, which answers every question of the
+:class:`~repro.core.allocator.AllocationView` protocol.
 """
 
 from __future__ import annotations
@@ -20,67 +24,122 @@ from typing import Dict, List
 
 import numpy as np
 
-from repro.core.allocator import VisibleSet
+from repro.core.partitions import MAX_TTL, PartitionMap
 from repro.core.session import Session
 from repro.routing.scoping import ScopeMap
 
+#: The tables count in int16, and no count exceeds the live sessions.
+MAX_LIVE_SESSIONS = int(np.iinfo(np.int16).max)
+
+
+class OccupancyView:
+    """One node's column of the world's two count tables.
+
+    An :class:`~repro.core.allocator.AllocationView`: an address is in
+    use, as far as the node knows, when its count is nonzero.  The view
+    reads the live tables, so it holds only until the world changes.
+    """
+
+    __slots__ = ("_address_counts", "_ttl_counts")
+
+    def __init__(self, address_counts: np.ndarray,
+                 ttl_counts: np.ndarray) -> None:
+        self._address_counts = address_counts
+        self._ttl_counts = ttl_counts
+
+    def __len__(self) -> int:
+        return int(self._ttl_counts.sum())
+
+    def free_offsets(self, lo: int, hi: int) -> np.ndarray:
+        """Offsets from ``lo`` of the addresses of ``[lo, hi)`` that no
+        session heard here uses; ``[lo, hi)`` must lie in the space."""
+        return (self._address_counts[lo:hi] == 0).nonzero()[0]
+
+    def band_counts(self, partition_map: PartitionMap,
+                    min_ttl: int) -> List[int]:
+        return partition_map.fold_ttl_counts(self._ttl_counts, min_ttl)
+
 
 class AllocationWorld:
-    """Live-session table over a scoped topology."""
+    """Live-session table over a scoped topology.
 
-    def __init__(self, scope_map: ScopeMap,
-                 initial_capacity: int = 1024) -> None:
+    Args:
+        scope_map: the topology's scoping.
+        space_size: addresses in the allocation space; every session's
+            address must lie in ``[0, space_size)``.
+    """
+
+    def __init__(self, scope_map: ScopeMap, space_size: int) -> None:
         self.scope_map = scope_map
-        self._capacity = max(16, initial_capacity)
-        self._sources = np.zeros(self._capacity, dtype=np.int64)
-        self._ttls = np.zeros(self._capacity, dtype=np.int64)
-        self._addresses = np.zeros(self._capacity, dtype=np.int64)
-        self._count = 0
+        nodes = scope_map.num_nodes
+        #: ``_address_counts[a, v]``: live sessions at address ``a``
+        #: heard at node ``v``.  Address-major, so one session's update
+        #: is one contiguous row.
+        self._address_counts = np.zeros((space_size, nodes),
+                                        dtype=np.int16)
+        #: ``_ttl_counts[t, v]``: live sessions of TTL ``t`` heard at
+        #: ``v``; TTL-major for the same reason.
+        self._ttl_counts = np.zeros((MAX_TTL + 1, nodes), dtype=np.int16)
         self._sessions: List[Session] = []
         self._by_address: Dict[int, List[int]] = {}
 
     def __len__(self) -> int:
-        return self._count
+        return len(self._sessions)
 
     @property
     def sessions(self) -> List[Session]:
         """The live sessions, in table order."""
-        return self._sessions[:self._count]
+        return list(self._sessions)
 
     # ------------------------------------------------------------------
     # Mutation
     # ------------------------------------------------------------------
     def add(self, session: Session) -> int:
         """Insert a session; returns its slot index."""
-        if self._count == self._capacity:
-            self._grow()
-        slot = self._count
-        self._sources[slot] = session.source
-        self._ttls[slot] = session.ttl
-        self._addresses[slot] = session.address
+        if len(self._sessions) == MAX_LIVE_SESSIONS:
+            raise OverflowError(
+                f"the world holds {MAX_LIVE_SESSIONS} live sessions, "
+                f"the most its int16 counts can tally")
+        row = self._address_counts[session.address]
+        reach = self._reach(session)
+        row += reach
+        row = self._ttl_counts[session.ttl]
+        row += reach
+        slot = len(self._sessions)
         self._sessions.append(session)
         self._by_address.setdefault(session.address, []).append(slot)
-        self._count += 1
         return slot
 
     def remove_at(self, slot: int) -> Session:
-        """Remove the session in ``slot`` (swap-with-last, O(1))."""
-        if not 0 <= slot < self._count:
-            raise IndexError(f"slot {slot} out of {self._count}")
+        """Remove the session in ``slot``; the last session moves into
+        the slot, so no other slot changes."""
+        last = len(self._sessions) - 1
+        if not 0 <= slot <= last:
+            raise IndexError(f"slot {slot} out of {last + 1}")
         removed = self._sessions[slot]
-        last = self._count - 1
+        reach = self._reach(removed)
+        row = self._address_counts[removed.address]
+        row -= reach
+        row = self._ttl_counts[removed.ttl]
+        row -= reach
         self._unindex(slot, removed.address)
         if slot != last:
             moved = self._sessions[last]
             self._sessions[slot] = moved
-            self._sources[slot] = self._sources[last]
-            self._ttls[slot] = self._ttls[last]
-            self._addresses[slot] = self._addresses[last]
             self._unindex(last, moved.address)
-            self._by_address.setdefault(moved.address, []).append(slot)
+            self._by_address.setdefault(moved.address, []).append(
+                slot)
         self._sessions.pop()
-        self._count -= 1
         return removed
+
+    def _reach(self, session: Session) -> np.ndarray:
+        """1 at each node that hears ``session``, else 0, as counts.
+
+        Computed per call: a cache of every (source, TTL) mask would
+        hold far more than the tables do.
+        """
+        need = self.scope_map.need[session.source]
+        return (need <= session.ttl).astype(np.int16)
 
     def _unindex(self, slot: int, address: int) -> None:
         bucket = self._by_address[address]
@@ -88,24 +147,13 @@ class AllocationWorld:
         if not bucket:
             del self._by_address[address]
 
-    def _grow(self) -> None:
-        self._capacity *= 2
-        for name in ("_sources", "_ttls", "_addresses"):
-            old = getattr(self, name)
-            grown = np.zeros(self._capacity, dtype=old.dtype)
-            grown[: self._count] = old[: self._count]
-            setattr(self, name, grown)
-
     # ------------------------------------------------------------------
     # Queries
     # ------------------------------------------------------------------
-    def visible_at(self, node: int) -> VisibleSet:
+    def visible_at(self, node: int) -> OccupancyView:
         """Sessions whose announcements reach ``node``."""
-        count = self._count
-        ttls = self._ttls[:count]
-        need = self.scope_map.need_by_listener[node]
-        mask = need.take(self._sources[:count]) <= ttls
-        return VisibleSet(self._addresses[:count][mask], ttls[mask])
+        return OccupancyView(self._address_counts[:, node],
+                             self._ttl_counts[:, node])
 
     def clashes(self, session: Session) -> bool:
         """Would ``session`` clash with any live session?
@@ -123,6 +171,6 @@ class AllocationWorld:
 
     def random_slot(self, rng: np.random.Generator) -> int:
         """A uniformly random occupied slot."""
-        if self._count == 0:
+        if not self._sessions:
             raise ValueError("world is empty")
-        return int(rng.integers(0, self._count))
+        return int(rng.integers(0, len(self._sessions)))

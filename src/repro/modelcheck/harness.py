@@ -50,7 +50,7 @@ from typing import Dict, List, Optional, Tuple
 import numpy as np
 
 from repro.core.address_space import MulticastAddressSpace
-from repro.core.allocator import AllocationResult, Allocator, VisibleSet
+from repro.core.allocator import AllocationResult, AllocationView, Allocator
 from repro.sap.announcer import FixedIntervalStrategy
 from repro.sap.clash_protocol import ClashHandler, ClashPolicy
 from repro.sap.directory import SessionDirectory
@@ -212,13 +212,13 @@ class FirstFitAllocator(Allocator):
 
     name = "first-fit"
 
-    def allocate(self, ttl: int, visible: VisibleSet) -> AllocationResult:
+    def allocate(self, ttl: int,
+                 visible: AllocationView) -> AllocationResult:
         self._check_ttl(ttl)
-        used = {int(address) for address in visible.used_addresses()}
-        for address in range(self.space_size):
-            if address not in used:
-                return AllocationResult(address, informed=True,
-                                        forced=False)
+        free = visible.free_offsets(0, self.space_size)
+        if len(free):
+            return AllocationResult(int(free[0]), informed=True,
+                                    forced=False)
         self.forced_allocations += 1
         address = int(self.rng.integers(0, self.space_size))
         return AllocationResult(address, informed=False, forced=True)

@@ -14,9 +14,8 @@ scoping question in the allocation experiments then becomes a vectorised
 comparison:
 
 * which nodes hear a session announced from ``s`` with TTL ``t``:
-  ``need[s] <= t``;
-* which sessions are visible at a node ``b``:
-  ``need[srcs, b] <= ttls``;
+  ``need[s] <= t``, the reach mask the allocation world adds to its
+  per-node count tables;
 * whether two sessions' data scopes overlap:
   ``any(reach(a) & reach(b))``, asked of two reach masks packed into
   Python ints, so one test is a single ``&``.
@@ -42,19 +41,15 @@ UNREACHABLE_TTL = 10_000
 class ScopeMap:
     """Minimum-required-TTL matrix plus cached reachability queries.
 
-    ``need`` is never written after construction, so two derived forms
-    are kept beside it: ``need_by_listener``, its transpose as a
-    contiguous copy (row ``v`` lists what every source needs to reach
-    ``v``, so "which sessions does ``v`` hear" gathers from one row),
-    and a cache of reach masks packed into ints for
-    :meth:`scopes_overlap`.
+    ``need`` is never written after construction, so reach masks are
+    cached beside it: as bool arrays for :meth:`reachable`, and packed
+    into ints for :meth:`scopes_overlap`.
     """
 
     def __init__(self, need: np.ndarray) -> None:
         if need.ndim != 2 or need.shape[0] != need.shape[1]:
             raise ValueError(f"need must be square, got {need.shape}")
         self.need = need
-        self.need_by_listener = np.ascontiguousarray(need.T)
         self._reach_cache: Dict[Tuple[int, int], np.ndarray] = {}
         self._reach_bits: Dict[Tuple[int, int], int] = {}
 
@@ -124,22 +119,6 @@ class ScopeMap:
     def can_hear(self, listener: int, source: int, ttl: int) -> bool:
         """True if ``listener`` receives (source, ttl) traffic."""
         return bool(self.need[source, listener] <= ttl)
-
-    def visible_mask(self, at_node: int, sources: np.ndarray,
-                     ttls: np.ndarray) -> np.ndarray:
-        """Which of many (source, ttl) sessions are heard at ``at_node``.
-
-        Args:
-            at_node: listening node.
-            sources: int array of session source nodes.
-            ttls: int array of session TTLs (same length).
-
-        Returns:
-            Boolean array, one entry per session.
-        """
-        sources = np.asarray(sources, dtype=np.intp)
-        ttls = np.asarray(ttls)
-        return self.need_by_listener[at_node].take(sources) <= ttls
 
     def scopes_overlap(self, src_a: int, ttl_a: int,
                        src_b: int, ttl_b: int) -> bool:

@@ -6,8 +6,8 @@ withdrawn session is a use-after-free.  This checker keeps a shadow
 map of live sessions per directory and checks four invariants:
 
 * **SAN201 double-allocate** — an *informed*, non-forced allocation
-  returned an address already present in the allocator's own visible
-  set.  Cross-site clashes against invisible sessions are expected
+  returned an address that the allocator's own view does not report
+  free.  Cross-site clashes against invisible sessions are expected
   (the clash protocol exists to repair them, §3); returning an address
   the allocator could see in use is an algorithmic bug.
 * **SAN202 alloc-out-of-bounds** — the address falls outside every
@@ -27,8 +27,6 @@ map of live sessions per directory and checks four invariants:
 from __future__ import annotations
 
 from typing import Dict, Tuple
-
-import numpy as np
 
 from repro.sap.messages import SapMessage, SapMessageType
 
@@ -50,8 +48,9 @@ class AddressSanitizer:
     # ------------------------------------------------------------------
     def on_allocate(self, allocator, node, ttl, visible, result) -> None:
         where = "" if node is None else f" at node {node}"
-        if (result.informed and not result.forced and len(visible)
-                and bool(np.any(visible.addresses == result.address))):
+        address = result.address
+        if (result.informed and not result.forced
+                and not len(visible.free_offsets(address, address + 1))):
             self._context.record(
                 "SAN201", "double-allocate",
                 f"{allocator.name}{where}: informed allocation "

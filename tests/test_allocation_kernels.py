@@ -1,11 +1,11 @@
 """The per-allocation kernels, each pinned to the code it replaced.
 
-One allocation in the figure harnesses samples a TTL, gathers the
-visible set, looks up a band, picks an informed address and checks the
-new session for clashes.  Each of those steps has a fast form; these
-tests hold every fast form equal to the plain numpy expression it
-replaced, including the random draws it makes, because the figure rows
-and the benchmark fingerprints rest on both.
+One allocation in the figure harnesses samples a TTL, reads the
+allocating node's view, looks up a band, picks an informed address and
+checks the new session for clashes.  Each of those steps has a fast
+form; these tests hold every fast form equal to the plain numpy
+expression it replaced, including the random draws it makes, because
+the figure rows and the benchmark fingerprints rest on both.
 """
 
 import numpy as np
@@ -17,6 +17,7 @@ from repro.core.partitions import (
     IPR3_EDGES,
     IPR7_EDGES,
     PartitionMap,
+    equal_band_ranges,
     margin_partition_map,
 )
 from repro.core.session import Session
@@ -106,10 +107,42 @@ class TestScopesOverlap:
                 assert bits == (need <= ttl).tolist()
 
 
+#: Address space of the churn test; wide enough for the 55 margin bands.
+CHURN_SPACE = 100
+CHURN_MAPS = (PartitionMap(IPR3_EDGES), PartitionMap(IPR7_EDGES),
+              margin_partition_map(2))
+#: The ranges the churn test also picks from: the space, IPR-7's bands.
+PICK_RANGES = [(0, CHURN_SPACE)] + equal_band_ranges(CHURN_SPACE, 7)
+
+
 class TestVisibleAt:
+    """The world's view of a node against a :class:`VisibleSet` of the
+    sessions that node hears, gathered from ``need``."""
+
+    def _assert_same_view(self, view, reference, seed):
+        assert len(view) == len(reference)
+        for partition_map in CHURN_MAPS:
+            num_bands = partition_map.num_bands
+            for band in range(num_bands):
+                lowest, __ = partition_map.ttl_range(band)
+                assert (view.band_counts(partition_map, lowest)
+                        == reference.band_counts(partition_map, lowest))
+            for lo, hi in ([(0, CHURN_SPACE)]
+                           + equal_band_ranges(CHURN_SPACE, num_bands)):
+                assert (view.free_offsets(lo, hi).tolist()
+                        == reference.free_offsets(lo, hi).tolist())
+        for lo, hi in PICK_RANGES:
+            ours, theirs = (InformedRandomAllocator(
+                CHURN_SPACE, rng=np.random.default_rng(seed))
+                for __ in range(2))
+            assert (ours._informed_pick(view, lo, hi)
+                    == theirs._informed_pick(reference, lo, hi))
+            assert (ours.rng.bit_generator.state
+                    == theirs.rng.bit_generator.state)
+
     def test_matches_need_gather_under_churn(self, mbone60_scope_map):
         scope_map = mbone60_scope_map
-        world = AllocationWorld(scope_map, initial_capacity=16)
+        world = AllocationWorld(scope_map, CHURN_SPACE)
         rng = np.random.default_rng(5)
         n = scope_map.num_nodes
         for step in range(600):
@@ -117,7 +150,7 @@ class TestVisibleAt:
                 world.remove_at(world.random_slot(rng))
             else:
                 # Any TTL, so that some equal a need entry exactly.
-                world.add(Session(address=int(rng.integers(0, 100)),
+                world.add(Session(address=int(rng.integers(0, CHURN_SPACE)),
                                   ttl=int(rng.integers(1, 256)),
                                   source=int(rng.integers(0, n))))
             live = world.sessions
@@ -126,14 +159,8 @@ class TestVisibleAt:
             addresses = np.array([s.address for s in live], dtype=np.int64)
             node = step % n
             mask = scope_map.need[sources, node] <= ttls
-            visible = world.visible_at(node)
-            assert visible.addresses.tolist() == addresses[mask].tolist()
-            assert visible.ttls.tolist() == ttls[mask].tolist()
-
-    def test_node_major_copy_is_the_transpose(self, mbone60_scope_map):
-        scope_map = mbone60_scope_map
-        assert scope_map.need_by_listener.flags.c_contiguous
-        assert np.array_equal(scope_map.need_by_listener, scope_map.need.T)
+            reference = VisibleSet(addresses[mask], ttls[mask])
+            self._assert_same_view(world.visible_at(node), reference, step)
 
 
 class TestBandOf:
@@ -152,6 +179,19 @@ class TestBandOf:
                 assert type(got) is int
                 assert got == band
         assert partition_map.band_of(ttls).tolist() == expected.tolist()
+
+    @pytest.mark.parametrize("partition_map", [
+        PartitionMap(IPR3_EDGES),
+        PartitionMap(IPR7_EDGES),
+        margin_partition_map(2),
+    ], ids=["ipr3", "ipr7", "margin2"])
+    def test_folded_ttl_counts_match_band_counts(self, partition_map):
+        ttls = np.random.default_rng(8).integers(1, 256, size=300)
+        per_ttl = np.bincount(ttls, minlength=256).astype(np.int16)
+        for min_ttl in range(256):
+            assert (partition_map.fold_ttl_counts(per_ttl, min_ttl)
+                    == partition_map.band_counts(
+                        ttls[ttls >= min_ttl]).tolist())
 
 
 class TestSample:

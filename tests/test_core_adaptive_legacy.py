@@ -85,12 +85,11 @@ class TestLegacyFailureMode:
         deterministic = AdaptiveIprmaAllocator.aipr1(700, rng=rng)
         band_127 = deterministic.partition_map.band_of(127)
         lowest, __ = deterministic.partition_map.ttl_range(band_127)
-        bare = deterministic.band_geometry(
-            visible_of([(650, 127)]).with_ttl_at_least(lowest)
-        )
+        bare = deterministic.band_geometry(visible_of([(650, 127)]),
+                                           lowest)
         loaded = deterministic.band_geometry(
-            visible_of([(650, 127)] + [(10 + i, 15) for i in range(200)]
-                       ).with_ttl_at_least(lowest)
+            visible_of([(650, 127)] + [(10 + i, 15) for i in range(200)]),
+            lowest,
         )
         assert bare[band_127] == loaded[band_127]
 

@@ -9,6 +9,7 @@ from repro.core.allocator import (
     VisibleSet,
     nth_free_address,
 )
+from repro.core.partitions import IPR3_EDGES, PartitionMap
 from repro.core.session import Session
 
 
@@ -16,7 +17,7 @@ class TestVisibleSet:
     def test_empty(self):
         vs = VisibleSet.empty()
         assert len(vs) == 0
-        assert vs.used_addresses().size == 0
+        assert vs.free_offsets(4, 9).tolist() == [0, 1, 2, 3, 4]
 
     def test_from_sessions(self):
         sessions = [Session(address=3, ttl=15, source=0),
@@ -29,9 +30,10 @@ class TestVisibleSet:
         with pytest.raises(ValueError):
             VisibleSet(np.array([1, 2]), np.array([15]))
 
-    def test_used_addresses_unique_sorted(self):
-        vs = VisibleSet(np.array([9, 3, 9, 1]), np.array([1, 1, 2, 3]))
-        assert vs.used_addresses().tolist() == [1, 3, 9]
+    def test_free_offsets_skip_each_used_address(self):
+        vs = VisibleSet(np.array([9, 3, 9, 1, 12]), np.array([1, 1, 2, 3, 1]))
+        # Free addresses of [1, 11): 2, 4..8, 10.
+        assert vs.free_offsets(1, 11).tolist() == [1, 3, 4, 5, 6, 7, 9]
 
     def test_in_address_range(self):
         vs = VisibleSet(np.array([1, 5, 9]), np.array([15, 63, 127]))
@@ -40,9 +42,12 @@ class TestVisibleSet:
         assert sub.ttls.tolist() == [63]
 
     def test_with_ttl_at_least(self):
-        vs = VisibleSet(np.array([1, 5, 9]), np.array([15, 63, 127]))
-        sub = vs.with_ttl_at_least(63)
-        assert sub.addresses.tolist() == [5, 9]
+        # Band counts take only the sessions with TTL >= min_ttl.
+        vs = VisibleSet(np.array([1, 5, 9]), np.array([1, 63, 127]))
+        ipr3 = PartitionMap(IPR3_EDGES)
+        assert vs.band_counts(ipr3, 1) == [1, 1, 1]
+        assert vs.band_counts(ipr3, 63) == [0, 1, 1]
+        assert vs.band_counts(ipr3, 64) == [0, 0, 1]
 
 
 class TestNthFreeAddress:

@@ -142,19 +142,15 @@ class TestAdaptiveIprma:
         with_low = visible_of([(990, 127), (991, 127)] +
                               [(10 + i, 1) for i in range(50)])
         band_127 = allocator.partition_map.band_of(127)
-        geo_high = allocator.band_geometry(
-            high_only.with_ttl_at_least(64)
-        )
-        geo_mixed = allocator.band_geometry(
-            with_low.with_ttl_at_least(64)
-        )
+        geo_high = allocator.band_geometry(high_only, 64)
+        geo_mixed = allocator.band_geometry(with_low, 64)
         assert geo_high[band_127] == geo_mixed[band_127]
 
     def test_allocation_within_band_geometry(self, rng):
         allocator = AdaptiveIprmaAllocator.aipr3(500, rng=rng)
         visible = visible_of([(480 + i, 191) for i in range(10)])
         result = allocator.allocate(127, visible)
-        geometry = allocator.band_geometry(visible.with_ttl_at_least(64))
+        geometry = allocator.band_geometry(visible, 64)
         band = allocator.partition_map.band_of(127)
         lo, hi = geometry[band]
         assert lo <= result.address < hi

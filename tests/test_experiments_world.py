@@ -1,26 +1,41 @@
 """AllocationWorld tests."""
 
-import numpy as np
 import pytest
 from hypothesis import HealthCheck, given, settings, strategies as st
 
+from repro.core.partitions import IPR7_EDGES, PartitionMap
 from repro.core.session import Session
-from repro.experiments.world import AllocationWorld
+from repro.experiments.world import MAX_LIVE_SESSIONS, AllocationWorld
+
+SPACE = 32
+IPR7 = PartitionMap(IPR7_EDGES)
+
+
+def used(view):
+    """The addresses of the space that ``view`` reports in use."""
+    free = set(view.free_offsets(0, SPACE).tolist())
+    return [address for address in range(SPACE) if address not in free]
 
 
 class TestAllocationWorld:
     def test_add_and_visible(self, chain_scope_map):
-        world = AllocationWorld(chain_scope_map)
+        world = AllocationWorld(chain_scope_map, SPACE)
         world.add(Session(address=5, ttl=18, source=0))
         world.add(Session(address=6, ttl=2, source=0))
         # Node 3 is inside the ttl-18 scope of node 0 but not ttl-2.
         visible = world.visible_at(3)
-        assert visible.addresses.tolist() == [5]
+        assert used(visible) == [5]
+        assert len(visible) == 1
+        assert visible.band_counts(IPR7, 1) == [0, 0, 1, 0, 0, 0, 0]
         # Node 1 sees both.
-        assert sorted(world.visible_at(1).addresses.tolist()) == [5, 6]
+        assert used(world.visible_at(1)) == [5, 6]
+        assert world.visible_at(1).band_counts(IPR7, 1) == [
+            0, 1, 1, 0, 0, 0, 0]
+        assert world.visible_at(1).band_counts(IPR7, 16) == [
+            0, 0, 1, 0, 0, 0, 0]
 
     def test_clash_detection(self, chain_scope_map):
-        world = AllocationWorld(chain_scope_map)
+        world = AllocationWorld(chain_scope_map, SPACE)
         world.add(Session(address=5, ttl=18, source=0))
         assert world.clashes(Session(address=5, ttl=18, source=1))
         assert not world.clashes(Session(address=9, ttl=18, source=1))
@@ -28,7 +43,7 @@ class TestAllocationWorld:
         assert not world.clashes(Session(address=5, ttl=64, source=4))
 
     def test_remove_swaps_last(self, chain_scope_map):
-        world = AllocationWorld(chain_scope_map)
+        world = AllocationWorld(chain_scope_map, SPACE)
         a = Session(address=1, ttl=18, source=0)
         b = Session(address=2, ttl=18, source=1)
         c = Session(address=3, ttl=18, source=2)
@@ -37,25 +52,36 @@ class TestAllocationWorld:
         removed = world.remove_at(0)
         assert removed is a
         assert len(world) == 2
-        assert sorted(world.visible_at(1).addresses.tolist()) == [2, 3]
+        assert used(world.visible_at(1)) == [2, 3]
         # Clash bookkeeping still correct after the swap.
         assert world.clashes(Session(address=3, ttl=18, source=0))
         assert not world.clashes(Session(address=1, ttl=18, source=0))
 
     def test_remove_out_of_range(self, chain_scope_map):
-        world = AllocationWorld(chain_scope_map)
+        world = AllocationWorld(chain_scope_map, SPACE)
         with pytest.raises(IndexError):
             world.remove_at(0)
 
-    def test_growth_beyond_capacity(self, chain_scope_map):
-        world = AllocationWorld(chain_scope_map, initial_capacity=4)
-        for i in range(100):
-            world.add(Session(address=i, ttl=18, source=i % 5))
-        assert len(world) == 100
-        assert len(world.visible_at(0).addresses) > 0
+    def test_add_refuses_a_count_int16_cannot_hold(self, chain_scope_map):
+        world = AllocationWorld(chain_scope_map, 1)
+        for __ in range(MAX_LIVE_SESSIONS):
+            world.add(Session(address=0, ttl=255, source=0))
+        assert world.visible_at(4).free_offsets(0, 1).tolist() == []
+        with pytest.raises(OverflowError):
+            world.add(Session(address=0, ttl=255, source=0))
+        assert len(world) == MAX_LIVE_SESSIONS
+        world.remove_at(0)
+        assert len(world.visible_at(4)) == MAX_LIVE_SESSIONS - 1
+
+    def test_address_outside_the_space_is_refused(self, chain_scope_map):
+        world = AllocationWorld(chain_scope_map, SPACE)
+        with pytest.raises(IndexError):
+            world.add(Session(address=SPACE, ttl=18, source=0))
+        assert len(world) == 0
+        assert used(world.visible_at(0)) == []
 
     def test_random_slot(self, chain_scope_map, rng):
-        world = AllocationWorld(chain_scope_map)
+        world = AllocationWorld(chain_scope_map, SPACE)
         with pytest.raises(ValueError):
             world.random_slot(rng)
         world.add(Session(address=1, ttl=18, source=0))
@@ -69,15 +95,20 @@ class TestAllocationWorld:
         st.integers(0, 4))
     def test_property_visibility_matches_bruteforce(self, chain_scope_map,
                                                     triples, node):
-        world = AllocationWorld(chain_scope_map)
+        world = AllocationWorld(chain_scope_map, SPACE)
         sessions = []
         for source, ttl, address in triples:
             s = Session(address=address, ttl=ttl, source=source)
             world.add(s)
             sessions.append(s)
         visible = world.visible_at(node)
-        expected = sorted(
-            s.address for s in sessions
-            if chain_scope_map.can_hear(node, s.source, s.ttl)
-        )
-        assert sorted(visible.addresses.tolist()) == expected
+        heard = [s for s in sessions
+                 if chain_scope_map.can_hear(node, s.source, s.ttl)]
+        heard_addresses = {s.address for s in heard}
+        assert visible.free_offsets(0, SPACE).tolist() == [
+            address for address in range(SPACE)
+            if address not in heard_addresses]
+        assert len(visible) == len(heard)
+        heard_bands = [IPR7.band_of(s.ttl) for s in heard]
+        assert visible.band_counts(IPR7, 1) == [
+            heard_bands.count(band) for band in range(IPR7.num_bands)]

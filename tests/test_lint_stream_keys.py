@@ -9,6 +9,7 @@ compares sites across files, so these tests lint several sources as
 one tree.  Each detection case has a clean twin.
 """
 
+import ast
 import os
 import re
 import subprocess
@@ -45,6 +46,18 @@ def lint_cli(body, extra_sources=()):
 
 def real(path):
     return path, (REPO_ROOT / path).read_text(encoding="utf-8")
+
+
+def key_line(path, key):
+    """The line of the one call in ``path`` whose first argument is the
+    string ``key``: where SIM116 reports a collision of that key."""
+    tree = ast.parse((REPO_ROOT / path).read_text(encoding="utf-8"))
+    lines = [node.lineno for node in ast.walk(tree)
+             if isinstance(node, ast.Call) and node.args
+             and isinstance(node.args[0], ast.Constant)
+             and node.args[0].value == key]
+    assert len(lines) == 1, (path, key, lines)
+    return lines[0]
 
 
 def run_cli(args):
@@ -160,8 +173,10 @@ def test_harnesses_sharing_a_workload_key_fire_sim116():
     findings = lint_sources(
         sources, rules=get_static_rules(select=["stream-key-collision"]))
     assert [(f.path, f.line) for f in findings] == [
-        ("src/repro/lint/determinism.py", 98),
-        ("src/repro/obs/scenarios.py", 64),
+        ("src/repro/lint/determinism.py",
+         key_line("src/repro/lint/determinism.py", "lint.workload")),
+        ("src/repro/obs/scenarios.py",
+         key_line("src/repro/obs/scenarios.py", "obs.workload")),
     ]
 
 
@@ -177,8 +192,10 @@ def test_init_fallback_keys_are_compared_too():
         rules=get_static_rules(select=["stream-key-collision"]),
     )
     assert [(f.path, f.line) for f in findings] == [
-        ("src/repro/core/allocator.py", 106),
-        ("src/repro/sap/announcer.py", 121),
+        ("src/repro/core/allocator.py",
+         key_line("src/repro/core/allocator.py", "core.allocator")),
+        ("src/repro/sap/announcer.py",
+         key_line("src/repro/sap/announcer.py", "sap.announcer")),
     ]
 
 

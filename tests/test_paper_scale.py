@@ -1,21 +1,13 @@
-"""Paper-scale verification (opt-in: set REPRO_PAPER_SCALE=1).
+"""Paper-scale verification on the full 1864-node map.
 
 The regular suite runs on reduced topologies for speed.  These tests
 rebuild the full 1864-node map — the size of the paper's mcollect
-data — and check the anchors that depend on scale.  They take a few
-minutes, so they are skipped unless explicitly requested:
-
-    REPRO_PAPER_SCALE=1 pytest tests/test_paper_scale.py
+data — and check the anchors that depend on scale, including fig. 5
+and steady-state allocation on that map with spaces up to 1,000.  They
+take a few seconds, about half of it the scope-map build.
 """
 
-import os
-
 import pytest
-
-paper_scale = pytest.mark.skipif(
-    not os.environ.get("REPRO_PAPER_SCALE"),
-    reason="set REPRO_PAPER_SCALE=1 to run full-scale checks",
-)
 
 
 @pytest.fixture(scope="module")
@@ -30,7 +22,6 @@ def full_scope_map(full_mbone):
     return ScopeMap.from_topology(full_mbone)
 
 
-@paper_scale
 class TestPaperScale:
     def test_map_size_and_connectivity(self, full_mbone):
         assert abs(full_mbone.num_nodes - 1864) < 40

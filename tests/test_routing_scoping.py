@@ -44,14 +44,6 @@ class TestChainScoping:
         assert chain_scope_map.can_hear(listener=3, source=0, ttl=18)
         assert not chain_scope_map.can_hear(listener=3, source=0, ttl=17)
 
-    def test_visible_mask(self, chain_scope_map):
-        sources = np.array([0, 0, 4])
-        ttls = np.array([2, 18, 70])
-        visible = chain_scope_map.visible_mask(1, sources, ttls)
-        assert visible.tolist() == [True, True, True]
-        visible_at_4 = chain_scope_map.visible_mask(4, sources, ttls)
-        assert visible_at_4.tolist() == [False, False, True]
-
     def test_scopes_overlap(self, chain_scope_map):
         # Both local around node 0/1: overlap.
         assert chain_scope_map.scopes_overlap(0, 2, 1, 2)

@@ -14,6 +14,8 @@ import pytest
 from repro.core.address_space import MulticastAddressSpace
 from repro.core.allocator import AllocationResult, Allocator, VisibleSet
 from repro.core.informed import InformedRandomAllocator
+from repro.core.session import Session
+from repro.experiments.world import AllocationWorld
 from repro.sanitize import SanitizerContext
 from repro.sap.directory import SessionDirectory
 from repro.sap.messages import SapMessage
@@ -56,12 +58,15 @@ def codes(context):
 
 
 class BlindAllocator(Allocator):
-    """Claims informed allocation but returns a visibly used address."""
+    """Claims informed allocation but returns a visibly used address:
+    the lowest one its view does not report free (0 if all are)."""
 
     name = "blind"
 
     def allocate(self, ttl, visible):
-        address = int(visible.addresses[0]) if len(visible) else 0
+        free = set(visible.free_offsets(0, self.space_size).tolist())
+        address = next((address for address in range(self.space_size)
+                        if address not in free), 0)
         return AllocationResult(address, band=None, informed=True,
                                 forced=False)
 
@@ -114,6 +119,38 @@ class TestDoubleAllocate:
         visible = VisibleSet(np.array([3]), np.array([127]))
         allocator.allocate(127, visible)
         assert codes(context) == ["SAN201"]
+
+
+class TestDoubleAllocateOnWorldView:
+    """SAN201 on the view the ``steady`` scenario feeds the sanitizer:
+    an allocation world's per-node counts, not a :class:`VisibleSet`."""
+
+    def test_visible_address_reuse_records_san201(self, chain_scope_map):
+        context = SanitizerContext(scenario="test")
+        allocator = context.watch_allocator(BlindAllocator(SPACE))
+        world = AllocationWorld(chain_scope_map, SPACE)
+        world.add(Session(address=9, ttl=18, source=0))
+        world.add(Session(address=5, ttl=2, source=0))
+        # Node 1 hears both sessions; node 3 only the TTL-18 one.
+        assert allocator.allocate(127, world.visible_at(1)).address == 5
+        assert allocator.allocate(127, world.visible_at(3)).address == 9
+        assert codes(context) == ["SAN201", "SAN201"]
+        assert context.violations[0].rule == "double-allocate"
+
+    def test_informed_allocator_clean(self, chain_scope_map):
+        context = SanitizerContext(scenario="test")
+        allocator = context.watch_allocator(
+            InformedRandomAllocator(SPACE, np.random.default_rng(7))
+        )
+        world = AllocationWorld(chain_scope_map, SPACE)
+        for __ in range(SPACE):
+            result = allocator.allocate(127, world.visible_at(1))
+            world.add(Session(address=result.address, ttl=127, source=1))
+        # TTL 127 from node 1 reaches every node, so the space is full
+        # everywhere: the forced fallback is not a SAN201.
+        forced = allocator.allocate(127, world.visible_at(4))
+        assert forced.forced
+        assert context.clean
 
 
 class TestAllocOutOfBounds:
