@@ -94,11 +94,6 @@ class VisibleSet:
         ttls = self.ttls
         return partition_map.band_counts(ttls[ttls >= min_ttl]).tolist()
 
-    def in_address_range(self, lo: SlotIndex, hi: SlotIndex) -> "VisibleSet":
-        """Subset with ``lo <= address < hi``."""
-        mask = (self.addresses >= lo) & (self.addresses < hi)
-        return VisibleSet(self.addresses[mask], self.ttls[mask])
-
 
 @dataclass(frozen=True)
 class AllocationResult:

@@ -27,8 +27,8 @@ import numpy as np
 
 from repro.core.allocator import (
     AllocationResult,
+    AllocationView,
     Allocator,
-    VisibleSet,
     nth_free_address,
 )
 
@@ -144,14 +144,15 @@ class HierarchicalAllocator(Allocator):
     # Lower level: address allocation within owned prefixes
     # ------------------------------------------------------------------
     def declared_ranges(self, ttl: int,
-                        visible: VisibleSet) -> List[Tuple[int, int]]:
+                        visible: AllocationView) -> List[Tuple[int, int]]:
         """Every prefix this region owns (whole space before any claim,
         since ``allocate`` claims its first prefix on demand)."""
         if not self.prefixes:
             return [(0, self.space_size)]
         return [self.pool.prefix_range(p) for p in self.prefixes]
 
-    def allocate(self, ttl: int, visible: VisibleSet) -> AllocationResult:
+    def allocate(self, ttl: int,
+                 visible: AllocationView) -> AllocationResult:
         """Allocate within owned prefixes, avoiding visible addresses.
 
         ``visible`` needs only the *regional* announcements — the
@@ -162,13 +163,13 @@ class HierarchicalAllocator(Allocator):
             self.ensure_capacity(len(visible) + 1)
         if not self.prefixes:
             raise RuntimeError("prefix pool exhausted")
-        # Least-occupied prefix first, then informed pick inside it.
+        # The prefix with the most free addresses first, then an
+        # informed pick inside it.
         best = None
         best_free = -1
         for prefix in self.prefixes:
             lo, hi = self.pool.prefix_range(prefix)
-            used_here = len(visible.in_address_range(lo, hi))
-            free = (hi - lo) - used_here
+            free = len(visible.free_offsets(lo, hi))
             if free > best_free:
                 best_free = free
                 best = prefix

@@ -9,7 +9,7 @@ and exposes the (address, ttl) view the allocator consumes.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, Dict, List, Optional, Tuple
+from typing import Callable, Dict, Hashable, List, Optional, Tuple
 
 import numpy as np
 
@@ -31,9 +31,62 @@ SessionKey = Tuple[int, str, int]
 #: address is outside the space).
 AddressOf = Callable[[SessionDescription], Optional[SlotIndex]]
 
-#: Rows allocated up front for the (address, ttl) columns; they double
-#: when full.
+#: Rows allocated for the (address, ttl) columns on the first row;
+#: they double when full.
 _INITIAL_ROWS = 16
+
+#: The columns before their first row (zero-length, so never written).
+_NO_ROWS = np.empty(0, dtype=np.int64)
+
+
+class RowColumns:
+    """(address, ttl) pairs in two numpy columns, one row per key.
+
+    Row order is unspecified: removing a row moves the last row into
+    its place.  The columns are allocated on the first row, so an
+    owner that never adds one pays nothing for them.
+    """
+
+    def __init__(self) -> None:
+        self._row_of: Dict[Hashable, int] = {}
+        self._row_keys: List[Hashable] = []
+        self._addresses = _NO_ROWS
+        self._ttls = _NO_ROWS
+
+    def __len__(self) -> int:
+        return len(self._row_keys)
+
+    def add(self, key: Hashable, address: SlotIndex, ttl: Ttl) -> None:
+        """Append ``key``'s (address, ttl) row."""
+        row = len(self._row_keys)
+        if row == len(self._addresses):
+            grow = np.empty(max(row, _INITIAL_ROWS), dtype=np.int64)
+            self._addresses = np.concatenate((self._addresses, grow))
+            self._ttls = np.concatenate((self._ttls, grow))
+        self._addresses[row] = address
+        self._ttls[row] = ttl
+        self._row_of[key] = row
+        self._row_keys.append(key)
+
+    def discard(self, key: Hashable) -> None:
+        """Remove ``key``'s row, if it has one; the last row fills the
+        hole."""
+        row = self._row_of.pop(key, None)
+        if row is None:
+            return
+        last_key = self._row_keys.pop()
+        if last_key == key:
+            return
+        last = len(self._row_keys)
+        self._addresses[row] = self._addresses[last]
+        self._ttls[row] = self._ttls[last]
+        self._row_keys[row] = last_key
+        self._row_of[last_key] = row
+
+    def columns(self) -> Tuple[np.ndarray, np.ndarray]:
+        """Views of the filled rows: (addresses, ttls)."""
+        rows = len(self._row_keys)
+        return self._addresses[:rows], self._ttls[:rows]
 
 
 @dataclass
@@ -86,10 +139,7 @@ class SessionCache:
         self._entries: Dict[CacheKey, CacheEntry] = {}
         self._by_address: Dict[SlotIndex, List[CacheKey]] = {}
         self._by_session: Dict[SessionKey, List[CacheKey]] = {}
-        self._row_of: Dict[CacheKey, int] = {}
-        self._row_keys: List[CacheKey] = []
-        self._addresses = np.empty(_INITIAL_ROWS, dtype=np.int64)
-        self._ttls = np.empty(_INITIAL_ROWS, dtype=np.int64)
+        self._rows = RowColumns()
 
     def __len__(self) -> int:
         return len(self._entries)
@@ -159,7 +209,7 @@ class SessionCache:
         members.add(key)
         self._by_address[address] = [k for k in self._entries
                                      if k in members]
-        self._add_row(key, address, entry.ttl)
+        self._rows.add(key, address, entry.ttl)
 
     def _insert(self, key: CacheKey, entry: CacheEntry) -> None:
         """Add a new entry, appending its key to both indexes and, if
@@ -167,7 +217,7 @@ class SessionCache:
         self._entries[key] = entry
         if entry.address_index is not None:
             self._by_address.setdefault(entry.address_index, []).append(key)
-            self._add_row(key, entry.address_index, entry.ttl)
+            self._rows.add(key, entry.address_index, entry.ttl)
         if entry.description is not None:
             self._by_session.setdefault(
                 _session_key(key[0], entry.description), []).append(key)
@@ -180,35 +230,10 @@ class SessionCache:
             return
         if entry.address_index is not None:
             _unlink(self._by_address, entry.address_index, key)
-            self._drop_row(key)
+            self._rows.discard(key)
         if entry.description is not None:
             _unlink(self._by_session,
                     _session_key(key[0], entry.description), key)
-
-    def _add_row(self, key: CacheKey, address: SlotIndex, ttl: Ttl) -> None:
-        """Append a mapped entry's (address, ttl) to the columns."""
-        row = len(self._row_keys)
-        if row == len(self._addresses):
-            self._addresses = np.concatenate(
-                (self._addresses, np.empty(row, dtype=np.int64)))
-            self._ttls = np.concatenate(
-                (self._ttls, np.empty(row, dtype=np.int64)))
-        self._addresses[row] = address
-        self._ttls[row] = ttl
-        self._row_of[key] = row
-        self._row_keys.append(key)
-
-    def _drop_row(self, key: CacheKey) -> None:
-        """Remove a mapped entry's row; the last row fills the hole."""
-        row = self._row_of.pop(key)
-        last_key = self._row_keys.pop()
-        if last_key == key:
-            return
-        last = len(self._row_keys)
-        self._addresses[row] = self._addresses[last]
-        self._ttls[row] = self._ttls[last]
-        self._row_keys[row] = last_key
-        self._row_of[last_key] = row
 
     def _supersede(self, origin: int,
                    description: SessionDescription) -> None:
@@ -339,9 +364,8 @@ class SessionCache:
         Entries without a mapped address are not in it.  The result
         copies the cache's two columns; no entry is visited.
         """
-        rows = len(self._row_keys)
-        return VisibleSet(self._addresses[:rows].copy(),
-                          self._ttls[:rows].copy())
+        addresses, ttls = self._rows.columns()
+        return VisibleSet(addresses.copy(), ttls.copy())
 
 
 def _session_key(origin: int, description: SessionDescription) -> SessionKey:

@@ -120,10 +120,20 @@ class ClashHandler:
 
     def _check_own_sessions(self, entry: CacheEntry) -> None:
         now = self.scheduler.now
+        entry_key = entry.message.key()
+        origin = entry_key[0]
         for own in self.directory.own_sessions_at(entry.address_index):
-            own_key = own.message_key()
-            if own_key == entry.message.key():
-                continue
+            # An own key carries this site as origin, so against another
+            # origin the keys differ and the origins alone order them:
+            # no SDP need be formatted.
+            source = own.session.source
+            if source == origin:
+                own_key = own.message_key()
+                if own_key == entry_key:
+                    continue
+                own_first = own_key < entry_key
+            else:
+                own_first = source < origin
             self.clashes_seen += 1
             age = now - own.first_announced
             other_age = now - entry.first_heard
@@ -131,22 +141,21 @@ class ClashHandler:
                 # Phase 1: defend an established session immediately
                 # (rate-limited so a persistent peer cannot provoke a
                 # defence storm).
-                self._defend(own, entry, now)
-            elif (other_age <= self.policy.recent_window
-                  and own_key < entry.message.key()):
+                self._defend(own, entry_key, now)
+            elif other_age <= self.policy.recent_window and own_first:
                 # Both sessions are new — a simultaneous-allocation
                 # race.  A deterministic tie-break makes exactly one
                 # side move: the lower (origin, hash) key stands its
                 # ground, the higher one retreats.
-                self._defend(own, entry, now)
+                self._defend(own, entry_key, now)
             else:
                 # Phase 2: we are the newcomer (or lost the tie-break);
                 # change address.
                 self.retreats += 1
                 self.directory.retreat(own)
 
-    def _defend(self, own, entry: CacheEntry, now: float) -> None:
-        key = (own.session.session_id, entry.message.key())
+    def _defend(self, own, entry_key: Tuple[int, int], now: float) -> None:
+        key = (own.session.session_id, entry_key)
         last = self._last_defence.get(key)
         if last is not None and now - last < self.policy.defend_interval:
             return
@@ -157,24 +166,27 @@ class ClashHandler:
     def _check_third_party(self, entry: CacheEntry) -> None:
         """Phase 3: defend older cached sessions against a newcomer."""
         cache = self.directory.cache
+        entry_key = entry.message.key()
         for old in cache.entries_for_address(entry.address_index):
-            if old.message.key() == entry.message.key():
+            old_key = old.message.key()
+            if old_key == entry_key:
                 continue
             if old.first_heard >= entry.first_heard:
                 continue  # defend the older entry, not the newer one
-            if self.directory.owns(old.message.key()):
+            if self.directory.owns(old_key):
                 continue  # phases 1/2 already handled it
             self.clashes_seen += 1
-            self._schedule_defence(old, entry)
+            self._schedule_defence(old, old_key, entry_key)
 
-    def _schedule_defence(self, old: CacheEntry, new: CacheEntry) -> None:
-        key = (old.message.key(), new.message.key())
+    def _schedule_defence(self, old: CacheEntry, old_key: Tuple[int, int],
+                          new_key: Tuple[int, int]) -> None:
+        key = (old_key, new_key)
         if key in self._pending:
             return
         delay = self.timer.sample()
         pending = PendingDefence(
-            old_key=old.message.key(),
-            new_key=new.message.key(),
+            old_key=old_key,
+            new_key=new_key,
             old_last_heard=old.last_heard,
             handle=None,  # filled below
         )

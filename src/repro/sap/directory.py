@@ -26,7 +26,7 @@ from repro.sap.announcer import (
     AnnouncementStrategy,
     FixedIntervalStrategy,
 )
-from repro.sap.cache import SessionCache
+from repro.sap.cache import RowColumns, SessionCache
 from repro.sap.clash_protocol import ClashHandler, ClashPolicy
 from repro.sap.messages import SapMessage, SapMessageType
 from repro.sap.sdp import MediaStream, SessionDescription
@@ -104,6 +104,9 @@ class SessionDirectory:
         #: which is SDP session-id order: clashing own sessions each
         #: may retreat, drawing from the allocator's RNG, in that order.
         self._own_by_address: Dict[SlotIndex, List[OwnSession]] = {}
+        #: Own sessions' (address, ttl) rows by SDP session id, kept in
+        #: step with the index for the allocator's view.
+        self._own_rows = RowColumns()
         self._session_ids = itertools.count(1)
         #: Optional shadow-state observer (see :mod:`repro.sanitize`).
         #: None in normal operation; one attribute check per session
@@ -299,29 +302,28 @@ class SessionDirectory:
     def _allocation_view(self) -> VisibleSet:
         """Cache contents plus our own live sessions."""
         cached = self.cache.visible_set()
-        own_addresses = [own.session.address for own in self._own.values()]
-        own_ttls = [own.session.ttl for own in self._own.values()]
-        if not own_addresses:
+        if not self._own_rows:
             return cached
-        addresses = np.concatenate([
-            cached.addresses, np.asarray(own_addresses, dtype=np.int64)
-        ])
-        ttls = np.concatenate([
-            cached.ttls, np.asarray(own_ttls, dtype=np.int64)
-        ])
-        return VisibleSet(addresses, ttls)
+        addresses, ttls = self._own_rows.columns()
+        return VisibleSet(np.concatenate((cached.addresses, addresses)),
+                          np.concatenate((cached.ttls, ttls)))
 
     def _index_own(self, own: OwnSession) -> None:
-        """Put ``own`` in its address bucket at its session-id place."""
-        bucket = self._own_by_address.setdefault(own.session.address, [])
+        """Put ``own`` in its address bucket at its session-id place,
+        and its (address, ttl) row in the own columns."""
+        address = own.session.address
+        bucket = self._own_by_address.setdefault(address, [])
         session_id = own.description.session_id
         place = len(bucket)
         while place and bucket[place - 1].description.session_id > session_id:
             place -= 1
         bucket.insert(place, own)
+        self._own_rows.add(session_id, address, own.session.ttl)
 
     def _unindex_own(self, own: OwnSession) -> None:
-        """Take ``own`` out of its address bucket, if it is there."""
+        """Take ``own`` out of its address bucket and the own columns,
+        if it is there."""
+        self._own_rows.discard(own.description.session_id)
         address = own.session.address
         bucket = self._own_by_address.get(address, [])
         for place, member in enumerate(bucket):

@@ -20,6 +20,7 @@ one packet; :meth:`SapMessage.encode` takes ``compress=True`` and
 from __future__ import annotations
 
 import enum
+import functools
 import struct
 import zlib
 from dataclasses import dataclass
@@ -28,6 +29,11 @@ from dataclasses import dataclass
 SAP_VERSION = 1
 
 _HEADER = struct.Struct(">BBHI")
+
+#: Distinct packets whose decode is remembered.  A transmission
+#: reaches every receiver in its scope within one fan-out window, so
+#: a few dozen entries catch nearly every repeat (DESIGN §2).
+DECODE_MEMO_SIZE = 32
 
 
 class SapMessageType(enum.Enum):
@@ -91,31 +97,41 @@ class SapMessage:
     def decode(cls, data: bytes) -> "SapMessage":
         """Parse wire format (compressed or plain).
 
+        The message is frozen, so receivers of one packet share the
+        decode of its bytes (a bounded memo); malformed input raises
+        on every call.
+
         Raises:
             ValueError: on truncated, wrong-version or corrupt packets.
         """
-        if len(data) < _HEADER.size:
-            raise ValueError(f"SAP packet too short: {len(data)} bytes")
-        flags, __, msg_id_hash, origin = _HEADER.unpack_from(data)
-        version = flags >> 5
-        if version != SAP_VERSION:
-            raise ValueError(f"unsupported SAP version {version}")
-        msg_type = SapMessageType((flags >> 2) & 0x1)
-        body = data[_HEADER.size:]
-        if flags & 0x2:
-            try:
-                body = zlib.decompress(body)
-            except zlib.error as exc:
-                raise ValueError(f"bad compressed payload: {exc}")
-        try:
-            payload = body.decode("utf-8")
-        except UnicodeDecodeError as exc:
-            raise ValueError(f"payload is not UTF-8: {exc}")
-        return cls(msg_type, origin, msg_id_hash, payload)
+        return _decode(cls, bytes(data))
 
     def key(self) -> tuple:
         """Cache identity: (origin, msg id hash)."""
         return (self.origin, self.msg_id_hash)
+
+
+@functools.lru_cache(maxsize=DECODE_MEMO_SIZE)
+def _decode(cls: type, data: bytes) -> SapMessage:
+    """The decode behind :meth:`SapMessage.decode`, memoised."""
+    if len(data) < _HEADER.size:
+        raise ValueError(f"SAP packet too short: {len(data)} bytes")
+    flags, __, msg_id_hash, origin = _HEADER.unpack_from(data)
+    version = flags >> 5
+    if version != SAP_VERSION:
+        raise ValueError(f"unsupported SAP version {version}")
+    msg_type = SapMessageType((flags >> 2) & 0x1)
+    body = data[_HEADER.size:]
+    if flags & 0x2:
+        try:
+            body = zlib.decompress(body)
+        except zlib.error as exc:
+            raise ValueError(f"bad compressed payload: {exc}")
+    try:
+        payload = body.decode("utf-8")
+    except UnicodeDecodeError as exc:
+        raise ValueError(f"payload is not UTF-8: {exc}")
+    return cls(msg_type, origin, msg_id_hash, payload)
 
 
 def payload_hash(payload: str) -> int:

@@ -20,8 +20,15 @@ Example::
 
 from __future__ import annotations
 
+import dataclasses
+import functools
 from dataclasses import dataclass, field
 from typing import List, Optional, Tuple
+
+#: Distinct SDP texts whose parse is remembered.  The receivers of one
+#: announcement parse its text within one fan-out window, so a few
+#: dozen entries catch nearly every repeat (DESIGN §2).
+PARSE_MEMO_SIZE = 32
 
 
 @dataclass(frozen=True)
@@ -107,40 +114,16 @@ class SessionDescription:
     def parse(cls, text: str) -> "SessionDescription":
         """Parse SDP-lite text.
 
+        Every receiver of an announcement parses the same text, so the
+        parsed fields are remembered as an immutable record in a
+        bounded memo.  Each call builds a fresh description from the
+        record, with attribute and media lists of its own.
+
         Raises:
             ValueError: on structurally invalid input.
         """
-        fields = {"attributes": [], "media": []}
-        for raw in text.splitlines():
-            line = raw.strip()
-            if not line:
-                continue
-            if len(line) < 2 or line[1] != "=":
-                raise ValueError(f"malformed SDP line: {line!r}")
-            key, value = line[0], line[2:]
-            if key == "v":
-                if value != "0":
-                    raise ValueError(f"unsupported SDP version {value!r}")
-            elif key == "o":
-                cls._parse_origin(value, fields)
-            elif key == "s":
-                fields["name"] = value
-            elif key == "i":
-                fields["info"] = value
-            elif key == "t":
-                cls._parse_timing(value, fields)
-            elif key == "c":
-                cls._parse_connection(value, fields)
-            elif key == "a":
-                fields["attributes"].append(value)
-            elif key == "m":
-                fields["media"].append(cls._parse_media(value))
-            else:
-                # Unknown lines are ignored, as SDP parsers must.
-                continue
-        if "name" not in fields:
-            raise ValueError("missing s= line")
-        return cls(**fields)
+        scalars, attributes, media = _parse_record(text)
+        return cls(*scalars, list(attributes), list(media))
 
     @staticmethod
     def _parse_origin(value: str, fields: dict) -> None:
@@ -183,3 +166,50 @@ class SessionDescription:
     def origin_key(self) -> Tuple[str, int]:
         """(username, session_id): the announcement's identity."""
         return (self.username, self.session_id)
+
+
+#: The description's fields before ``attributes`` and ``media``, which
+#: come last, in constructor order.
+_SCALAR_FIELDS = dataclasses.fields(SessionDescription)[:-2]
+
+
+@functools.lru_cache(maxsize=PARSE_MEMO_SIZE)
+def _parse_record(text: str) -> Tuple[tuple, Tuple[str, ...],
+                                      Tuple[MediaStream, ...]]:
+    """Parse SDP-lite text into an immutable record, memoised: the
+    scalar field values in constructor order, the ``a=`` values and
+    the frozen media streams."""
+    fields: dict = {}
+    attributes = []
+    media = []
+    for raw in text.splitlines():
+        line = raw.strip()
+        if not line:
+            continue
+        if len(line) < 2 or line[1] != "=":
+            raise ValueError(f"malformed SDP line: {line!r}")
+        key, value = line[0], line[2:]
+        if key == "v":
+            if value != "0":
+                raise ValueError(f"unsupported SDP version {value!r}")
+        elif key == "o":
+            SessionDescription._parse_origin(value, fields)
+        elif key == "s":
+            fields["name"] = value
+        elif key == "i":
+            fields["info"] = value
+        elif key == "t":
+            SessionDescription._parse_timing(value, fields)
+        elif key == "c":
+            SessionDescription._parse_connection(value, fields)
+        elif key == "a":
+            attributes.append(value)
+        elif key == "m":
+            media.append(SessionDescription._parse_media(value))
+        else:
+            # Unknown lines are ignored, as SDP parsers must.
+            continue
+    if "name" not in fields:
+        raise ValueError("missing s= line")
+    scalars = tuple(fields.get(f.name, f.default) for f in _SCALAR_FIELDS)
+    return scalars, tuple(attributes), tuple(media)

@@ -124,11 +124,6 @@ class NetworkModel:
     def partitioned(self) -> bool:
         return self._partition is not None
 
-    def _same_side(self, a: int, b: int) -> bool:
-        if self._partition is None:
-            return True
-        return (a in self._partition) == (b in self._partition)
-
     def listen(self, node: int, callback: DeliveryCallback) -> None:
         """Register a delivery callback for ``node``.
 
@@ -156,30 +151,45 @@ class NetworkModel:
         The sender itself never receives its own packet (matching
         IP_MULTICAST_LOOP disabled, which is how sdr's cache is modelled:
         the announcer already knows its own sessions).
+
+        Each send draws once per stream: ``net.loss`` gives one double
+        per eligible receiver and ``net.jitter`` one per surviving
+        receiver, in receiver-map order.  These are the doubles that
+        per-receiver ``random()`` and ``uniform(0.0, jitter)`` calls
+        would draw, since ``uniform`` is ``low + range * next_double``.
         """
         packet.sent_at = self.scheduler.now
         self.packets_sent += 1
         if self._monitor is not None:
             self._monitor.on_send(packet)
-        loss_rng = self.streams.get("net.loss")
-        jitter_rng = self.streams.get("net.jitter")
-        scheduled = 0
-        for receiver, delay in self.receiver_map(packet.source, packet.ttl):
-            if receiver == packet.source:
-                continue
-            if receiver not in self._listeners:
-                continue
-            if not self._same_side(packet.source, receiver):
-                continue
-            if self.loss_rate and loss_rng.random() < self.loss_rate:
-                self.packets_lost += 1
-                continue
-            total_delay = delay
-            if self.jitter:
-                total_delay += jitter_rng.uniform(0.0, self.jitter)
-            self._schedule_delivery(receiver, packet, total_delay)
-            scheduled += 1
-        return scheduled
+        source = packet.source
+        listeners = self._listeners
+        partition = self._partition
+        receivers = [
+            (receiver, delay)
+            for receiver, delay in self.receiver_map(source, packet.ttl)
+            if receiver != source and receiver in listeners
+        ]
+        if partition is not None:
+            side = source in partition
+            receivers = [(receiver, delay) for receiver, delay in receivers
+                         if (receiver in partition) == side]
+        if not receivers:
+            return 0
+        if self.loss_rate:
+            draws = self.streams.get("net.loss").random(len(receivers))
+            kept = [pair for pair, draw in zip(receivers, draws.tolist())
+                    if draw >= self.loss_rate]
+            self.packets_lost += len(receivers) - len(kept)
+            receivers = kept
+        if self.jitter and receivers:
+            extras = self.jitter * self.streams.get("net.jitter").random(
+                len(receivers))
+            receivers = [(receiver, delay + extra) for (receiver, delay),
+                         extra in zip(receivers, extras.tolist())]
+        for receiver, delay in receivers:
+            self._schedule_delivery(receiver, packet, delay)
+        return len(receivers)
 
     def _schedule_delivery(self, receiver: int, packet: Packet,
                            delay: Duration) -> None:

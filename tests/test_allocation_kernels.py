@@ -35,7 +35,8 @@ def mbone60_scope_map():
 
 def _reference_pick(rng, visible, lo, hi):
     """The informed pick as ``np.unique`` plus ``nth_free_address``."""
-    used = np.unique(visible.in_address_range(lo, hi).addresses)
+    addresses = visible.addresses
+    used = np.unique(addresses[(addresses >= lo) & (addresses < hi)])
     free = (hi - lo) - len(used)
     if free <= 0:
         return int(rng.integers(lo, hi)), True

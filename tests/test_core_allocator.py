@@ -35,12 +35,6 @@ class TestVisibleSet:
         # Free addresses of [1, 11): 2, 4..8, 10.
         assert vs.free_offsets(1, 11).tolist() == [1, 3, 4, 5, 6, 7, 9]
 
-    def test_in_address_range(self):
-        vs = VisibleSet(np.array([1, 5, 9]), np.array([15, 63, 127]))
-        sub = vs.in_address_range(2, 9)
-        assert sub.addresses.tolist() == [5]
-        assert sub.ttls.tolist() == [63]
-
     def test_with_ttl_at_least(self):
         # Band counts take only the sessions with TTL >= min_ttl.
         vs = VisibleSet(np.array([1, 5, 9]), np.array([1, 63, 127]))

@@ -103,3 +103,17 @@ class TestHierarchicalAllocator:
         )
         result = allocator.allocate(63, visible)
         assert 50 <= result.address < 60
+
+    def test_ranks_prefixes_by_free_addresses_not_sessions(self, rng):
+        pool = PrefixPool(100, 10)
+        allocator = HierarchicalAllocator(pool, rng=rng)
+        allocator.prefixes = [0, 5]
+        # Prefix 0 holds four sessions on two addresses (two clashes),
+        # prefix 5 three sessions on three: prefix 0 has more free.
+        visible = VisibleSet(
+            np.array([1, 1, 2, 2, 50, 51, 52], dtype=np.int64),
+            np.full(7, 63, dtype=np.int64),
+        )
+        for __ in range(20):
+            result = allocator.allocate(63, visible)
+            assert 3 <= result.address < 10

@@ -8,7 +8,9 @@ from repro.core.address_space import MulticastAddressSpace
 from repro.core.informed import InformedRandomAllocator
 from repro.sap.clash_protocol import ClashPolicy
 from repro.sap.directory import SessionDirectory
+from repro.sap.messages import SapMessage
 from repro.sap.response_timer import UniformDelayTimer
+from repro.sap.sdp import SessionDescription
 from repro.sim.events import EventScheduler
 from repro.sim.network import NetworkModel
 
@@ -278,33 +280,63 @@ OWN_STEPS = st.lists(st.tuples(
 ), max_size=30)
 
 
+def tiny_directory():
+    sched = EventScheduler()
+    net = NetworkModel(sched, lambda source, ttl: [])
+    rng = np.random.default_rng(0)
+    return SessionDirectory(
+        0, sched, net, InformedRandomAllocator(TINY.size, rng), TINY,
+        rng=rng)
+
+
+def apply_own_step(directory, step):
+    """Create (with a TTL from ``pick``), retreat, relocate or delete."""
+    kind, pick, address = step
+    owns = directory.own_sessions()
+    if kind == "create":
+        directory.create_session("s", ttl=1 + 16 * pick)
+    elif owns:
+        own = owns[pick % len(owns)]
+        if kind == "retreat":
+            directory.retreat(own)
+        elif kind == "relocate":
+            directory.relocate(own, address)
+        else:
+            directory.delete_session(own.session)
+
+
 class TestOwnSessionIndex:
     @given(OWN_STEPS)
     @settings(max_examples=150, deadline=None)
     def test_index_matches_filtered_scan(self, steps):
-        sched = EventScheduler()
-        net = NetworkModel(sched, lambda source, ttl: [])
-        rng = np.random.default_rng(0)
-        directory = SessionDirectory(
-            0, sched, net, InformedRandomAllocator(TINY.size, rng), TINY,
-            rng=rng)
-        for kind, pick, address in steps:
-            owns = directory.own_sessions()
-            if kind == "create":
-                directory.create_session("s", ttl=63)
-            elif owns:
-                own = owns[pick % len(owns)]
-                if kind == "retreat":
-                    directory.retreat(own)
-                elif kind == "relocate":
-                    directory.relocate(own, address)
-                else:
-                    directory.delete_session(own.session)
+        directory = tiny_directory()
+        for step in steps:
+            apply_own_step(directory, step)
             for at in range(TINY.size):
                 expected = [own for own in directory.own_sessions()
                             if own.session.address == at]
                 assert [id(own) for own in directory.own_sessions_at(at)] \
                     == [id(own) for own in expected]
+
+    @given(OWN_STEPS)
+    @settings(max_examples=150, deadline=None)
+    def test_allocation_view_matches_own_sessions_and_cache(self, steps):
+        directory = tiny_directory()
+        cached = [(1, 15), (3, 127)]
+        for session_id, (address, ttl) in enumerate(cached, start=1):
+            theirs = SessionDescription(
+                name="theirs", session_id=session_id, ttl=ttl,
+                connection_address=TINY.index_to_ip(address))
+            directory.cache.observe(
+                SapMessage.announce(9, theirs.format()), 0.0,
+                address_of=directory._address_of)
+        for step in steps:
+            apply_own_step(directory, step)
+            view = directory._allocation_view()
+            expected = cached + [(own.session.address, own.session.ttl)
+                                 for own in directory.own_sessions()]
+            assert sorted(zip(view.addresses.tolist(),
+                              view.ttls.tolist())) == sorted(expected)
 
     def test_relocate_sets_both_addresses_only(self, sched, net):
         alice = make_directory(0, sched, net)

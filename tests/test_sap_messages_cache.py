@@ -5,6 +5,7 @@ from hypothesis import given, settings, strategies as st
 
 from repro.core.allocator import VisibleSet
 from repro.sap.cache import SessionCache
+from repro.sap import messages
 from repro.sap.messages import SapMessage, SapMessageType, payload_hash
 from repro.sap.sdp import SessionDescription
 
@@ -81,6 +82,34 @@ class TestSapMessage:
         wire = msg.encode()[:8] + b"\xff\xfe\x00"
         with pytest.raises(ValueError):
             SapMessage.decode(wire)
+
+
+class TestDecodeMemo:
+    """Receivers of one packet share its decode through a bounded memo."""
+
+    def test_malformed_packets_raise_on_every_call(self):
+        wire = SapMessage.announce(42, PAYLOAD).encode(compress=True)
+        corrupt = wire[:10] + bytes([wire[10] ^ 0xFF]) + wire[11:]
+        for data in (b"\x20\x00", b"\x40" + wire[1:], corrupt,
+                     wire[:8] + b"\xff\xfe\x00"):
+            for __ in range(3):
+                with pytest.raises(ValueError):
+                    SapMessage.decode(data)
+
+    def test_bytearray_and_compressed_payloads_decode_equal(self):
+        msg = SapMessage.announce(42, PAYLOAD)
+        wire = msg.encode()
+        for data in (wire, bytearray(wire), msg.encode(compress=True),
+                     bytearray(msg.encode(compress=True))):
+            assert SapMessage.decode(data) == msg
+
+    def test_memo_stays_at_its_bound(self):
+        for index in range(10_000):
+            message = SapMessage.announce(index, PAYLOAD)
+            assert SapMessage.decode(message.encode()) == message
+        info = messages._decode.cache_info()
+        assert info.maxsize == messages.DECODE_MEMO_SIZE
+        assert info.currsize == messages.DECODE_MEMO_SIZE
 
 
 class TestSessionCache:

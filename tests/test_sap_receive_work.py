@@ -19,7 +19,7 @@ from repro.core.address_space import MulticastAddressSpace
 from repro.core.informed import InformedRandomAllocator
 from repro.modelcheck.harness import GhostResurrectionDirectory
 from repro.sap.cache import CacheEntry, SessionCache
-from repro.sap.directory import SAP_GROUP, SessionDirectory
+from repro.sap.directory import SAP_GROUP, OwnSession, SessionDirectory
 from repro.sap.messages import SapMessage
 from repro.sap.sdp import SessionDescription
 from repro.sim.events import EventScheduler
@@ -111,6 +111,45 @@ def test_owns_still_matches_a_cached_own_origin_key(world, calls):
     assert calls["format"] == 1
     other = (bob.node, (echo.message.msg_id_hash + 1) % 2 ** 16)
     assert not bob.owns(other)
+
+
+def test_foreign_clash_formats_no_own_key(world, monkeypatch):
+    # Own keys carry this site as origin: against another origin the
+    # keys differ and the origins decide the tie-break.
+    bob = world(1)
+    for index in range(3):
+        bob.create_session(f"mine{index}", ttl=63)
+    taken = bob.own_sessions()[1].session.address
+    theirs = SessionDescription(name="theirs", session_id=1, ttl=63,
+                                connection_address=SPACE.index_to_ip(taken))
+    packet = Packet(source=0, group=SAP_GROUP, ttl=63,
+                    payload=SapMessage.announce(0, theirs.format()).encode())
+
+    def keyed(own):
+        raise AssertionError("OwnSession.message_key() called")
+
+    monkeypatch.setattr(OwnSession, "message_key", keyed)
+    bob._on_packet(bob.node, packet)
+    # Both are new and origin 0 is lower, so bob retreats.
+    assert bob.clash_handler.clashes_seen == 1
+    assert bob.address_changes == 1
+
+
+def test_own_origin_echo_still_compares_full_keys(world, monkeypatch):
+    bob = world(1, cls=GhostResurrectionDirectory)
+    bob.create_session("mine", ttl=63)
+    calls = Counter()
+    message_key = OwnSession.message_key
+
+    def counted(own):
+        calls["message_key"] += 1
+        return message_key(own)
+
+    monkeypatch.setattr(OwnSession, "message_key", counted)
+    bob._on_packet(bob.node, announcement(bob))
+    assert calls["message_key"] == 1
+    assert bob.clash_handler.clashes_seen == 0
+    assert bob.address_changes == 0
 
 
 def test_delivery_never_lists_all_own_sessions(world, monkeypatch):

@@ -3,6 +3,7 @@
 import pytest
 from hypothesis import given, strategies as st
 
+from repro.sap import sdp
 from repro.sap.sdp import MediaStream, SessionDescription
 
 SAMPLE = """v=0
@@ -15,6 +16,47 @@ a=tool:sdr-repro
 m=audio 49170 RTP/AVP 0
 m=video 51372 RTP/AVP 31
 """
+
+
+class TestParseMemo:
+    """Parses of one text share a memoised record, never a description."""
+
+    def test_two_parses_are_equal_but_distinct(self):
+        first = SessionDescription.parse(SAMPLE)
+        second = SessionDescription.parse(SAMPLE)
+        assert first == second
+        assert first is not second
+        assert first.attributes is not second.attributes
+        assert first.media is not second.media
+
+    def test_mutating_a_parse_does_not_reach_the_next(self):
+        first = SessionDescription.parse(SAMPLE)
+        first.version += 1
+        first.attributes.append("recvonly")
+        first.media.append(MediaStream("text", 5004))
+        second = SessionDescription.parse(SAMPLE)
+        assert second.version == 1
+        assert second.attributes == ["tool:sdr-repro"]
+        assert [stream.media for stream in second.media] == \
+            ["audio", "video"]
+
+    @pytest.mark.parametrize("text", [
+        "garbage", "v=1\ns=x\n", "v=0\no=bad\n", "v=0\nt=0\ns=x\n",
+        "v=0\nm=audio\ns=x\n", "v=0\ns=\n",
+        "v=0\ns=x\nc=IN IP4 224.2.128.1/300\n"])
+    def test_malformed_text_raises_on_every_call(self, text):
+        for __ in range(3):
+            with pytest.raises(ValueError):
+                SessionDescription.parse(text)
+
+    def test_memo_stays_at_its_bound(self):
+        for index in range(10_000):
+            description = SessionDescription(name=f"s{index}")
+            assert SessionDescription.parse(description.format()) == \
+                description
+        info = sdp._parse_record.cache_info()
+        assert info.maxsize == sdp.PARSE_MEMO_SIZE
+        assert info.currsize == sdp.PARSE_MEMO_SIZE
 
 
 class TestMediaStream:

@@ -1,5 +1,6 @@
 """Network model tests: delivery, scoping hook, loss, jitter."""
 
+import numpy as np
 import pytest
 
 from repro.sim.events import EventScheduler
@@ -133,3 +134,95 @@ class TestNetworkModel:
         sched.run()
         assert net.packets_sent == 1
         assert net.packets_delivered == 2
+
+
+# --------------------------------------------------------------------
+# One vector draw per stream per send, against the per-receiver loop
+# it replaced.  The traces rest on these doubles, so a numpy release
+# that changed either form must fail here rather than move them.
+# --------------------------------------------------------------------
+
+MESH = 8
+
+
+def mesh_receiver_map(source, ttl):
+    """Every node, the sender included, in an order that depends on the
+    sender; node i needs ttl >= 2 * i, and delays differ per pair."""
+    order = range(MESH) if source % 2 else reversed(range(MESH))
+    return [(node, 0.01 + 0.003 * ((source + 5 * node) % 7))
+            for node in order if ttl >= 2 * node]
+
+
+def reference_send(net, packet, loss_rng, jitter_rng):
+    """The per-receiver loop with scalar draws: (receiver, delay) pairs
+    scheduled, and the number lost."""
+    scheduled, lost = [], 0
+    for receiver, delay in net.receiver_map(packet.source, packet.ttl):
+        if receiver == packet.source:
+            continue
+        if receiver not in net._listeners:
+            continue
+        partition = net._partition
+        if partition is not None and \
+                (packet.source in partition) != (receiver in partition):
+            continue
+        if net.loss_rate and loss_rng.random() < net.loss_rate:
+            lost += 1
+            continue
+        total_delay = delay
+        if net.jitter:
+            total_delay += jitter_rng.uniform(0.0, net.jitter)
+        scheduled.append((receiver, total_delay))
+    return scheduled, lost
+
+
+class TestVectorDraws:
+    @pytest.mark.parametrize("loss_rate, jitter", [
+        (0.3, 0.01), (0.3, 0.0), (0.0, 0.5), (0.0, 0.0)])
+    def test_matches_per_receiver_loop(self, sched, loss_rate, jitter):
+        net = NetworkModel(sched, mesh_receiver_map,
+                           streams=RandomStreams(11), loss_rate=loss_rate,
+                           jitter=jitter)
+        got = []
+        for node in range(MESH - 1):  # the last node does not listen
+            net.listen(node, lambda n, p: got.append((n, sched.now)))
+        reference = RandomStreams(11)
+        loss_rng = reference.get("net.loss")
+        jitter_rng = reference.get("net.jitter")
+        draws = np.random.default_rng(4)
+        expected, lost = [], 0
+        for index in range(3000):
+            # A partition is in force for the middle third of the sends.
+            if index == 1000:
+                net.partition({0, 2, 5})
+            elif index == 2000:
+                net.heal()
+            packet = Packet(source=int(draws.integers(0, MESH)), group=0,
+                            ttl=int(draws.integers(1, 2 * MESH)))
+            sched.run(until=float(index))
+            pairs, dropped = reference_send(net, packet, loss_rng,
+                                            jitter_rng)
+            assert net.send(packet) == len(pairs)
+            # Deliveries fire in time order, ties in scheduling order.
+            expected.extend(sorted(
+                ((receiver, index + delay) for receiver, delay in pairs),
+                key=lambda pair: pair[1]))
+            lost += dropped
+        sched.run()
+        assert got == expected
+        assert net.packets_lost == lost
+        assert net.packets_delivered == len(expected)
+        for name, rng in (("net.loss", loss_rng),
+                          ("net.jitter", jitter_rng)):
+            assert (net.streams.get(name).bit_generator.state
+                    == rng.bit_generator.state)
+
+    def test_uniform_is_range_times_random(self):
+        scalar = np.random.default_rng(7)
+        vector = np.random.default_rng(7)
+        draws = np.array([scalar.uniform(0.0, 0.01)
+                          for __ in range(100_000)])
+        scaled = 0.01 * vector.random(100_000)
+        assert draws.view(np.uint64).tolist() == \
+            scaled.view(np.uint64).tolist()
+        assert scalar.bit_generator.state == vector.bit_generator.state
