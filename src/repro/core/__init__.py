@@ -18,7 +18,6 @@ from repro.core.address_space import MulticastAddressSpace
 from repro.core.adaptive import AdaptiveIprmaAllocator
 from repro.core.adaptive_legacy import LegacyAdaptiveIprmaAllocator
 from repro.core.admin import AdminScopedAllocator
-from repro.core.blocks import AddressBlock, block_for
 from repro.core.allocator import (
     AllocationResult,
     AllocationView,
@@ -45,10 +44,8 @@ from repro.core.session import Session
 
 __all__ = [
     "AdaptiveIprmaAllocator",
-    "AddressBlock",
     "AdminScopedAllocator",
     "LegacyAdaptiveIprmaAllocator",
-    "block_for",
     "sessions_clash",
     "AllocationResult",
     "AllocationView",

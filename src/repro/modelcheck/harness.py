@@ -98,8 +98,6 @@ class ControlledScheduler(EventScheduler):
             raise ValueError(f"cannot fire non-pending handle {handle!r}")
         if handle.when > self.now:
             self.clock.advance_to(handle.when)
-        if self._monitor is not None:
-            self._monitor.on_fire(handle)
         callback, handle.callback = handle.callback, None
         callback()
         self._events_run += 1
@@ -131,9 +129,9 @@ class ModelNetwork:
     """A network whose delivery schedule is the explorer's to choose.
 
     Duck-types the :class:`~repro.sim.network.NetworkModel` surface
-    the directory uses (``listen``/``send``/``_monitor``): a send
-    parks one :class:`InflightMessage` per potential receiver; nothing
-    is delivered until :meth:`deliver` is called.
+    the directory uses (``listen``/``send``): a send parks one
+    :class:`InflightMessage` per potential receiver; nothing is
+    delivered until :meth:`deliver` is called.
     """
 
     def __init__(self, scheduler: EventScheduler) -> None:
@@ -141,7 +139,6 @@ class ModelNetwork:
         self._listeners: Dict[int, list] = {}
         self._seq = 0
         self.inflight: Dict[int, InflightMessage] = {}
-        self._monitor = None
         self.packets_sent = 0
         self.packets_delivered = 0
         self.packets_lost = 0
@@ -152,8 +149,6 @@ class ModelNetwork:
     def send(self, packet: Packet) -> int:
         packet.sent_at = self.scheduler.now
         self.packets_sent += 1
-        if self._monitor is not None:
-            self._monitor.on_send(packet)
         parked = 0
         for receiver in sorted(self._listeners):
             if receiver == packet.source:
@@ -169,8 +164,6 @@ class ModelNetwork:
         """Deliver one in-flight message at the current instant."""
         message = self.inflight.pop(seq)
         self.packets_delivered += 1
-        if self._monitor is not None:
-            self._monitor.on_deliver(message.receiver, message.packet)
         for callback in list(self._listeners.get(message.receiver, ())):
             callback(message.receiver, message.packet)
         return message
@@ -599,5 +592,6 @@ class ProtocolHarness:
 
 
 def _callback_name(handle: EventHandle) -> str:
-    callback = handle.callback
+    """A pending timer's qualname, read through a ``__wrapped__``."""
+    callback = getattr(handle.callback, "__wrapped__", handle.callback)
     return getattr(callback, "__qualname__", repr(callback))

@@ -18,7 +18,6 @@ from repro.routing.admin_scoping import (
 )
 from repro.routing.dvmrp import DvmrpRouter, DvmrpRoutingTable
 from repro.routing.forwarding import ForwardedPacket, ForwardingEngine
-from repro.routing.pruning import GroupMembership, PruningSimulation
 from repro.routing.scoping import ScopeMap
 from repro.routing.shared import SharedTree
 from repro.routing.spt import ShortestPathForest, ShortestPathTree
@@ -29,8 +28,6 @@ __all__ = [
     "DvmrpRoutingTable",
     "ForwardedPacket",
     "ForwardingEngine",
-    "GroupMembership",
-    "PruningSimulation",
     "ScopeMap",
     "ScopeZone",
     "SharedTree",

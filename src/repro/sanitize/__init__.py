@@ -4,9 +4,10 @@ An ASan/TSan-style instrumentation layer: a
 :class:`~repro.sanitize.context.SanitizerContext` attaches shadow
 state to the event kernel, the network model, the session directories
 and the allocators, and records every broken invariant as a
-:class:`~repro.sanitize.report.Violation`.  When no context is
-attached the hook points cost one ``is not None`` check — sanitizers
-off means zero measurable overhead.
+:class:`~repro.sanitize.report.Violation`.  It attaches by wrapping
+methods of the instances it is given, so the simulation carries no
+checking code: with no context attached, nothing is checked and
+nothing is paid.
 
 Checkers:
 

@@ -35,7 +35,7 @@ SessionKey = Tuple[int, int]  # (node, sdp session id)
 
 
 class AddressSanitizer:
-    """Shadow allocation state fed by directory and allocator hooks."""
+    """Shadow allocation state fed by directory and allocator wrappers."""
 
     def __init__(self, context) -> None:
         self._context = context
@@ -44,7 +44,7 @@ class AddressSanitizer:
         self._withdrawn: Dict[Tuple[int, int], SessionKey] = {}
 
     # ------------------------------------------------------------------
-    # Allocator hook (installed by SanitizerContext.watch_allocator)
+    # Allocator check (SanitizerContext.watch_allocator's wrapper)
     # ------------------------------------------------------------------
     def on_allocate(self, allocator, node, ttl, visible, result) -> None:
         where = "" if node is None else f" at node {node}"
@@ -66,7 +66,7 @@ class AddressSanitizer:
             )
 
     # ------------------------------------------------------------------
-    # Directory hooks (dispatched by SanitizerContext)
+    # Directory checks (SanitizerContext.watch_directory's wrappers)
     # ------------------------------------------------------------------
     def on_session_created(self, directory, own) -> None:
         key = (directory.node, own.description.session_id)
@@ -98,7 +98,7 @@ class AddressSanitizer:
             self._live[key] = own
 
     # ------------------------------------------------------------------
-    # Network hook (dispatched by SanitizerContext.on_send)
+    # Network check (SanitizerContext.attach_network's wrapper)
     # ------------------------------------------------------------------
     def on_packet_sent(self, packet) -> None:
         payload = packet.payload
@@ -107,7 +107,7 @@ class AddressSanitizer:
         try:
             message = SapMessage.decode(bytes(payload))
         except ValueError:
-            # Sealed/authenticated or non-SAP payloads are opaque.
+            # Non-SAP payloads are opaque.
             return
         if message.msg_type is not SapMessageType.ANNOUNCE:
             return

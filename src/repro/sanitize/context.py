@@ -2,25 +2,21 @@
 
 One context owns one violation list and one instance of each checker.
 Attachment is explicit and opt-in, mirroring how ASan instruments a
-binary only when compiled in:
+binary only when compiled in.  Each method below wraps methods of the
+one instance it is given, so the simulation's own classes carry no
+checking code and an unsanitized run never branches on a checker:
 
-* :meth:`attach_scheduler` installs the
-  :class:`~repro.sanitize.scheduler_checker.SchedulerSanitizer` as the
-  scheduler's and clock's ``_monitor``;
-* :meth:`attach_network` installs the context itself as the network
-  model's ``_monitor`` (it fans ``on_send`` out to the address checker
-  and ``on_deliver`` to the scope checker);
-* :meth:`watch_directory` hooks a
-  :class:`~repro.sap.directory.SessionDirectory`'s lifecycle events,
-  wraps its allocator, seeds the shadow state with any pre-existing
-  sessions, and registers the directory for the convergence-time cache
-  check;
+* :meth:`attach_scheduler` wraps the scheduler's and its clock's
+  methods (:class:`~repro.sanitize.scheduler_checker.SchedulerSanitizer`);
+* :meth:`attach_network` wraps the network model's ``send`` and, with
+  a scope map, its ``hand_over``;
+* :meth:`watch_directory` wraps a
+  :class:`~repro.sap.directory.SessionDirectory`'s ``create_session``,
+  ``delete_session`` and ``retreat`` and its allocator, seeds the
+  shadow state with any pre-existing sessions, and registers the
+  directory for the convergence-time cache check;
 * :meth:`watch_allocator` wraps a bare allocator (for allocator-only
   experiments such as the fig. 12 steady-state churn).
-
-When no context is attached, every hook point in the kernel is a
-single ``is not None`` attribute check — the zero-cost-when-off
-contract.
 """
 
 from __future__ import annotations
@@ -41,7 +37,7 @@ from repro.sanitize.scope_checker import ScopeSanitizer
 
 
 class SanitizerContext:
-    """Shared state and dispatch hub for all four checkers.
+    """Shared state of the four checkers and the wrappers feeding them.
 
     Args:
         scope_map: topology scope map for the delivery-containment
@@ -89,23 +85,64 @@ class SanitizerContext:
     # Attachment
     # ------------------------------------------------------------------
     def attach_scheduler(self, scheduler):
-        """Monitor a scheduler and its clock; returns the scheduler."""
+        """Check a scheduler and its clock; returns the scheduler.
+
+        Attach a fresh one, as every caller does: SAN223 checks only
+        the events scheduled after the attach.
+        """
         self._scheduler = scheduler
-        scheduler._monitor = self.scheduler_sanitizer
-        scheduler.clock._monitor = self.scheduler_sanitizer
+        self.scheduler_sanitizer.attach(scheduler)
         return scheduler
 
     def attach_network(self, network):
-        """Monitor a network model's sends/deliveries; returns it."""
-        network._monitor = self
+        """Check a network model's sends and deliveries; returns it."""
+        send = network.send
+
+        def checked_send(packet):
+            self.address_sanitizer.on_packet_sent(packet)
+            return send(packet)
+
+        network.send = checked_send
+        if self.scope_sanitizer.scope_map is not None:
+            hand_over = network.hand_over
+
+            def checked_hand_over(receiver, packet, callbacks):
+                self.scope_sanitizer.on_packet_delivered(receiver, packet)
+                hand_over(receiver, packet, callbacks)
+
+            network.hand_over = checked_hand_over
         return network
 
     def watch_directory(self, directory):
         """Shadow a session directory end to end; returns it."""
-        directory._sanitizer = self
+        address = self.address_sanitizer
+        create_session = directory.create_session
+        delete_session = directory.delete_session
+        retreat = directory.retreat
+
+        def checked_create_session(*args, **kwargs):
+            session = create_session(*args, **kwargs)
+            newest = directory.own_sessions()[-1]
+            address.on_session_created(directory, newest)
+            return session
+
+        def checked_delete_session(session):
+            for own in directory.own_sessions():
+                if own.session is session:
+                    address.on_session_withdrawn(directory, own)
+            delete_session(session)
+
+        def checked_retreat(own):
+            old_address = own.session.address
+            retreat(own)
+            address.on_session_moved(directory, own, old_address)
+
+        directory.create_session = checked_create_session
+        directory.delete_session = checked_delete_session
+        directory.retreat = checked_retreat
         self.watch_allocator(directory.allocator, node=directory.node)
         for own in directory.own_sessions():
-            self.address_sanitizer.on_session_created(directory, own)
+            address.on_session_created(directory, own)
         self.cache_sanitizer.track(directory)
         return directory
 
@@ -124,28 +161,6 @@ class SanitizerContext:
         allocator.allocate = allocate
         allocator._sanitize_watched = True
         return allocator
-
-    # ------------------------------------------------------------------
-    # NetworkModel monitor interface
-    # ------------------------------------------------------------------
-    def on_send(self, packet) -> None:
-        self.address_sanitizer.on_packet_sent(packet)
-
-    def on_deliver(self, receiver: int, packet) -> None:
-        self.scope_sanitizer.on_packet_delivered(receiver, packet)
-
-    # ------------------------------------------------------------------
-    # SessionDirectory sanitizer interface
-    # ------------------------------------------------------------------
-    def on_session_created(self, directory, own) -> None:
-        self.address_sanitizer.on_session_created(directory, own)
-
-    def on_session_withdrawn(self, directory, own) -> None:
-        self.address_sanitizer.on_session_withdrawn(directory, own)
-
-    def on_session_moved(self, directory, own, old_address) -> None:
-        self.address_sanitizer.on_session_moved(directory, own,
-                                                old_address)
 
     # ------------------------------------------------------------------
     # Convergence-time checks

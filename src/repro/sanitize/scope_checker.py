@@ -14,7 +14,7 @@ flight, shows up here as:
   minimum required TTL from the source exceeds the packet's TTL.
 
 Scenarios without TTL scoping semantics (full-mesh kernels) run with
-``scope_map=None``, which disables the check.
+``scope_map=None``: the context then leaves deliveries unwrapped.
 """
 
 from __future__ import annotations
@@ -34,8 +34,7 @@ class ScopeSanitizer:
         self.deliveries_checked = 0
 
     def on_packet_delivered(self, receiver: int, packet) -> None:
-        if self.scope_map is None:
-            return
+        assert self.scope_map is not None
         self.deliveries_checked += 1
         if not self.scope_map.can_hear(receiver, packet.source,
                                        packet.ttl):

@@ -21,7 +21,6 @@ from repro.sap.announcer import (
     ExponentialBackoffStrategy,
     FixedIntervalStrategy,
 )
-from repro.sap.auth import AuthenticationError, SapAuthenticator
 from repro.sap.browser import BrowserEntry, SessionBrowser
 from repro.sap.cache import CacheEntry, SessionCache
 from repro.sap.cache_server import ProxyCacheServer
@@ -44,8 +43,6 @@ from repro.sap.sdp import MediaStream, SessionDescription
 __all__ = [
     "AnnouncementChannel",
     "Announcer",
-    "AuthenticationError",
-    "SapAuthenticator",
     "BandwidthLimitedStrategy",
     "BrowserEntry",
     "CacheEntry",

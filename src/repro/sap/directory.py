@@ -88,7 +88,6 @@ class SessionDirectory:
         username: str = "user",
         cache: Optional[SessionCache] = None,
         rng: Optional[np.random.Generator] = None,
-        authenticator=None,
     ) -> None:
         self.node = node
         self.scheduler = scheduler
@@ -108,20 +107,14 @@ class SessionDirectory:
         #: step with the index for the allocator's view.
         self._own_rows = RowColumns()
         self._session_ids = itertools.count(1)
-        #: Optional shadow-state observer (see :mod:`repro.sanitize`).
-        #: None in normal operation; one attribute check per session
-        #: create/delete/retreat when sanitizers are off.
-        self._sanitizer = None
         self.clash_handler: Optional[ClashHandler] = None
         if enable_clash_protocol:
             policy = clash_policy if clash_policy is not None else (
                 ClashPolicy()
             )
             self.clash_handler = ClashHandler(self, policy, self.rng)
-        self.authenticator = authenticator
         self.address_changes = 0
         self.announcements_received = 0
-        self.auth_failures = 0
         network.listen(node, self._on_packet)
 
     # ------------------------------------------------------------------
@@ -179,8 +172,6 @@ class SessionDirectory:
         )
         self._own[(self.node, description.session_id)] = own
         self._index_own(own)
-        if self._sanitizer is not None:
-            self._sanitizer.on_session_created(self, own)
         own.announcer.start()
         if lifetime is not None:
             own.expiry_handle = self.scheduler.schedule(
@@ -206,8 +197,6 @@ class SessionDirectory:
         if own.expiry_handle is not None:
             own.expiry_handle.cancel()
             own.expiry_handle = None
-        if self._sanitizer is not None:
-            self._sanitizer.on_session_withdrawn(self, own)
         message = SapMessage.delete(self.node, own.description.format())
         self._multicast(message, session.ttl)
         del self._own[(self.node, own.description.session_id)]
@@ -277,12 +266,9 @@ class SessionDirectory:
         """Phase 2: move a just-announced session to a new address."""
         visible = self._allocation_view()
         result = self.allocator.allocate(own.session.ttl, visible)
-        old_address = own.session.address
         self.relocate(own, result.address)
         own.description.version += 1
         self.address_changes += 1
-        if self._sanitizer is not None:
-            self._sanitizer.on_session_moved(self, own, old_address)
         own.announcer.announce_now()
 
     def proxy_defend(self, entry) -> None:
@@ -348,25 +334,15 @@ class SessionDirectory:
         )
 
     def _multicast(self, message: SapMessage, ttl: int) -> None:
-        if self.authenticator is not None:
-            payload = self.authenticator.seal(message)
-        else:
-            payload = message.encode()
         packet = Packet(source=self.node, group=SAP_GROUP, ttl=ttl,
-                        payload=payload)
+                        payload=message.encode())
         self.network.send(packet)
 
     def _on_packet(self, receiver: int, packet: Packet) -> None:
-        if self.authenticator is not None:
-            message = self.authenticator.verify(packet.payload)
-            if message is None:
-                self.auth_failures += 1
-                return
-        else:
-            try:
-                message = SapMessage.decode(packet.payload)
-            except ValueError:
-                return
+        try:
+            message = SapMessage.decode(packet.payload)
+        except ValueError:
+            return
         if self._drop_self_origin(message):
             return
         self.announcements_received += 1

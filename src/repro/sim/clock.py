@@ -7,8 +7,6 @@ state machines) do not also gain the ability to schedule events.
 
 from __future__ import annotations
 
-from typing import Any, Optional
-
 from repro.sim.types import SimTime
 
 
@@ -19,16 +17,10 @@ class SimClock:
     should advance the clock; everything else treats it as read-only.
     """
 
-    __slots__ = ("_now", "_monitor")
-
     def __init__(self, start: SimTime = 0.0) -> None:
         if start < 0:
             raise ValueError(f"clock cannot start at negative time {start!r}")
         self._now = float(start)
-        #: Optional shadow-state observer (see :mod:`repro.sanitize`).
-        #: None in normal operation, so the only cost when sanitizers
-        #: are off is one attribute check per advance.
-        self._monitor: Optional[Any] = None
 
     @property
     def now(self) -> SimTime:
@@ -41,8 +33,6 @@ class SimClock:
         Raises:
             ValueError: if ``when`` is earlier than the current time.
         """
-        if self._monitor is not None:
-            self._monitor.on_clock_advance(self._now, when)
         if when < self._now:
             raise ValueError(
                 f"cannot move clock backwards from {self._now} to {when}"

@@ -60,10 +60,6 @@ class EventScheduler:
         self._heap: List[Tuple[float, int, EventHandle]] = []
         self._seq = 0
         self._events_run = 0
-        #: Optional shadow-state observer (see :mod:`repro.sanitize`).
-        #: None in normal operation, so the only cost when sanitizers
-        #: are off is one attribute check per schedule/fire.
-        self._monitor: Optional[Any] = None
 
     @property
     def now(self) -> SimTime:
@@ -85,7 +81,7 @@ class EventScheduler:
 
     @property
     def pending_count(self) -> int:
-        """Number of events still queued (including cancelled stubs)."""
+        """Number of events still queued, not counting cancelled ones."""
         return sum(1 for __, __, h in self._heap if not h.cancelled)
 
     def pending_handles(self) -> List[EventHandle]:
@@ -101,16 +97,12 @@ class EventScheduler:
     def schedule(self, delay: Duration, callback: Callback) -> EventHandle:
         """Schedule ``callback`` to run ``delay`` seconds from now."""
         if delay < 0:
-            if self._monitor is not None:
-                self._monitor.on_past_schedule(self.now + delay, self.now)
             raise ValueError(f"cannot schedule into the past (delay={delay})")
         return self.schedule_at(self.now + delay, callback)
 
     def schedule_at(self, when: SimTime, callback: Callback) -> EventHandle:
         """Schedule ``callback`` at absolute time ``when``."""
         if when < self.now:
-            if self._monitor is not None:
-                self._monitor.on_past_schedule(when, self.now)
             raise ValueError(
                 f"cannot schedule at {when} before current time {self.now}"
             )
@@ -127,8 +119,6 @@ class EventScheduler:
             if handle.cancelled or handle.callback is None:
                 continue
             self.clock.advance_to(when)
-            if self._monitor is not None:
-                self._monitor.on_fire(handle)
             callback, handle.callback = handle.callback, None
             callback()
             self._events_run += 1
@@ -144,26 +134,20 @@ class EventScheduler:
                 the clock is then advanced exactly to ``until``.
             max_events: safety valve on the number of callbacks executed.
         """
-        if self._monitor is not None:
-            self._monitor.on_run_enter(self.now)
-        try:
-            executed = 0
-            while self._heap:
-                if max_events is not None and executed >= max_events:
-                    return
-                when = self._next_pending_time()
-                if when is None:
-                    break
-                if until is not None and when > until:
-                    self.clock.advance_to(until)
-                    return
-                self.step()
-                executed += 1
-            if until is not None and until > self.now:
+        executed = 0
+        while self._heap:
+            if max_events is not None and executed >= max_events:
+                return
+            when = self._next_pending_time()
+            if when is None:
+                break
+            if until is not None and when > until:
                 self.clock.advance_to(until)
-        finally:
-            if self._monitor is not None:
-                self._monitor.on_run_exit()
+                return
+            self.step()
+            executed += 1
+        if until is not None and until > self.now:
+            self.clock.advance_to(until)
 
     def _next_pending_time(self) -> Optional[SimTime]:
         while self._heap:

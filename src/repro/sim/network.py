@@ -13,7 +13,7 @@ hop-by-hop behaviour.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Any, Callable, Dict, Iterable, Optional, Tuple
+from typing import Any, Callable, Dict, Iterable, List, Optional, Tuple
 
 from repro.sim.events import EventScheduler
 from repro.sim.rng import RandomStreams
@@ -95,10 +95,6 @@ class NetworkModel:
         self.loss_rate = loss_rate
         self.jitter = jitter
         self._listeners: Dict[int, list] = {}
-        #: Optional shadow-state observer (see :mod:`repro.sanitize`).
-        #: None in normal operation; one attribute check per send and
-        #: delivery when sanitizers are off.
-        self._monitor: Optional[Any] = None
         self._partition: Optional[frozenset] = None
         self.packets_sent = 0
         self.packets_delivered = 0
@@ -160,8 +156,6 @@ class NetworkModel:
         """
         packet.sent_at = self.scheduler.now
         self.packets_sent += 1
-        if self._monitor is not None:
-            self._monitor.on_send(packet)
         source = packet.source
         listeners = self._listeners
         partition = self._partition
@@ -196,11 +190,7 @@ class NetworkModel:
         def deliver() -> None:
             callbacks = self._listeners.get(receiver)
             if callbacks:
-                self.packets_delivered += 1
-                if self._monitor is not None:
-                    self._monitor.on_deliver(receiver, packet)
-                for callback in list(callbacks):
-                    callback(receiver, packet)
+                self.hand_over(receiver, packet, callbacks)
 
         # Fire-and-forget is safe here: the closure looks the receiver's
         # listeners up at *fire* time, so an unlisten() between send and
@@ -209,6 +199,14 @@ class NetworkModel:
         self.scheduler.schedule(  # simlint: disable=discarded-handle
             delay, deliver
         )
+
+    def hand_over(self, receiver: int, packet: Packet,
+                  callbacks: List[DeliveryCallback]) -> None:
+        """Count one delivery and pass ``packet`` to each of
+        ``callbacks``, the listeners ``receiver`` has at fire time."""
+        self.packets_delivered += 1
+        for callback in list(callbacks):
+            callback(receiver, packet)
 
     def __repr__(self) -> str:
         return (

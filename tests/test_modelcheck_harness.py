@@ -3,11 +3,14 @@
 import pytest
 
 from repro.modelcheck.harness import (
+    DELIVER,
     MUTATIONS,
     ProtocolHarness,
     Snapshot,
+    _callback_name,
 )
 from repro.modelcheck.scenarios import get_scenario, scenario_names
+from repro.sanitize import SanitizerContext
 
 
 def _run_prefix(harness, steps):
@@ -103,3 +106,43 @@ class TestExplorationSurface:
         assert allocator.forced_allocations == 0
         harness.create(0, "third")  # space of 2 is now exhausted
         assert allocator.forced_allocations == 1
+
+
+class TestTimerNames:
+    """The fingerprint names each pending timer by its callback's
+    qualname, so the sanitizer's per-event wrapper must not rename
+    any: the state counts would move."""
+
+    @staticmethod
+    def _ghost_with_defence_pending():
+        harness = ProtocolHarness(get_scenario("ghost"))
+        # The newcomer's announcement reaches the third party, node 1,
+        # which schedules a proxy defence of the older session.
+        seq = next(seq for seq, message in harness.network.inflight.items()
+                   if message.receiver == 1)
+        harness.execute((DELIVER, seq))
+        return harness
+
+    def test_names_match_an_unsanitized_world(self, monkeypatch):
+        sanitized = self._ghost_with_defence_pending()
+        for name in ("attach_scheduler", "attach_network",
+                     "watch_directory"):
+            monkeypatch.setattr(SanitizerContext, name,
+                                lambda self, target: target)
+        plain = self._ghost_with_defence_pending()
+
+        def names(harness):
+            return [(handle.when, _callback_name(handle))
+                    for handle in harness.scheduler.pending_handles()]
+
+        assert all(hasattr(handle.callback, "__wrapped__")
+                   for handle in sanitized.scheduler.pending_handles())
+        assert not any(hasattr(handle.callback, "__wrapped__")
+                       for handle in plain.scheduler.pending_handles())
+        assert names(sanitized) == names(plain)
+        assert {name for __, name in names(plain)} == {
+            "Announcer._fire",
+            "ClashHandler._schedule_defence.<locals>.<lambda>",
+            "SessionDirectory.create_session.<locals>.<lambda>",
+        }
+        assert sanitized.fingerprint() == plain.fingerprint()

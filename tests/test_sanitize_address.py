@@ -9,7 +9,6 @@ third-party proxy defence) stays silent.
 """
 
 import numpy as np
-import pytest
 
 from repro.core.address_space import MulticastAddressSpace
 from repro.core.allocator import AllocationResult, Allocator, VisibleSet
@@ -195,8 +194,10 @@ class TestFreeOfUnallocated:
         session = directory.create_session("conf", ttl=63)
         own = directory.own_sessions()[0]
         directory.delete_session(session)
-        context.on_session_moved(directory, own, old_address=0)
+        # A buggy clash handler retreats the withdrawn session.
+        directory.retreat(own)
         assert codes(context) == ["SAN203"]
+        assert context.violations[0].rule == "free-of-unallocated"
 
     def test_create_then_withdraw_clean(self):
         context = SanitizerContext(scenario="test")

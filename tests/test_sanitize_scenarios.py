@@ -8,8 +8,11 @@ with zero violations, as tier-1 tests.
 
 import json
 
+import numpy as np
 import pytest
 
+from repro.core.address_space import MulticastAddressSpace
+from repro.core.informed import InformedRandomAllocator
 from repro.sanitize import (
     SCENARIO_NAMES,
     VIOLATION_CODES,
@@ -20,6 +23,7 @@ from repro.sanitize import (
     run_scenario,
 )
 from repro.sanitize.cli import main as sanitize_main
+from repro.sap.directory import SessionDirectory
 from repro.sim.events import EventScheduler
 from repro.sim.network import NetworkModel
 
@@ -33,15 +37,20 @@ def scenario_results():
 
 class TestCleanScenarios:
     def test_kernel_scenario_clean(self, scenario_results):
-        result = scenario_results["kernel"]
-        assert result.clean, result.context.render_text()
-        # The run must have exercised the cache cross-check.
-        assert result.context.cache_sanitizer.entries_checked > 0
+        context = scenario_results["kernel"].context
+        assert context.clean, context.render_text()
+        # The run must have exercised the cache cross-check, and every
+        # event it ran must have passed the SAN223 check.
+        assert context.cache_sanitizer.entries_checked == 60
+        assert context._scheduler.events_run == 1287
+        assert context.scheduler_sanitizer.fires_checked == 1287
 
     def test_clash_protocol_scenario_clean(self, scenario_results):
-        result = scenario_results["clash"]
-        assert result.clean, result.context.render_text()
-        assert result.context.scope_sanitizer.deliveries_checked > 0
+        context = scenario_results["clash"].context
+        assert context.clean, context.render_text()
+        assert context.scope_sanitizer.deliveries_checked == 184
+        assert context._scheduler.events_run == 351
+        assert context.scheduler_sanitizer.fires_checked == 351
 
     def test_steady_state_scenario_clean(self, scenario_results):
         result = scenario_results["steady"]
@@ -114,41 +123,55 @@ class TestReportModel:
         assert finding["message"].startswith("t=4.5000: ")
 
 
+def shadowed_methods(obj):
+    """Instance attributes named after a method of ``obj``'s class:
+    the wrappers a sanitizer installed on this one instance."""
+    return sorted(name for name in vars(obj)
+                  if callable(getattr(type(obj), name, None)))
+
+
+def make_directory(scheduler, network, rng):
+    return SessionDirectory(
+        node=0, scheduler=scheduler, network=network,
+        allocator=InformedRandomAllocator(64, np.random.default_rng(0)),
+        address_space=MulticastAddressSpace.abstract(64),
+        rng=rng,
+    )
+
+
 class TestZeroCostWhenOff:
     """Sanitizers off must leave the kernel objects untouched.
 
-    The hook contract is a single ``is not None`` attribute check, so
-    the structural assertion is that no monitor, wrapper or shadow
-    attribute exists unless a context explicitly attached one.
+    A context attaches by wrapping methods on the instances it is
+    given, so the structural assertion is that no wrapper or shadow
+    attribute exists unless a context explicitly attached one, and
+    that attaching one object leaves its twin plain.
     """
 
-    def test_fresh_kernel_objects_have_no_monitor(self):
+    def test_fresh_kernel_objects_have_no_monitor(self, chain_scope_map):
+        context = SanitizerContext(scope_map=chain_scope_map,
+                                   scenario="test")
+        attached = context.attach_scheduler(EventScheduler())
+        attached_net = context.attach_network(
+            NetworkModel(attached, lambda source, ttl: []))
+        assert shadowed_methods(attached_net) == ["hand_over", "send"]
         scheduler = EventScheduler()
         network = NetworkModel(scheduler, lambda source, ttl: [])
-        assert scheduler._monitor is None
-        assert scheduler.clock._monitor is None
-        assert network._monitor is None
+        for obj in (scheduler, scheduler.clock, network):
+            assert shadowed_methods(obj) == []
 
     def test_fresh_directory_has_no_sanitizer(self, rng):
-        import numpy as np
-
-        from repro.core.address_space import MulticastAddressSpace
-        from repro.core.informed import InformedRandomAllocator
-        from repro.sap.directory import SessionDirectory
-
+        context = SanitizerContext(scenario="test")
         scheduler = EventScheduler()
         network = NetworkModel(scheduler, lambda source, ttl: [])
-        directory = SessionDirectory(
-            node=0, scheduler=scheduler, network=network,
-            allocator=InformedRandomAllocator(
-                64, np.random.default_rng(0)
-            ),
-            address_space=MulticastAddressSpace.abstract(64),
-            rng=rng,
-        )
-        assert directory._sanitizer is None
-        # The allocator's allocate is the plain bound method: no
-        # wrapper marker unless watch_allocator ran.
+        watched = context.watch_directory(
+            make_directory(scheduler, network, rng))
+        assert shadowed_methods(watched) == [
+            "create_session", "delete_session", "retreat"]
+        directory = make_directory(scheduler, network, rng)
+        assert shadowed_methods(directory) == []
+        assert shadowed_methods(directory.allocator) == []
+        # No wrapper marker unless watch_allocator ran.
         assert not hasattr(directory.allocator, "_sanitize_watched")
 
     def test_unsanitized_harness_runs_are_byte_identical(self):

@@ -3,15 +3,21 @@
 Each test breaks one invariant on purpose — through the kernel's own
 code paths, not by calling the checker directly — and asserts the
 sanitizer reports exactly the right violation code.  The kernel
-*rejects* most of these misuses with exceptions; the monitor hooks
-fire before the raise, so a sanitized run records the violation even
-when the operation is refused.
+*rejects* most of these misuses with exceptions; the sanitizer's
+wrappers check before they call the kernel, so a sanitized run records
+the violation even when the operation is refused.
 """
 
 import heapq
 
 import pytest
 
+from repro.modelcheck.harness import (
+    FIRE,
+    ControlledScheduler,
+    ProtocolHarness,
+)
+from repro.modelcheck.scenarios import get_scenario
 from repro.sanitize import SanitizerContext
 from repro.sim.events import EventScheduler
 
@@ -24,6 +30,13 @@ def make_sanitized_scheduler():
 
 def codes(context):
     return [violation.code for violation in context.violations]
+
+
+def shadowed_methods(obj):
+    """Instance attributes named after a method of ``obj``'s class:
+    the wrappers a sanitizer installed on this one instance."""
+    return sorted(name for name in vars(obj)
+                  if callable(getattr(type(obj), name, None)))
 
 
 class TestPastSchedule:
@@ -88,13 +101,22 @@ class LeakyScheduler(EventScheduler):
             if handle.callback is None:
                 continue
             self.clock.advance_to(when)
-            if self._monitor is not None:
-                self._monitor.on_fire(handle)
             callback, handle.callback = handle.callback, None
             callback()
             self._events_run += 1
             return True
         return False
+
+
+class LeakyControlledScheduler(ControlledScheduler):
+    """The model checker's scheduler with ``fire``'s pending check
+    removed: the explorer's firing path, carrying the same bug."""
+
+    def fire(self, handle):
+        self.clock.advance_to(max(self.now, handle.when))
+        callback, handle.callback = handle.callback, None
+        callback()
+        self._events_run += 1
 
 
 class TestCancelledHandleFired:
@@ -109,6 +131,24 @@ class TestCancelledHandleFired:
         assert fired  # the bug is real: the cancelled event ran
         assert codes(context) == ["SAN223"]
         assert context.violations[0].rule == "cancelled-handle-fired"
+
+    def test_model_checker_firing_tombstone_records_san223(self):
+        context = SanitizerContext(scenario="test")
+        scheduler = context.attach_scheduler(LeakyControlledScheduler())
+        fired = []
+        handle = scheduler.schedule(1.0, lambda: fired.append(True))
+        handle.cancelled = True  # flag only; the buggy fire ignores it
+        scheduler.fire(handle)
+        assert fired
+        assert codes(context) == ["SAN223"]
+
+    def test_every_explorer_fire_is_checked(self):
+        harness = ProtocolHarness(get_scenario("smoke"))
+        for __ in range(3):
+            handle = harness.scheduler.pending_handles()[0]
+            harness.execute((FIRE, handle.seq))
+        assert harness.scheduler.events_run == 3
+        assert harness.context.scheduler_sanitizer.fires_checked == 3
 
     def test_proper_cancellation_on_real_kernel_clean(self):
         context, scheduler = make_sanitized_scheduler()
@@ -150,12 +190,19 @@ class TestCleanKernelRun:
         handles[2].cancel()
         scheduler.run()
         assert order == [1.0, 3.0]
+        assert context.scheduler_sanitizer.fires_checked == 2
         assert context.clean
         assert context.render_text().splitlines()[0] == (
             "sanitize[test]: clean (0 violations)"
         )
 
     def test_unmonitored_scheduler_has_no_monitor(self):
-        scheduler = EventScheduler()
-        assert scheduler._monitor is None
-        assert scheduler.clock._monitor is None
+        # Attaching wraps methods on the one instance it is given:
+        # a second scheduler and its clock stay plain.
+        __, attached = make_sanitized_scheduler()
+        plain = EventScheduler()
+        assert shadowed_methods(attached) == ["run", "schedule",
+                                              "schedule_at"]
+        assert shadowed_methods(attached.clock) == ["advance_to"]
+        assert shadowed_methods(plain) == []
+        assert shadowed_methods(plain.clock) == []
