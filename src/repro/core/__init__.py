@@ -26,7 +26,6 @@ from repro.core.allocator import (
     nth_free_address,
 )
 from repro.core.clash import (
-    clashes_with_any,
     find_clashing_pairs,
     sessions_clash,
 )
@@ -60,7 +59,6 @@ __all__ = [
     "Session",
     "StaticIprmaAllocator",
     "VisibleSet",
-    "clashes_with_any",
     "equal_band_ranges",
     "find_clashing_pairs",
     "margin_partition_map",

@@ -13,12 +13,11 @@ from __future__ import annotations
 
 import abc
 from dataclasses import dataclass
-from typing import Iterable, List, Optional, Protocol, Tuple
+from typing import List, Optional, Protocol, Tuple
 
 import numpy as np
 
 from repro.core.partitions import PartitionMap
-from repro.core.session import Session
 from repro.sim.rng import derived_stream
 from repro.sim.types import Count, SlotIndex, Ttl
 
@@ -70,14 +69,6 @@ class VisibleSet:
     @classmethod
     def empty(cls) -> "VisibleSet":
         return cls(np.empty(0, dtype=np.int64), np.empty(0, dtype=np.int64))
-
-    @classmethod
-    def from_sessions(cls, sessions: Iterable[Session]) -> "VisibleSet":
-        sessions = list(sessions)
-        return cls(
-            np.array([s.address for s in sessions], dtype=np.int64),
-            np.array([s.ttl for s in sessions], dtype=np.int64),
-        )
 
     def __len__(self) -> int:
         return int(self.addresses.shape[0])

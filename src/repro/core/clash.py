@@ -10,7 +10,7 @@ hears the other's announcement.
 from __future__ import annotations
 
 from collections import defaultdict
-from typing import Dict, Iterable, List, Sequence, Tuple
+from typing import Dict, List, Sequence, Tuple
 
 from repro.core.session import Session
 from repro.routing.scoping import ScopeMap
@@ -21,19 +21,6 @@ def sessions_clash(a: Session, b: Session, scope_map: ScopeMap) -> bool:
     if a.address != b.address:
         return False
     return scope_map.scopes_overlap(a.source, a.ttl, b.source, b.ttl)
-
-
-def clashes_with_any(new: Session, existing: Iterable[Session],
-                     scope_map: ScopeMap) -> bool:
-    """True if ``new`` clashes with any session in ``existing``.
-
-    Only sessions sharing the new session's address are scope-checked,
-    so keep ``existing`` pre-filtered by address where possible.
-    """
-    for other in existing:
-        if sessions_clash(new, other, scope_map):
-            return True
-    return False
 
 
 def find_clashing_pairs(sessions: Sequence[Session],

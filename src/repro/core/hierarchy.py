@@ -20,7 +20,6 @@ allocation (see ``benchmarks/test_ext_hierarchy.py``).
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import List, Optional, Sequence, Set, Tuple
 
 import numpy as np
@@ -76,14 +75,6 @@ class PrefixPool:
             return None
         r = int(rng.integers(0, free))
         return nth_free_address(used, r, 0, self.num_prefixes)
-
-
-@dataclass
-class RegionState:
-    """One region's view: claimed prefixes and its local allocator."""
-
-    region_id: int
-    prefixes: List[int]
 
 
 class HierarchicalAllocator(Allocator):

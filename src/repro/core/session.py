@@ -48,12 +48,6 @@ class Session:
         if self.session_id == 0:
             self.session_id = next(_session_ids)
 
-    def expires_at(self) -> Optional[SimTime]:
-        """Absolute expiry time, or None for indefinite sessions."""
-        if self.lifetime is None:
-            return None
-        return self.created_at + self.lifetime
-
     def key(self) -> tuple:
         """Stable identity key (source, session_id)."""
         return (self.source, self.session_id)

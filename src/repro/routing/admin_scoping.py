@@ -16,7 +16,7 @@ well for administrative scope zone address allocation".
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, Iterable, List, Optional, Set
+from typing import Dict, Iterable, List, Set
 
 import numpy as np
 
@@ -115,14 +115,6 @@ class AdminScopeMap:
         """Zones containing ``node``."""
         return [z for z in self._zones if z.contains_node(node)]
 
-    def zone_for_address(self, node: int,
-                         address: int) -> Optional[ScopeZone]:
-        """The zone scoping ``address`` as seen from ``node``."""
-        for zone in self._zones:
-            if zone.contains_node(node) and zone.contains_address(address):
-                return zone
-        return None
-
     def reachable(self, source: int, address: int) -> np.ndarray:
         """Nodes that receive (source, address) traffic.
 
@@ -145,12 +137,6 @@ class AdminScopeMap:
         for zone in matching:
             mask[list(zone.members)] = False
         return mask
-
-    def visible_symmetric(self, a: int, b: int, address: int) -> bool:
-        """Admin scoping's key property: a hears b iff b hears a."""
-        return bool(self.reachable(a, address)[b]) == bool(
-            self.reachable(b, address)[a]
-        )
 
 
 def zones_from_labels(topology: Topology, prefix_depth: int,

@@ -3,52 +3,25 @@
 Everything else in the repository reasons about scoping through the
 precomputed min-required-TTL matrices of :mod:`repro.routing.scoping`.
 This module implements the *mechanism* those matrices summarise: hop
-by hop forwarding over the event scheduler, with per-hop TTL
-decrement, threshold checks at boundary links, and reverse-path
-delivery trees — i.e. what an mrouted daemon actually does to a
-packet.
+by hop forwarding with per-hop TTL decrement, threshold checks at
+boundary links, and DVMRP reverse-path delivery trees — i.e. what an
+mrouted daemon actually does to a packet.
 
-Its two jobs:
-
-* cross-validate the vectorised scoping analysis against a faithful
-  mechanism (see ``tests/test_routing_forwarding.py``: for random
-  topologies, the set of routers a hop-by-hop packet reaches equals
-  ``ScopeMap.reachable``);
-* provide hop-accurate delivery timing for simulations that want real
-  per-link latencies rather than end-to-end shortest-path delays.
+Its one job is to cross-validate the vectorised scoping analysis
+against a faithful mechanism (see ``tests/test_routing_forwarding.py``:
+for random topologies, the set of routers a hop-by-hop packet reaches
+equals ``ScopeMap.reachable``).
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, Dict, List, Optional, Set
+from typing import Dict, List, Set
 
-from repro.routing.dvmrp import DvmrpRouter
-from repro.sim.events import EventScheduler
-from repro.topology.graph import Topology
+import numpy as np
 
-#: Callback invoked at each router that receives a forwarded packet:
-#: (node, ForwardedPacket) -> None.
-TapCallback = Callable[[int, "ForwardedPacket"], None]
-
-
-@dataclass
-class ForwardedPacket:
-    """A multicast packet travelling hop by hop.
-
-    Attributes:
-        source: originating node.
-        group: group address (opaque).
-        ttl: *remaining* TTL at the current hop.
-        payload: application payload.
-        hops: hops traversed so far.
-    """
-
-    source: int
-    group: int
-    ttl: int
-    payload: object = None
-    hops: int = 0
+from repro.routing.spt import NO_PREDECESSOR, ShortestPathForest
+from repro.topology.graph import DVMRP_INFINITY, Topology
 
 
 @dataclass
@@ -64,37 +37,50 @@ class DeliveryRecord:
 class ForwardingEngine:
     """Hop-by-hop DVMRP-style forwarding over a topology.
 
-    Packets follow the per-source reverse-path delivery tree computed
-    by :class:`~repro.routing.dvmrp.DvmrpRouter`.  At each link the
-    engine decrements the TTL and drops the packet if the result is
-    below the link's threshold (the §1 semantics).
-
-    Args:
-        topology: the network.
-        scheduler: event scheduler used for per-link delays.  If None,
-            forwarding happens instantaneously (useful for pure
-            reachability checks).
+    Packets follow the per-source reverse-path delivery tree.  With
+    symmetric metrics the reverse shortest paths DVMRP uses equal
+    forward shortest paths, so the trees come from a Dijkstra forest
+    over tunnel metrics, and a path whose total metric reaches
+    ``DVMRP_INFINITY`` (32) is cut, exactly as DVMRP's infinity does.
+    At each link the engine decrements the TTL and drops the packet
+    if the result is below the link's threshold (the §1 semantics).
+    Forwarding is instantaneous; each record carries the summed link
+    delays.
     """
 
-    def __init__(self, topology: Topology,
-                 scheduler: Optional[EventScheduler] = None) -> None:
+    def __init__(self, topology: Topology) -> None:
         self.topology = topology
-        self.scheduler = scheduler
-        self.router = DvmrpRouter(topology)
+        self._pairs = ShortestPathForest(topology, weight="metric").all_trees()
         self._children_cache: Dict[int, List[List[int]]] = {}
         self.packets_forwarded = 0
         self.packets_dropped_ttl = 0
 
-    def _children(self, source: int) -> List[List[int]]:
-        cached = self._children_cache.get(source)
-        if cached is None:
-            cached = self.router.delivery_children(source)
-            self._children_cache[source] = cached
-        return cached
+    def delivery_children(self, source: int) -> List[List[int]]:
+        """Forwarding children of every node on ``source``'s tree.
 
-    # ------------------------------------------------------------------
-    # Instantaneous reachability (mechanism-level ground truth)
-    # ------------------------------------------------------------------
+        ``result[v]`` lists the neighbours to which ``v`` forwards a
+        packet originated by ``source`` (the nodes whose RPF neighbour
+        is ``v``), with DVMRP-infinity paths cut.  Memoised per source.
+        """
+        cached = self._children_cache.get(source)
+        if cached is not None:
+            return cached
+        n = self.topology.num_nodes
+        children: List[List[int]] = [[] for __ in range(n)]
+        pred = self._pairs.predecessor[source]
+        dist = self._pairs.distance[source]
+        for v in range(n):
+            if v == source:
+                continue
+            p = int(pred[v])
+            if p == NO_PREDECESSOR:
+                continue
+            if not np.isfinite(dist[v]) or dist[v] >= DVMRP_INFINITY:
+                continue
+            children[p].append(v)
+        self._children_cache[source] = children
+        return children
+
     def flood(self, source: int, ttl: int) -> List[DeliveryRecord]:
         """Deliver a packet everywhere it can go, instantaneously.
 
@@ -103,7 +89,7 @@ class ForwardingEngine:
         """
         if not 0 <= ttl <= 255:
             raise ValueError(f"ttl {ttl} outside [0, 255]")
-        children = self._children(source)
+        children = self.delivery_children(source)
         records = [DeliveryRecord(source, 0.0, ttl, 0)]
         stack = [(source, ttl, 0, 0.0)]
         while stack:
@@ -124,50 +110,3 @@ class ForwardingEngine:
     def reachable_set(self, source: int, ttl: int) -> Set[int]:
         """Routers that receive a (source, ttl) packet."""
         return {record.node for record in self.flood(source, ttl)}
-
-    # ------------------------------------------------------------------
-    # Scheduled forwarding (per-link latency on the event scheduler)
-    # ------------------------------------------------------------------
-    def send(self, packet: ForwardedPacket,
-             tap: TapCallback) -> None:
-        """Forward ``packet`` hop by hop with real per-link delays.
-
-        ``tap`` is invoked (via the scheduler) at every router the
-        packet reaches, including the source at time now.
-
-        Raises:
-            RuntimeError: if the engine was built without a scheduler.
-        """
-        if self.scheduler is None:
-            raise RuntimeError("scheduled forwarding needs a scheduler")
-        tap(packet.source, packet)
-        self._forward_from(packet.source, packet, tap)
-
-    def _forward_from(self, node: int, packet: ForwardedPacket,
-                      tap: TapCallback) -> None:
-        children = self._children(packet.source)
-        for child in children[node]:
-            link = self.topology.link(node, child)
-            new_ttl = packet.ttl - 1
-            if new_ttl < link.threshold:
-                self.packets_dropped_ttl += 1
-                continue
-            self.packets_forwarded += 1
-            hop_packet = ForwardedPacket(
-                source=packet.source, group=packet.group, ttl=new_ttl,
-                payload=packet.payload, hops=packet.hops + 1,
-            )
-            # Fire-and-forget is safe here: the engine has no teardown
-            # path (nothing ever stops a packet mid-flight), and the
-            # lambda binds the child/packet as defaults, so no state the
-            # hop observes can change before it fires.  A stored handle
-            # would have no caller to cancel it.
-            self.scheduler.schedule(  # simlint: disable=discarded-handle
-                link.delay,
-                lambda c=child, p=hop_packet: self._deliver(c, p, tap),
-            )
-
-    def _deliver(self, node: int, packet: ForwardedPacket,
-                 tap: TapCallback) -> None:
-        tap(node, packet)
-        self._forward_from(node, packet, tap)

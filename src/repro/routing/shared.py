@@ -102,16 +102,5 @@ class SharedTree:
         parent = int(self._parent[node])
         return None if parent < 0 else parent
 
-    def depth_of(self, node: int) -> int:
-        """Hop count from the core to ``node``."""
-        depth = 0
-        current = node
-        while True:
-            parent = self.parent_of(current)
-            if parent is None:
-                return depth
-            current = parent
-            depth += 1
-
     def __repr__(self) -> str:
         return f"SharedTree(nodes={self.num_nodes}, core={self.core})"

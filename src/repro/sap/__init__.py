@@ -6,7 +6,9 @@ Models the sdr tool's machinery (paper §1, §3, §4):
 * :mod:`repro.sap.messages` — SAP announcement/deletion packets;
 * :mod:`repro.sap.cache` — the announce/listen session cache;
 * :mod:`repro.sap.announcer` — periodic re-announcement strategies
-  (fixed interval, bandwidth-limited, exponential back-off);
+  (fixed interval, exponential back-off);
+* :mod:`repro.sap.channel` — one scope's announcement channel and its
+  bandwidth-limited interval (§4);
 * :mod:`repro.sap.response_timer` — uniform/exponential suppression
   delays for the request-response protocol;
 * :mod:`repro.sap.clash_protocol` — the three-phase clash detection
@@ -17,13 +19,10 @@ Models the sdr tool's machinery (paper §1, §3, §4):
 
 from repro.sap.announcer import (
     Announcer,
-    BandwidthLimitedStrategy,
     ExponentialBackoffStrategy,
     FixedIntervalStrategy,
 )
-from repro.sap.browser import BrowserEntry, SessionBrowser
 from repro.sap.cache import CacheEntry, SessionCache
-from repro.sap.cache_server import ProxyCacheServer
 from repro.sap.channel import AnnouncementChannel
 from repro.sap.clash_protocol import ClashPolicy
 from repro.sap.mzap import (
@@ -43,11 +42,7 @@ from repro.sap.sdp import MediaStream, SessionDescription
 __all__ = [
     "AnnouncementChannel",
     "Announcer",
-    "BandwidthLimitedStrategy",
-    "BrowserEntry",
     "CacheEntry",
-    "ProxyCacheServer",
-    "SessionBrowser",
     "ZamTransport",
     "ZoneAnnouncement",
     "ZoneAnnouncer",

@@ -6,7 +6,7 @@ interval — and exponentially back off to a background rate) to keep
 the mean propagation delay low; and all announcements of one scope
 must share a channel whose bandwidth is bounded, so the steady-state
 interval has to scale with the number of sessions being announced
-(as real SAP does).
+(as real SAP does; :mod:`repro.sap.channel` models that rule).
 """
 
 from __future__ import annotations
@@ -26,15 +26,12 @@ class AnnouncementStrategy(abc.ABC):
     """Decides the gap before the next re-announcement."""
 
     @abc.abstractmethod
-    def next_interval(self, announcements_sent: int,
-                      sessions_known: int) -> Duration:
+    def next_interval(self, announcements_sent: int) -> Duration:
         """Seconds until the next announcement.
 
         Args:
             announcements_sent: how many announcements this announcer
                 has already sent (>= 1 when first consulted).
-            sessions_known: sessions currently visible on the channel
-                (for bandwidth-limited strategies).
         """
 
 
@@ -46,8 +43,7 @@ class FixedIntervalStrategy(AnnouncementStrategy):
             raise ValueError(f"interval must be positive: {interval}")
         self.interval = interval
 
-    def next_interval(self, announcements_sent: int,
-                      sessions_known: int) -> Duration:
+    def next_interval(self, announcements_sent: int) -> Duration:
         return self.interval
 
 
@@ -58,38 +54,9 @@ class ExponentialBackoffStrategy(AnnouncementStrategy):
                  = None) -> None:
         self.schedule = schedule or ExponentialBackoffSchedule()
 
-    def next_interval(self, announcements_sent: int,
-                      sessions_known: int) -> Duration:
+    def next_interval(self, announcements_sent: int) -> Duration:
         gaps = self.schedule.intervals(max(1, announcements_sent))
         return gaps[-1]
-
-
-class BandwidthLimitedStrategy(AnnouncementStrategy):
-    """SAP-style: the shared channel has a bandwidth budget.
-
-    With ``sessions_known`` sessions announcing packets of
-    ``packet_bytes`` on a channel of ``bandwidth_bps``, each session
-    can re-announce at most every
-    ``sessions_known * packet_bytes * 8 / bandwidth_bps`` seconds —
-    this is why "the inter-announcement interval would become too
-    long" as the Mbone scales (§4).
-    """
-
-    def __init__(self, bandwidth_bps: float = 4000.0,
-                 packet_bytes: int = 512,
-                 min_interval: Duration = 5.0) -> None:
-        if bandwidth_bps <= 0 or packet_bytes <= 0 or min_interval <= 0:
-            raise ValueError("bandwidth, packet size and minimum "
-                             "interval must be positive")
-        self.bandwidth_bps = bandwidth_bps
-        self.packet_bytes = packet_bytes
-        self.min_interval = min_interval
-
-    def next_interval(self, announcements_sent: int,
-                      sessions_known: int) -> Duration:
-        fair_share = (max(1, sessions_known) * self.packet_bytes * 8.0
-                      / self.bandwidth_bps)
-        return max(self.min_interval, fair_share)
 
 
 class Announcer:
@@ -99,8 +66,6 @@ class Announcer:
         scheduler: the simulation's event scheduler.
         send: callback performing the actual multicast send.
         strategy: interval policy.
-        sessions_known: callback returning the current channel
-            population (for bandwidth-limited strategies).
         rng: for the +/-jitter applied to each interval.
         jitter_fraction: uniform jitter as a fraction of the interval,
             de-synchronising announcers.
@@ -108,7 +73,6 @@ class Announcer:
 
     def __init__(self, scheduler: EventScheduler, send: Callable[[], None],
                  strategy: AnnouncementStrategy,
-                 sessions_known: Callable[[], int] = lambda: 1,
                  rng: Optional[np.random.Generator] = None,
                  jitter_fraction: float = 0.1) -> None:
         if not 0.0 <= jitter_fraction < 1.0:
@@ -117,7 +81,6 @@ class Announcer:
         self.scheduler = scheduler
         self.send = send
         self.strategy = strategy
-        self.sessions_known = sessions_known
         self.rng = rng if rng is not None else derived_stream(
             "sap.announcer"
         )
@@ -157,9 +120,7 @@ class Announcer:
             return
         self.send()
         self.announcements_sent += 1
-        interval = self.strategy.next_interval(
-            self.announcements_sent, self.sessions_known()
-        )
+        interval = self.strategy.next_interval(self.announcements_sent)
         if self.jitter_fraction:
             low = 1.0 - self.jitter_fraction
             high = 1.0 + self.jitter_fraction

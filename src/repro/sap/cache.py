@@ -275,86 +275,6 @@ class SessionCache:
         return [entries[key]
                 for key in self._by_address.get(address_index, ())]
 
-    # ------------------------------------------------------------------
-    # Persistence (proxy caches surviving restarts)
-    # ------------------------------------------------------------------
-    def export_text(self) -> str:
-        """Serialise the cache to a text bundle.
-
-        Format: a header line, then per entry a metadata line, the SDP
-        payload, and an ``end`` terminator.  Used by proxy cache
-        servers to persist state across restarts.
-        """
-        lines = ["# repro-sap-cache 1"]
-        for entry in self._entries.values():
-            address = ("-" if entry.address_index is None
-                       else str(entry.address_index))
-            lines.append(
-                f"entry origin={entry.message.origin} "
-                f"first={entry.first_heard!r} "
-                f"last={entry.last_heard!r} "
-                f"heard={entry.times_heard} "
-                f"address={address}"
-            )
-            lines.append(entry.message.payload.rstrip("\n"))
-            lines.append("end")
-        return "\n".join(lines) + "\n"
-
-    def import_text(self, text: str) -> int:
-        """Merge a bundle produced by :meth:`export_text`.
-
-        Existing entries win over imported ones with the same key.
-        Returns the number of entries added.
-
-        Raises:
-            ValueError: on malformed bundles.
-        """
-        lines = text.splitlines()
-        if not lines or lines[0].strip() != "# repro-sap-cache 1":
-            raise ValueError("missing cache bundle header")
-        added = 0
-        index = 1
-        while index < len(lines):
-            line = lines[index].strip()
-            index += 1
-            if not line:
-                continue
-            if not line.startswith("entry "):
-                raise ValueError(f"expected entry line, got {line!r}")
-            fields = dict(part.split("=", 1)
-                          for part in line.split()[1:])
-            for name in ("origin", "first", "last"):
-                if name not in fields:
-                    raise ValueError(f"cache entry without {name}=: "
-                                     f"{line!r}")
-            payload_lines = []
-            while index < len(lines) and lines[index].strip() != "end":
-                payload_lines.append(lines[index])
-                index += 1
-            if index >= len(lines):
-                raise ValueError("unterminated cache entry")
-            index += 1  # past "end"
-            payload = "\n".join(payload_lines) + "\n"
-            message = SapMessage.announce(int(fields["origin"]), payload)
-            if message.key() in self._entries:
-                continue
-            try:
-                description = SessionDescription.parse(payload)
-            except ValueError:
-                continue
-            address = (None if fields.get("address", "-") == "-"
-                       else int(fields["address"]))
-            self._insert(message.key(), CacheEntry(
-                message=message,
-                description=description,
-                address_index=address,
-                first_heard=float(fields["first"]),
-                last_heard=float(fields["last"]),
-                times_heard=int(fields.get("heard", 1)),
-            ))
-            added += 1
-        return added
-
     def visible_set(self) -> VisibleSet:
         """The allocator's view: (address, ttl) of cached sessions.
 

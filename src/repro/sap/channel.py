@@ -68,10 +68,6 @@ class AnnouncementChannel:
         self._sizes[key] = (payload_bytes if payload_bytes is not None
                             else self.mean_payload_bytes)
 
-    def unregister(self, key: object) -> None:
-        """Remove a withdrawn session.  Idempotent."""
-        self._sizes.pop(key, None)
-
     @property
     def session_count(self) -> int:
         return len(self._sizes)
@@ -107,16 +103,3 @@ class AnnouncementChannel:
             ),
             invisible_fraction=invisible_fraction(delay, advertised_time),
         )
-
-    @classmethod
-    def interval_for_population(cls, sessions: int,
-                                bandwidth_bps: float =
-                                DEFAULT_BANDWIDTH_BPS,
-                                payload_bytes: int = 512,
-                                min_interval: float =
-                                DEFAULT_MIN_INTERVAL) -> float:
-        """Closed-form version for sweeps (§4 scaling argument)."""
-        channel = cls(bandwidth_bps, min_interval, payload_bytes)
-        for key in range(sessions):
-            channel.register(key)
-        return channel.interval()

@@ -43,7 +43,6 @@ class ClashPolicy:
     Attributes:
         recent_window: seconds after its first announcement during
             which a session is "new" and retreats on clash (phase 2).
-        enable_third_party: whether phase 3 runs at this site.
         timer_factory: builds the random-delay timer used by phase 3.
         defend_interval: minimum gap between immediate phase-1
             re-announcements against the same clashing announcement
@@ -51,7 +50,6 @@ class ClashPolicy:
     """
 
     recent_window: float = 30.0
-    enable_third_party: bool = True
     timer_factory: Callable[[np.random.Generator], ResponseDelayTimer] = (
         default_timer_factory
     )
@@ -109,8 +107,7 @@ class ClashHandler:
         if entry.address_index is None:
             return
         self._check_own_sessions(entry)
-        if self.policy.enable_third_party:
-            self._check_third_party(entry)
+        self._check_third_party(entry)
 
     def _is_established(self, age: float) -> bool:
         """Phase-1 predicate: does a session of this age stand its

@@ -86,7 +86,6 @@ class SessionDirectory:
         clash_policy: Optional[ClashPolicy] = None,
         enable_clash_protocol: bool = True,
         username: str = "user",
-        cache: Optional[SessionCache] = None,
         rng: Optional[np.random.Generator] = None,
     ) -> None:
         self.node = node
@@ -96,7 +95,7 @@ class SessionDirectory:
         self.address_space = address_space
         self.strategy_factory = strategy_factory
         self.username = username
-        self.cache = cache if cache is not None else SessionCache()
+        self.cache = SessionCache()
         self.rng = rng if rng is not None else np.random.default_rng(node)
         self._own: Dict[Tuple[int, int], OwnSession] = {}
         #: Own sessions by address.  Each bucket keeps ``_own`` order,
@@ -224,14 +223,17 @@ class SessionDirectory:
         Every change of an own session's address goes through here:
         it sets the session's address and its SDP connection address
         together and moves the session to its new index bucket.  It
-        neither bumps the SDP version nor announces; callers do.
+        neither bumps the SDP version nor announces; callers do.  A
+        session this site has withdrawn gets its new address but
+        joins no bucket, so it cannot hold the address.
         """
         self._unindex_own(own)
         own.session.address = address
         own.description.connection_address = (
             self.address_space.index_to_ip(address)
         )
-        self._index_own(own)
+        if self._own.get((self.node, own.description.session_id)) is own:
+            self._index_own(own)
 
     def owns(self, message_key: Tuple[int, int]) -> bool:
         """True if a cache key corresponds to one of our sessions.
@@ -329,7 +331,6 @@ class SessionDirectory:
             scheduler=self.scheduler,
             send=send,
             strategy=self.strategy_factory(),
-            sessions_known=lambda: len(self.cache) + len(self._own),
             rng=self.rng,
         )
 

@@ -74,9 +74,6 @@ class ZamTransport:
         """Make ``zone_name``'s boundary leak ZAMs to everyone."""
         self._leaky_zones.add(zone_name)
 
-    def repair_leak(self, zone_name: str) -> None:
-        self._leaky_zones.discard(zone_name)
-
     def send(self, announcement: ZoneAnnouncement) -> None:
         leaking = announcement.zone_name in self._leaky_zones
         reach = self.scope_map.reachable(announcement.producer,
@@ -196,11 +193,3 @@ class ZoneListener:
 
     def known_zone_names(self) -> List[str]:
         return sorted({key[0] for key in self.learned})
-
-    def scoped_ranges(self) -> List[Tuple[int, int]]:
-        """The (lo, hi) ranges this node should treat as scoped."""
-        return sorted({
-            (entry.announcement.range_lo, entry.announcement.range_hi)
-            for entry in self.learned.values()
-            if self._member_of(entry.announcement)
-        })

@@ -7,14 +7,13 @@ streams and the lossy/delayed packet network model on which the SAP
 
 from repro.sim.clock import SimClock
 from repro.sim.events import EventHandle, EventScheduler
-from repro.sim.network import LinkModel, NetworkModel, Packet
+from repro.sim.network import NetworkModel, Packet
 from repro.sim.rng import RandomStreams
 from repro.sim.trace import TraceRecord, Tracer, trace_directory
 
 __all__ = [
     "EventHandle",
     "EventScheduler",
-    "LinkModel",
     "NetworkModel",
     "Packet",
     "RandomStreams",

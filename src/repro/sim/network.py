@@ -25,25 +25,6 @@ ReceiverMap = Callable[[int, int], Iterable[Tuple[int, float]]]
 DeliveryCallback = Callable[[int, "Packet"], None]
 
 
-@dataclass(frozen=True)
-class LinkModel:
-    """Per-link propagation characteristics.
-
-    Attributes:
-        delay: one-way propagation delay in seconds.
-        loss: probability that a packet crossing the link is dropped.
-    """
-
-    delay: Duration
-    loss: float = 0.0
-
-    def __post_init__(self) -> None:
-        if self.delay < 0:
-            raise ValueError(f"negative link delay {self.delay!r}")
-        if not 0.0 <= self.loss <= 1.0:
-            raise ValueError(f"loss must be a probability, got {self.loss!r}")
-
-
 @dataclass
 class Packet:
     """A multicast packet as seen by the simulator.

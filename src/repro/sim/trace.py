@@ -86,9 +86,6 @@ class Tracer:
             out.append(record)
         return out
 
-    def categories(self) -> List[str]:
-        return sorted({record.category for record in self._records})
-
     def format_timeline(self, **filters: Any) -> str:
         """Human-readable chronological dump."""
         return "\n".join(record.format()

@@ -157,10 +157,6 @@ class Topology:
         self._check_node(node)
         return self._labels[node]
 
-    def set_label(self, node: int, label: str) -> None:
-        self._check_node(node)
-        self._labels[node] = label
-
     # ------------------------------------------------------------------
     # Connectivity
     # ------------------------------------------------------------------

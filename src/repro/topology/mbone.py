@@ -256,11 +256,3 @@ class _MboneBuilder:
                 delay=self.rng.uniform(0.001, 0.003),
             )
             internal.append(node)
-
-
-def boundary_census(topo: Topology) -> Dict[int, int]:
-    """Count links per TTL threshold value (sanity/reporting helper)."""
-    census: Dict[int, int] = {}
-    for link in topo.links():
-        census[link.threshold] = census.get(link.threshold, 0) + 1
-    return census

@@ -10,7 +10,6 @@ from repro.core.allocator import (
     nth_free_address,
 )
 from repro.core.partitions import IPR3_EDGES, PartitionMap
-from repro.core.session import Session
 
 
 class TestVisibleSet:
@@ -18,13 +17,6 @@ class TestVisibleSet:
         vs = VisibleSet.empty()
         assert len(vs) == 0
         assert vs.free_offsets(4, 9).tolist() == [0, 1, 2, 3, 4]
-
-    def test_from_sessions(self):
-        sessions = [Session(address=3, ttl=15, source=0),
-                    Session(address=9, ttl=63, source=1)]
-        vs = VisibleSet.from_sessions(sessions)
-        assert vs.addresses.tolist() == [3, 9]
-        assert vs.ttls.tolist() == [15, 63]
 
     def test_mismatched_shapes_rejected(self):
         with pytest.raises(ValueError):

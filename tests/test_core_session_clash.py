@@ -3,7 +3,6 @@
 import pytest
 
 from repro.core.clash import (
-    clashes_with_any,
     find_clashing_pairs,
     sessions_clash,
 )
@@ -30,12 +29,6 @@ class TestSession:
     def test_negative_address_rejected(self):
         with pytest.raises(ValueError):
             Session(address=-1, ttl=15, source=0)
-
-    def test_expiry(self):
-        s = Session(address=1, ttl=15, source=0, created_at=100.0,
-                    lifetime=50.0)
-        assert s.expires_at() == 150.0
-        assert Session(address=1, ttl=15, source=0).expires_at() is None
 
 
 class TestClashDetection:
@@ -65,16 +58,6 @@ class TestClashDetection:
         assert sessions_clash(local, invader, chain_scope_map)
         # ...even though the local announcement never reaches node 4:
         assert not chain_scope_map.can_hear(4, 0, 2)
-
-    def test_clashes_with_any(self, chain_scope_map):
-        new = Session(address=7, ttl=18, source=2)
-        existing = [Session(address=7, ttl=2, source=0),
-                    Session(address=9, ttl=18, source=3)]
-        assert clashes_with_any(new, existing, chain_scope_map)
-        assert not clashes_with_any(
-            Session(address=11, ttl=18, source=2), existing,
-            chain_scope_map,
-        )
 
     def test_find_clashing_pairs(self, chain_scope_map):
         sessions = [

@@ -6,7 +6,7 @@ These exercise the paper's motivating failure cases end-to-end:
   existing sessions that had not been known due to network
   partitioning": we create the clash by partitioning, then heal and
   watch the protocol.
-* directory restart with and without a proxy cache server;
+* directory restart;
 * announcement storms being bounded by the defence rate limit.
 """
 
@@ -15,7 +15,6 @@ import pytest
 
 from repro.core.address_space import MulticastAddressSpace
 from repro.core.informed import InformedRandomAllocator
-from repro.sap.cache_server import ProxyCacheServer
 from repro.sap.clash_protocol import ClashPolicy
 from repro.sap.directory import SessionDirectory
 from repro.sim.events import EventScheduler
@@ -128,17 +127,6 @@ class TestRestartRecovery:
         assert len(new_bob.cache) == 0
         sched.run(until=700.0)
         assert len(new_bob.cache) == 1
-
-    def test_warm_restart_via_proxy_cache(self, world):
-        sched, net, make = world
-        proxy = ProxyCacheServer(5, sched, net)
-        alice = make(0)
-        alice.create_session("talk", ttl=63)
-        sched.run(until=5.0)
-        net.unlisten(1)
-        new_bob = make(1)
-        proxy.sync_directory(new_bob)
-        assert len(new_bob.cache) == 1  # instant full picture
 
 
 class TestMalformedTraffic:

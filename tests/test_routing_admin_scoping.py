@@ -49,12 +49,6 @@ class TestAdminScopeMap:
             {"west", "campus"}
         assert {z.name for z in two_zone_map.zones_of(7)} == {"east"}
 
-    def test_zone_for_address(self, two_zone_map):
-        assert two_zone_map.zone_for_address(0, 150).name == "west"
-        assert two_zone_map.zone_for_address(7, 150).name == "east"
-        assert two_zone_map.zone_for_address(0, 205).name == "campus"
-        assert two_zone_map.zone_for_address(7, 205) is None
-
     def test_scoped_traffic_confined(self, two_zone_map):
         reach = two_zone_map.reachable(0, 150)
         assert reach[:5].all()
@@ -69,7 +63,8 @@ class TestAdminScopeMap:
         for a in range(10):
             for b in range(10):
                 for address in (150, 205, 50):
-                    assert two_zone_map.visible_symmetric(a, b, address)
+                    assert two_zone_map.reachable(a, address)[b] == \
+                        two_zone_map.reachable(b, address)[a]
 
     def test_same_range_reuse_requires_disjoint(self):
         scope_map = AdminScopeMap(4)

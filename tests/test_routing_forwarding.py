@@ -4,9 +4,8 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from repro.routing.forwarding import ForwardedPacket, ForwardingEngine
+from repro.routing.forwarding import ForwardingEngine
 from repro.routing.scoping import ScopeMap
-from repro.sim.events import EventScheduler
 from repro.topology.graph import Topology
 from repro.topology.mbone import MboneParams, generate_mbone
 
@@ -89,47 +88,3 @@ class TestCrossValidation:
                 )[0])
                 assert mechanism == analysis
 
-
-class TestScheduledForwarding:
-    def test_taps_fire_in_delay_order(self, chain_topology):
-        sched = EventScheduler()
-        engine = ForwardingEngine(chain_topology, scheduler=sched)
-        taps = []
-        packet = ForwardedPacket(source=0, group=1, ttl=255,
-                                 payload="hello")
-        engine.send(packet, lambda node, p: taps.append(
-            (node, sched.now, p.ttl)
-        ))
-        sched.run()
-        nodes = [t[0] for t in taps]
-        times = [t[1] for t in taps]
-        assert nodes == [0, 1, 2, 3, 4]
-        assert times == sorted(times)
-        assert times[4] == pytest.approx(0.100)
-        # TTL decremented along the way.
-        assert taps[4][2] == 251
-
-    def test_scoped_scheduled_delivery(self, chain_topology):
-        sched = EventScheduler()
-        engine = ForwardingEngine(chain_topology, scheduler=sched)
-        taps = []
-        engine.send(ForwardedPacket(source=0, group=1, ttl=18),
-                    lambda node, p: taps.append(node))
-        sched.run()
-        assert taps == [0, 1, 2, 3]
-
-    def test_send_without_scheduler_raises(self, chain_topology):
-        engine = ForwardingEngine(chain_topology)
-        with pytest.raises(RuntimeError):
-            engine.send(ForwardedPacket(source=0, group=1, ttl=8),
-                        lambda node, p: None)
-
-    def test_payload_preserved(self, chain_topology):
-        sched = EventScheduler()
-        engine = ForwardingEngine(chain_topology, scheduler=sched)
-        payloads = []
-        engine.send(ForwardedPacket(source=0, group=1, ttl=255,
-                                    payload={"k": 1}),
-                    lambda node, p: payloads.append(p.payload))
-        sched.run()
-        assert all(p == {"k": 1} for p in payloads)

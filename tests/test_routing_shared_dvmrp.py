@@ -1,11 +1,11 @@
-"""Shared-tree and DVMRP routing-state tests."""
+"""Shared-tree and DVMRP delivery-tree tests."""
 
 import numpy as np
 import pytest
 
-from repro.routing.dvmrp import DvmrpRouter
+from repro.routing.forwarding import ForwardingEngine
 from repro.routing.shared import SharedTree
-from repro.topology.graph import DVMRP_INFINITY, Topology
+from repro.topology.graph import Topology
 
 
 @pytest.fixture
@@ -32,8 +32,6 @@ class TestSharedTree:
     def test_parent_and_depth(self, y_tree):
         assert y_tree.parent_of(0) is None
         assert y_tree.parent_of(2) == 1
-        assert y_tree.depth_of(0) == 0
-        assert y_tree.depth_of(3) == 2
 
     def test_wrong_edge_count_rejected(self):
         with pytest.raises(ValueError):
@@ -67,24 +65,8 @@ class TestSharedTree:
 
 
 class TestDvmrp:
-    @pytest.fixture
-    def router(self, chain_topology):
-        return DvmrpRouter(chain_topology)
-
-    def test_table_metrics(self, router):
-        table = router.table(4)
-        assert table.metric[4] == 0
-        assert table.metric[0] == 4
-        assert table.metric[3] == 1
-
-    def test_rpf_neighbor_points_along_path(self, router):
-        table = router.table(4)
-        # Packets from source 0 arrive at 4 via 3.
-        assert table.rpf_neighbor(0) == 3
-        assert table.rpf_neighbor(4) is None
-
-    def test_delivery_children_form_the_tree(self, router):
-        children = router.delivery_children(0)
+    def test_delivery_children_form_the_tree(self, chain_topology):
+        children = ForwardingEngine(chain_topology).delivery_children(0)
         assert children[0] == [1]
         assert children[1] == [2]
         assert children[2] == [3]
@@ -98,16 +80,7 @@ class TestDvmrp:
             topo.add_node()
         topo.add_link(0, 1, metric=20)
         topo.add_link(1, 2, metric=20)
-        router = DvmrpRouter(topo)
-        table = router.table(2)
-        assert table.metric[1] == 20
-        assert table.metric[0] == DVMRP_INFINITY
-        assert not table.reaches(0)
-        assert table.rpf_neighbor(0) is None
-        children = router.delivery_children(0)
+        engine = ForwardingEngine(topo)
+        children = engine.delivery_children(0)
         assert children[1] == []  # node 2 pruned by infinity
-        mask = router.reachable_within_infinity(0)
-        assert mask.tolist() == [True, True, False]
-
-    def test_tables_memoised(self, router):
-        assert router.table(1) is router.table(1)
+        assert engine.reachable_set(0, 255) == {0, 1}

@@ -6,7 +6,6 @@ import pytest
 from repro.analysis.announcement import ExponentialBackoffSchedule
 from repro.sap.announcer import (
     Announcer,
-    BandwidthLimitedStrategy,
     ExponentialBackoffStrategy,
     FixedIntervalStrategy,
 )
@@ -16,8 +15,8 @@ from repro.sim.events import EventScheduler
 class TestStrategies:
     def test_fixed(self):
         strategy = FixedIntervalStrategy(300.0)
-        assert strategy.next_interval(1, 10) == 300.0
-        assert strategy.next_interval(50, 1000) == 300.0
+        assert strategy.next_interval(1) == 300.0
+        assert strategy.next_interval(50) == 300.0
 
     def test_fixed_validation(self):
         with pytest.raises(ValueError):
@@ -27,23 +26,10 @@ class TestStrategies:
         strategy = ExponentialBackoffStrategy(
             ExponentialBackoffSchedule(5.0, 2.0, 600.0)
         )
-        assert strategy.next_interval(1, 1) == 5.0
-        assert strategy.next_interval(2, 1) == 10.0
-        assert strategy.next_interval(3, 1) == 20.0
-        assert strategy.next_interval(50, 1) == 600.0
-
-    def test_bandwidth_limited_scales_with_population(self):
-        strategy = BandwidthLimitedStrategy(bandwidth_bps=4096,
-                                            packet_bytes=512,
-                                            min_interval=5.0)
-        # One session: 512*8/4096 = 1 s -> floored at 5 s.
-        assert strategy.next_interval(1, 1) == 5.0
-        # 100 sessions: 100 s between announcements of each session.
-        assert strategy.next_interval(1, 100) == pytest.approx(100.0)
-
-    def test_bandwidth_validation(self):
-        with pytest.raises(ValueError):
-            BandwidthLimitedStrategy(bandwidth_bps=0)
+        assert strategy.next_interval(1) == 5.0
+        assert strategy.next_interval(2) == 10.0
+        assert strategy.next_interval(3) == 20.0
+        assert strategy.next_interval(50) == 600.0
 
 
 class TestAnnouncer:

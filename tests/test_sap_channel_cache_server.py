@@ -1,17 +1,8 @@
-"""Announcement channel and proxy cache server tests."""
+"""Announcement channel tests."""
 
-import numpy as np
 import pytest
 
-from repro.core.address_space import MulticastAddressSpace
-from repro.core.informed import InformedRandomAllocator
-from repro.sap.cache_server import ProxyCacheServer
 from repro.sap.channel import AnnouncementChannel
-from repro.sap.directory import SessionDirectory
-from repro.sim.events import EventScheduler
-from repro.sim.network import NetworkModel
-
-SPACE = MulticastAddressSpace.abstract(128)
 
 
 class TestAnnouncementChannel:
@@ -32,16 +23,6 @@ class TestAnnouncementChannel:
         channel.register("one")
         assert channel.interval() == 300.0
 
-    def test_unregister(self):
-        channel = AnnouncementChannel()
-        channel.register("a", payload_bytes=1000)
-        channel.register("b", payload_bytes=2000)
-        assert channel.total_bytes() == 3000
-        channel.unregister("a")
-        channel.unregister("a")  # idempotent
-        assert channel.total_bytes() == 2000
-        assert channel.session_count == 1
-
     def test_stats_invisibility_grows_with_population(self):
         sparse = AnnouncementChannel()
         dense = AnnouncementChannel()
@@ -53,16 +34,6 @@ class TestAnnouncementChannel:
             sparse.stats().invisible_fraction
         assert dense.stats().interval > sparse.stats().interval
 
-    def test_interval_for_population_sweep(self):
-        """§4's scaling argument: interval grows linearly once past
-        the floor."""
-        small = AnnouncementChannel.interval_for_population(100)
-        large = AnnouncementChannel.interval_for_population(100_000)
-        assert small == 300.0
-        assert large == pytest.approx(1000 * small * (102400 / 307200),
-                                      rel=0.5)
-        assert large > 10_000
-
     def test_validation(self):
         with pytest.raises(ValueError):
             AnnouncementChannel(bandwidth_bps=0)
@@ -70,86 +41,3 @@ class TestAnnouncementChannel:
             AnnouncementChannel(min_interval=0)
         with pytest.raises(ValueError):
             AnnouncementChannel(mean_payload_bytes=0)
-
-
-def full_mesh(source, ttl):
-    return [(node, 0.01) for node in range(6)]
-
-
-class TestProxyCacheServer:
-    def make_world(self):
-        sched = EventScheduler()
-        net = NetworkModel(sched, full_mesh)
-        return sched, net
-
-    def make_directory(self, node, sched, net):
-        rng = np.random.default_rng(node)
-        return SessionDirectory(
-            node, sched, net,
-            InformedRandomAllocator(SPACE.size, rng), SPACE, rng=rng,
-        )
-
-    def test_server_caches_announcements(self):
-        sched, net = self.make_world()
-        server = ProxyCacheServer(5, sched, net)
-        alice = self.make_directory(0, sched, net)
-        alice.create_session("talk", ttl=63)
-        sched.run(until=1.0)
-        assert len(server.cache) == 1
-
-    def test_sync_warm_starts_new_directory(self):
-        sched, net = self.make_world()
-        server = ProxyCacheServer(5, sched, net)
-        alice = self.make_directory(0, sched, net)
-        for i in range(5):
-            alice.create_session(f"s{i}", ttl=63)
-        sched.run(until=1.0)
-        # A directory started later would normally wait a whole
-        # re-announcement interval; the server fills it instantly.
-        late = self.make_directory(1, sched, net)
-        assert len(late.cache) == 0
-        transferred = server.sync_directory(late)
-        assert transferred == 5
-        assert len(late.cache) == 5
-        assert server.syncs_served == 1
-
-    def test_synced_view_feeds_allocator(self):
-        sched, net = self.make_world()
-        server = ProxyCacheServer(5, sched, net)
-        alice = self.make_directory(0, sched, net)
-        taken = {alice.create_session(f"s{i}", ttl=63).address
-                 for i in range(60)}
-        sched.run(until=1.0)
-        late = self.make_directory(1, sched, net)
-        server.sync_directory(late)
-        fresh = late.create_session("mine", ttl=63)
-        assert fresh.address not in taken
-
-    def test_trickle_reannounces_for_lossy_listeners(self):
-        sched, net = self.make_world()
-        server = ProxyCacheServer(5, sched, net, trickle_interval=2.0)
-        alice = self.make_directory(0, sched, net)
-        alice.create_session("talk", ttl=63)
-        sched.run(until=1.0)
-        alice.own_sessions()[0].announcer.stop()  # origin goes quiet
-        late = self.make_directory(1, sched, net)
-        sched.run(until=10.0)
-        # The trickle kept the announcement flowing to the latecomer.
-        assert server.trickles_sent >= 3
-        assert "talk" in [d.name for d in late.known_sessions()]
-
-    def test_stop_halts_trickle(self):
-        sched, net = self.make_world()
-        server = ProxyCacheServer(5, sched, net, trickle_interval=1.0)
-        alice = self.make_directory(0, sched, net)
-        alice.create_session("talk", ttl=63)
-        sched.run(until=3.0)
-        server.stop()
-        sent = server.trickles_sent
-        sched.run(until=10.0)
-        assert server.trickles_sent == sent
-
-    def test_invalid_trickle_interval(self):
-        sched, net = self.make_world()
-        with pytest.raises(ValueError):
-            ProxyCacheServer(5, sched, net, trickle_interval=0.0)

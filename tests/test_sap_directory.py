@@ -106,6 +106,33 @@ class TestDiscovery:
         assert len(bob.cache) == 0
 
 
+class TestSessionLifetime:
+    def test_session_expires_and_is_withdrawn(self, sched, net):
+        alice = make_directory(0, sched, net)
+        bob = make_directory(1, sched, net)
+        alice.create_session("short", ttl=63, lifetime=100.0)
+        sched.run(until=1.0)
+        assert len(bob.cache) == 1
+        sched.run(until=200.0)
+        assert alice.own_sessions() == []
+        assert len(bob.cache) == 0  # deletion message removed it
+
+    def test_manual_delete_before_expiry_is_safe(self, sched, net):
+        alice = make_directory(0, sched, net)
+        session = alice.create_session("short", ttl=63, lifetime=100.0)
+        sched.run(until=1.0)
+        alice.delete_session(session)
+        # The expiry timer fires later and must be a no-op.
+        sched.run(until=200.0)
+        assert alice.own_sessions() == []
+
+    def test_unbounded_sessions_stay(self, sched, net):
+        alice = make_directory(0, sched, net)
+        alice.create_session("forever", ttl=63)
+        sched.run(until=10_000.0)
+        assert len(alice.own_sessions()) == 1
+
+
 def rig_clash(directory, address):
     """Point a directory's (single) own session at ``address``."""
     own = directory.own_sessions()[0]
@@ -349,3 +376,14 @@ class TestOwnSessionIndex:
         assert alice.address_changes == 0
         [moved] = alice.own_sessions_at(5)
         assert moved is own
+
+    def test_retreat_after_delete_leaves_no_index(self, sched, net):
+        """Retreating a withdrawn session moves it but puts it back in
+        neither index, so its new address is not held."""
+        alice = make_directory(0, sched, net)
+        session = alice.create_session("talk", ttl=63)
+        own = alice.own_sessions()[0]
+        alice.delete_session(session)
+        alice.retreat(own)
+        assert len(alice._allocation_view()) == 0
+        assert alice._own_by_address == {}

@@ -232,76 +232,6 @@ class TestSessionCache:
         assert len(cache) == 2
 
 
-class TestCachePersistence:
-    def fill(self, cache):
-        for i in range(3):
-            desc = SessionDescription(
-                name=f"s{i}", session_id=i + 1, ttl=63,
-                connection_address=f"224.2.128.{i + 1}",
-            )
-            cache.observe(SapMessage.announce(i, desc.format()),
-                          now=float(i), address_of=at(i + 1))
-
-    def test_export_import_roundtrip(self):
-        cache = SessionCache()
-        self.fill(cache)
-        restored = SessionCache()
-        added = restored.import_text(cache.export_text())
-        assert added == 3
-        assert len(restored) == 3
-        for entry in cache.entries():
-            twin = restored.lookup(*entry.message.key())
-            assert twin is not None
-            assert twin.description == entry.description
-            assert twin.address_index == entry.address_index
-            assert twin.first_heard == entry.first_heard
-            assert twin.times_heard == entry.times_heard
-
-    def test_import_merges_without_overwriting(self):
-        cache = SessionCache()
-        self.fill(cache)
-        bundle = cache.export_text()
-        # Touch an entry so the local copy differs from the bundle.
-        entry = cache.entries()[0]
-        cache.observe(entry.message, now=99.0)
-        added = cache.import_text(bundle)
-        assert added == 0
-        assert cache.lookup(*entry.message.key()).last_heard == 99.0
-
-    def test_import_rejects_garbage(self):
-        cache = SessionCache()
-        with pytest.raises(ValueError):
-            cache.import_text("nonsense")
-        with pytest.raises(ValueError):
-            cache.import_text("# repro-sap-cache 1\nwhat\n")
-        with pytest.raises(ValueError):
-            cache.import_text(
-                "# repro-sap-cache 1\n"
-                "entry origin=1 first=0.0 last=0.0 heard=1 address=-\n"
-                "v=0\ns=x\n"  # no "end"
-            )
-        with pytest.raises(ValueError, match="origin="):
-            cache.import_text(
-                "# repro-sap-cache 1\n"
-                "entry first=0.0 last=0.0 heard=1 address=-\n"
-                "v=0\ns=x\nend\n"
-            )
-        with pytest.raises(ValueError, match="first="):
-            cache.import_text(
-                "# repro-sap-cache 1\n"
-                "entry origin=1 last=0.0 heard=1 address=-\n"
-                f"{PAYLOAD}end\n"
-            )
-
-    def test_exported_bundle_feeds_visible_set(self):
-        cache = SessionCache()
-        self.fill(cache)
-        restored = SessionCache()
-        restored.import_text(cache.export_text())
-        assert sorted(restored.visible_set().addresses.tolist()) == \
-            [1, 2, 3]
-
-
 # --------------------------------------------------------------------
 # The address and session indexes against a full-scan reference.
 # --------------------------------------------------------------------
@@ -367,12 +297,6 @@ class FullScanCache:
                     if now - row[3] > TIMEOUT]:
             del self.rows[key]
 
-    def import_entries(self, entries):
-        for entry in entries:
-            self.rows.setdefault(entry.message.key(), [
-                entry.address_index, entry.description.origin_key(),
-                entry.description.version, entry.last_heard])
-
 
 ORIGIN_KEYS = st.tuples(st.sampled_from("ab"), st.integers(1, 3))
 ADDRESSES = st.sampled_from(sorted(MAPPED) + [UNMAPPED])
@@ -385,7 +309,6 @@ STEPS = st.lists(st.one_of(
               st.tuples(PICK, st.sampled_from((-1, 1)), ADDRESSES)),
     st.tuples(st.just("delete"), st.tuples(PICK)),
     st.tuples(st.just("expire"), st.none()),
-    st.tuples(st.just("import"), st.lists(ANNOUNCED, max_size=4)),
     st.tuples(st.just("collide"), st.tuples(PICK, ADDRESSES)),
 ), max_size=40)
 
@@ -421,14 +344,6 @@ def apply_step(cache, reference, step, now):
     elif kind == "expire":
         cache.expire(now)
         reference.expire(now)
-    elif kind == "import":
-        peer = SessionCache()
-        for origin, origin_key, version, address in arg:
-            peer.observe(SapMessage.announce(
-                origin, sdp(origin_key, version, address)), now,
-                address_of=address_of)
-        cache.import_text(peer.export_text())
-        reference.import_entries(peer.entries())
     for message in messages:
         cache.observe(message, now, address_of=address_of)
         reference.observe(message, now)

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from repro.sim.events import EventScheduler
-from repro.sim.network import LinkModel, NetworkModel, Packet
+from repro.sim.network import NetworkModel, Packet
 from repro.sim.rng import RandomStreams
 
 
@@ -21,20 +21,6 @@ def ttl_limited_map(source, ttl):
 @pytest.fixture
 def sched():
     return EventScheduler()
-
-
-class TestLinkModel:
-    def test_valid(self):
-        link = LinkModel(delay=0.01, loss=0.5)
-        assert link.delay == 0.01
-
-    def test_negative_delay_rejected(self):
-        with pytest.raises(ValueError):
-            LinkModel(delay=-1.0)
-
-    def test_bad_loss_rejected(self):
-        with pytest.raises(ValueError):
-            LinkModel(delay=0.0, loss=1.5)
 
 
 class TestNetworkModel:

@@ -37,7 +37,6 @@ class TestTracer:
         assert len(tracer.records(category="rx")) == 2
         assert len(tracer.records(node=2)) == 2
         assert len(tracer.records(category="rx", node=2)) == 1
-        assert tracer.categories() == ["rx", "tx"]
 
     def test_since_filter(self):
         sched = EventScheduler()

@@ -1,5 +1,7 @@
 """Mbone and Doar generator tests."""
 
+from collections import Counter
+
 import numpy as np
 import pytest
 
@@ -10,7 +12,6 @@ from repro.topology.mbone import (
     EUROPE_COUNTRY_THRESHOLD,
     SITE_THRESHOLD,
     MboneParams,
-    boundary_census,
     generate_mbone,
 )
 
@@ -37,7 +38,7 @@ class TestMboneGenerator:
         assert edges_a != edges_b
 
     def test_boundary_policy_thresholds_present(self, small_mbone):
-        census = boundary_census(small_mbone)
+        census = Counter(link.threshold for link in small_mbone.links())
         assert SITE_THRESHOLD in census
         assert EUROPE_COUNTRY_THRESHOLD in census
         assert COUNTRY_THRESHOLD in census

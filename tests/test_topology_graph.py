@@ -103,8 +103,6 @@ class TestTopology:
         node = topo.add_node(position=(1.0, 2.0), label="hub")
         assert topo.position(node) == (1.0, 2.0)
         assert topo.label(node) == "hub"
-        topo.set_label(node, "core")
-        assert topo.label(node) == "core"
 
     def test_connectivity(self):
         topo = Topology()
