@@ -1,8 +1,9 @@
 #!/usr/bin/env bash
 # Pre-PR gate: run every check the repo can enforce, in order of cost.
 #
-#   ./scripts/check.sh            # lint + style + types + tier-1 tests
-#   ./scripts/check.sh --fast     # skip the pytest run
+#   ./scripts/check.sh            # lint + style + types + perfbench
+#                                 # fingerprints + tier-1 tests
+#   ./scripts/check.sh --fast     # skip the fingerprints and pytest
 #
 # ruff and mypy are optional-dev dependencies (pyproject [dev]); when
 # they are not installed the corresponding step is skipped with a
@@ -51,6 +52,16 @@ else
 fi
 
 if [[ "${1:-}" != "--fast" ]]; then
+    echo "== perfbench fingerprints (every workload, seed 1998) =="
+    # A run exits 1 when a repetition's fingerprint differs from
+    # perfbench/references.json (the problem goes to stderr).  The
+    # three runs take about 25 s.
+    for workload in sap-churn sap-refresh alloc-sweep; do
+        echo "-- $workload"
+        python3 perfbench/run.py --workload "$workload" --seed 1998 \
+            --seconds 1 --trace 0 > /dev/null
+    done
+
     echo "== tier-1 pytest =="
     python -m pytest -x -q
 fi

@@ -10,7 +10,7 @@ queries the suppression simulation needs.
 
 from __future__ import annotations
 
-from typing import Iterable, List, Optional, Sequence, Tuple
+from typing import Iterable, List, Sequence, Tuple
 
 import numpy as np
 
@@ -45,9 +45,7 @@ class SharedTree:
                 f"a spanning tree over {num_nodes} nodes needs "
                 f"{num_nodes - 1} edges, got {count}"
             )
-        # Verify connectivity (and cache the core-rooted traversal).
-        self._order, self._parent = self._traverse(core)
-        if len(self._order) != num_nodes:
+        if self._reached(core) != num_nodes:
             raise ValueError("edges do not form a connected tree")
 
     @classmethod
@@ -61,20 +59,16 @@ class SharedTree:
             tree_edges.append((u, v, link.delay))
         return cls(topology.num_nodes, tree_edges, core=core)
 
-    def _traverse(self, root: int) -> Tuple[List[int], np.ndarray]:
-        parent = np.full(self.num_nodes, -1, dtype=np.int64)
-        order = [root]
-        parent[root] = root
-        head = 0
-        while head < len(order):
-            node = order[head]
-            head += 1
-            for nbr, __ in self._adj[node]:
-                if parent[nbr] == -1:
-                    parent[nbr] = node
-                    order.append(nbr)
-        parent[root] = -1
-        return order, parent
+    def _reached(self, root: int) -> int:
+        """How many nodes a traversal from ``root`` reaches."""
+        seen = {root}
+        stack = [root]
+        while stack:
+            for nbr, __ in self._adj[stack.pop()]:
+                if nbr not in seen:
+                    seen.add(nbr)
+                    stack.append(nbr)
+        return len(seen)
 
     def delays_from(self, node: int) -> np.ndarray:
         """One-way tree-path delay from ``node`` to every node.
@@ -96,11 +90,6 @@ class SharedTree:
                     delays[nbr] = base + delay
                     stack.append(nbr)
         return delays
-
-    def parent_of(self, node: int) -> Optional[int]:
-        """Parent towards the core, or None for the core itself."""
-        parent = int(self._parent[node])
-        return None if parent < 0 else parent
 
     def __repr__(self) -> str:
         return f"SharedTree(nodes={self.num_nodes}, core={self.core})"

@@ -19,7 +19,7 @@ import numpy as np
 from repro.analysis.announcement import ExponentialBackoffSchedule
 from repro.sim.events import EventHandle, EventScheduler
 from repro.sim.rng import derived_stream
-from repro.sim.types import Duration, SimTime
+from repro.sim.types import Duration
 
 
 class AnnouncementStrategy(abc.ABC):
@@ -86,7 +86,6 @@ class Announcer:
         )
         self.jitter_fraction = jitter_fraction
         self.announcements_sent = 0
-        self.started_at: Optional[SimTime] = None
         self._pending: Optional[EventHandle] = None
         self._running = False
 
@@ -99,7 +98,6 @@ class Announcer:
         if self._running:
             return
         self._running = True
-        self.started_at = self.scheduler.now
         self._fire()
 
     def stop(self) -> None:

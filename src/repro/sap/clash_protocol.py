@@ -116,21 +116,18 @@ class ClashHandler:
         return age > self.policy.recent_window
 
     def _check_own_sessions(self, entry: CacheEntry) -> None:
+        own_sessions = self.directory.own_sessions_at(entry.address_index)
+        if not own_sessions:
+            return
         now = self.scheduler.now
         entry_key = entry.message.key()
-        origin = entry_key[0]
-        for own in self.directory.own_sessions_at(entry.address_index):
-            # An own key carries this site as origin, so against another
-            # origin the keys differ and the origins alone order them:
-            # no SDP need be formatted.
-            source = own.session.source
-            if source == origin:
-                own_key = own.message_key()
-                if own_key == entry_key:
-                    continue
-                own_first = own_key < entry_key
-            else:
-                own_first = source < origin
+        for own in own_sessions:
+            # Own keys are cached with the announcement.  Against
+            # another origin the keys differ and the origins order them.
+            own_key = own.message_key()
+            if own_key == entry_key:
+                continue
+            own_first = own_key < entry_key
             self.clashes_seen += 1
             age = now - own.first_announced
             other_age = now - entry.first_heard

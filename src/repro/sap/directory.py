@@ -13,7 +13,7 @@ allocation" (§1) — this class is exactly that dual-purpose machine.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
@@ -41,19 +41,61 @@ SAP_GROUP = 0
 
 @dataclass
 class OwnSession:
-    """A locally created session and its announcement state."""
+    """A locally created session and its announcement state.
+
+    The session's current announcement is built once and re-sent by
+    every transmission: its SAP message, and so the message's cache
+    key, and the message's encoded bytes.  All three are stamped with
+    the description's ``(version, connection_address)`` and rebuilt on
+    the first use after either changes.  In the program
+    :meth:`SessionDirectory.relocate` sets the address and
+    :meth:`SessionDirectory.retreat` bumps the version; SDP requires a
+    version bump for any other change to a description (RFC 4566
+    §5.2, ``sess-version``), so the two fields cover every change.
+    The stamp, not the mutators, invalidates: a version bumped by hand
+    is announced too.  The announcement lives and dies with its own
+    session, so its memory grows with the live own sessions.
+    """
 
     session: Session
     description: SessionDescription
-    announcer: Announcer
     first_announced: float
     expiry_handle: Optional[EventHandle] = None
+    announcer: Announcer = field(init=False)
+    _stamp: Optional[Tuple[int, str]] = field(
+        default=None, init=False, repr=False, compare=False)
+    _message: SapMessage = field(init=False, repr=False, compare=False)
+    _key: Tuple[int, int] = field(init=False, repr=False, compare=False)
+    _wire: bytes = field(init=False, repr=False, compare=False)
+
+    def _current(self) -> SapMessage:
+        """The current announcement, rebuilt if its stamp is stale."""
+        description = self.description
+        stamp = (description.version, description.connection_address)
+        if stamp != self._stamp:
+            message = SapMessage.announce(self.session.source,
+                                          description.format())
+            self._message = message
+            self._key = message.key()
+            self._wire = message.encode()
+            self._stamp = stamp
+        return self._message
 
     def message_key(self) -> Tuple[int, int]:
-        """The cache key our current announcement would have."""
-        message = SapMessage.announce(self.session.source,
-                                      self.description.format())
-        return message.key()
+        """The cache key of our current announcement."""
+        self._current()
+        return self._key
+
+    def wire(self) -> bytes:
+        """The current announcement as an encoded SAP packet."""
+        self._current()
+        return self._wire
+
+    def withdrawal(self) -> bytes:
+        """A SAP deletion of the current announcement's payload."""
+        message = self._current()
+        return SapMessage(SapMessageType.DELETE, message.origin,
+                          message.msg_id_hash, message.payload).encode()
 
 
 class SessionDirectory:
@@ -166,9 +208,9 @@ class SessionDirectory:
         own = OwnSession(
             session=session,
             description=description,
-            announcer=self._make_announcer(session, description),
             first_announced=self.scheduler.now,
         )
+        own.announcer = self._make_announcer(own)
         self._own[(self.node, description.session_id)] = own
         self._index_own(own)
         own.announcer.start()
@@ -196,8 +238,7 @@ class SessionDirectory:
         if own.expiry_handle is not None:
             own.expiry_handle.cancel()
             own.expiry_handle = None
-        message = SapMessage.delete(self.node, own.description.format())
-        self._multicast(message, session.ttl)
+        self._multicast(own.withdrawal(), session.ttl)
         del self._own[(self.node, own.description.session_id)]
         self._unindex_own(own)
 
@@ -223,9 +264,11 @@ class SessionDirectory:
         Every change of an own session's address goes through here:
         it sets the session's address and its SDP connection address
         together and moves the session to its new index bucket.  It
-        neither bumps the SDP version nor announces; callers do.  A
-        session this site has withdrawn gets its new address but
-        joins no bucket, so it cannot hold the address.
+        neither bumps the SDP version nor announces; callers do.  The
+        new address stales the session's cached announcement, which
+        is rebuilt on its next use.  A session this site has withdrawn
+        gets its new address but joins no bucket, so it cannot hold
+        the address.
         """
         self._unindex_own(own)
         own.session.address = address
@@ -239,7 +282,7 @@ class SessionDirectory:
         """True if a cache key corresponds to one of our sessions.
 
         Our keys always carry this node as origin, so a foreign key is
-        answered without formatting any SDP.
+        answered without reading any own session.
         """
         if message_key[0] != self.node:
             return False
@@ -274,15 +317,12 @@ class SessionDirectory:
         own.announcer.announce_now()
 
     def proxy_defend(self, entry) -> None:
-        """Phase 3: re-announce a cached session for its originator."""
-        message = SapMessage(
-            SapMessageType.ANNOUNCE,
-            entry.message.origin,
-            entry.message.msg_id_hash,
-            entry.message.payload,
-        )
-        ttl = entry.ttl
-        self._multicast(message, ttl)
+        """Phase 3: re-announce a cached session for its originator.
+
+        A cache entry holds the ANNOUNCE it was created from, so that
+        message is re-sent as it is.
+        """
+        self._multicast(entry.message.encode(), entry.ttl)
 
     # ------------------------------------------------------------------
     # Internals
@@ -321,11 +361,9 @@ class SessionDirectory:
                     del self._own_by_address[address]
                 return
 
-    def _make_announcer(self, session: Session,
-                        description: SessionDescription) -> Announcer:
+    def _make_announcer(self, own: OwnSession) -> Announcer:
         def send() -> None:
-            message = SapMessage.announce(self.node, description.format())
-            self._multicast(message, session.ttl)
+            self._multicast(own.wire(), own.session.ttl)
 
         return Announcer(
             scheduler=self.scheduler,
@@ -334,10 +372,14 @@ class SessionDirectory:
             rng=self.rng,
         )
 
-    def _multicast(self, message: SapMessage, ttl: int) -> None:
-        packet = Packet(source=self.node, group=SAP_GROUP, ttl=ttl,
-                        payload=message.encode())
-        self.network.send(packet)
+    def _multicast(self, payload: bytes, ttl: int) -> None:
+        """Send one encoded SAP packet: the one send point of a site.
+
+        Every send builds a new :class:`Packet`, because the network
+        stamps ``sent_at`` on it.
+        """
+        self.network.send(Packet(source=self.node, group=SAP_GROUP,
+                                 ttl=ttl, payload=payload))
 
     def _on_packet(self, receiver: int, packet: Packet) -> None:
         try:

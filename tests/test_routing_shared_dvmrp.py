@@ -29,10 +29,6 @@ class TestSharedTree:
             for v in range(4):
                 assert du[v] == pytest.approx(y_tree.delays_from(v)[u])
 
-    def test_parent_and_depth(self, y_tree):
-        assert y_tree.parent_of(0) is None
-        assert y_tree.parent_of(2) == 1
-
     def test_wrong_edge_count_rejected(self):
         with pytest.raises(ValueError):
             SharedTree(3, [(0, 1, 0.1)])

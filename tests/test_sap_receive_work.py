@@ -1,13 +1,17 @@
-"""Work per delivered SAP announcement and per allocation.
+"""Work per SAP send, per delivered announcement and per allocation.
 
+An own session's announcement is formatted and encoded once per SDP
+(version, connection address): refreshes, defences and withdrawals
+re-send its cached bytes, and its cache key is read from the cache.
 The receive path parses an announcement's SDP once, on a cache miss,
 and maps the group address from that parse; a hit on an entry that
 already has its address parses nothing.  ``owns()`` answers a key of
-another origin without formatting any SDP.  The clash check reads the
-own sessions at the announced address, never the site's full list,
-and the allocator's view copies the cache's columns without visiting
-an entry.  The counts are pinned here because they are the per-packet
-and per-allocation cost the benchmark's SAP workloads measure.
+another origin without reading any own session.  The clash check
+reads the own sessions at the announced address, never the site's
+full list, and the allocator's view copies the cache's columns
+without visiting an entry.  The counts are pinned here because they
+are the per-packet and per-allocation cost the benchmark's SAP
+workloads measure.
 """
 
 from collections import Counter
@@ -20,7 +24,7 @@ from repro.core.informed import InformedRandomAllocator
 from repro.modelcheck.harness import GhostResurrectionDirectory
 from repro.sap.cache import CacheEntry, SessionCache
 from repro.sap.directory import SAP_GROUP, OwnSession, SessionDirectory
-from repro.sap.messages import SapMessage
+from repro.sap.messages import SapMessage, SapMessageType
 from repro.sap.sdp import SessionDescription
 from repro.sim.events import EventScheduler
 from repro.sim.network import NetworkModel, Packet
@@ -30,10 +34,11 @@ SPACE = MulticastAddressSpace.abstract(64)
 
 @pytest.fixture
 def calls(monkeypatch):
-    """Counts of SDP ``parse`` and ``format`` calls."""
+    """Counts of SDP ``parse`` and ``format`` and SAP ``encode`` calls."""
     counts = Counter()
     parse = SessionDescription.parse.__func__
     format_ = SessionDescription.format
+    encode = SapMessage.encode
 
     def counted_parse(cls, text):
         counts["parse"] += 1
@@ -43,9 +48,14 @@ def calls(monkeypatch):
         counts["format"] += 1
         return format_(self)
 
+    def counted_encode(self, compress=False):
+        counts["encode"] += 1
+        return encode(self, compress)
+
     monkeypatch.setattr(SessionDescription, "parse",
                         classmethod(counted_parse))
     monkeypatch.setattr(SessionDescription, "format", counted_format)
+    monkeypatch.setattr(SapMessage, "encode", counted_encode)
     return counts
 
 
@@ -108,31 +118,31 @@ def test_owns_still_matches_a_cached_own_origin_key(world, calls):
     assert echo.message.origin == bob.node
     calls.clear()
     assert bob.owns(echo.message.key())
-    assert calls["format"] == 1
+    # The key was built with the announcement bob sent.
+    assert calls["format"] == 0
     other = (bob.node, (echo.message.msg_id_hash + 1) % 2 ** 16)
     assert not bob.owns(other)
 
 
-def test_foreign_clash_formats_no_own_key(world, monkeypatch):
+def test_foreign_clash_formats_no_own_key(world, calls):
     # Own keys carry this site as origin: against another origin the
     # keys differ and the origins decide the tie-break.
-    bob = world(1)
+    bob = world(0)
     for index in range(3):
         bob.create_session(f"mine{index}", ttl=63)
     taken = bob.own_sessions()[1].session.address
     theirs = SessionDescription(name="theirs", session_id=1, ttl=63,
                                 connection_address=SPACE.index_to_ip(taken))
-    packet = Packet(source=0, group=SAP_GROUP, ttl=63,
-                    payload=SapMessage.announce(0, theirs.format()).encode())
-
-    def keyed(own):
-        raise AssertionError("OwnSession.message_key() called")
-
-    monkeypatch.setattr(OwnSession, "message_key", keyed)
+    packet = Packet(source=2, group=SAP_GROUP, ttl=63,
+                    payload=SapMessage.announce(2, theirs.format()).encode())
+    calls.clear()
     bob._on_packet(bob.node, packet)
-    # Both are new and origin 0 is lower, so bob retreats.
+    # Both are new and bob's origin 0 is lower, so bob defends, and
+    # the defence re-sends the cached announcement.
     assert bob.clash_handler.clashes_seen == 1
-    assert bob.address_changes == 1
+    assert bob.clash_handler.own_defences == 1
+    assert bob.address_changes == 0
+    assert calls["format"] == 0
 
 
 def test_own_origin_echo_still_compares_full_keys(world, monkeypatch):
@@ -191,3 +201,101 @@ def test_visible_set_reads_no_cache_entry(monkeypatch):
     assert sorted(zip(visible.addresses.tolist(),
                       visible.ttls.tolist())) == \
         [(index, 15 + index) for index in range(5)]
+
+
+# ----------------------------------------------------------------------
+# The send path
+# ----------------------------------------------------------------------
+def heard(directory, listener=2):
+    """Packets ``directory`` sends, as heard at node ``listener``."""
+    packets = []
+    directory.network.listen(listener, lambda node, packet:
+                             packets.append(packet))
+    return packets
+
+
+def test_refresh_rounds_format_and_encode_once(world, calls):
+    alice = world(0)
+    packets = heard(alice)
+    alice.create_session("talk", ttl=63)
+    own = alice.own_sessions()[0]
+    # FixedIntervalStrategy: 600 s, +/-10% jitter, so three rounds.
+    alice.scheduler.run(until=1500.0)
+    assert own.announcer.announcements_sent == 3
+    assert len(packets) == 3
+    assert calls["format"] == 1
+    assert calls["encode"] == 1
+    assert len({packet.payload for packet in packets}) == 1
+    assert packets[0].payload == SapMessage.announce(
+        alice.node, own.description.format()).encode()
+
+
+def test_announce_now_of_unchanged_session_builds_nothing(world, calls):
+    alice = world(0)
+    packets = heard(alice)
+    alice.create_session("talk", ttl=63)
+    own = alice.own_sessions()[0]
+    calls.clear()
+    own.announcer.announce_now()
+    alice.scheduler.run(until=1.0)
+    assert calls["format"] == 0
+    assert calls["encode"] == 0
+    assert len(packets) == 2
+    assert packets[1].payload == packets[0].payload
+
+
+def test_retreat_formats_once_and_announces_the_move(world, calls):
+    alice = world(0)
+    packets = heard(alice)
+    alice.create_session("talk", ttl=63)
+    own = alice.own_sessions()[0]
+    old_key = own.message_key()
+    alice.scheduler.run(until=1.0)
+    calls.clear()
+    alice.retreat(own)
+    assert own.message_key() != old_key
+    alice.scheduler.run(until=700.0)  # the retreat, then one refresh
+    assert calls["format"] == 1
+    assert calls["encode"] == 1
+    assert len(packets) == 3
+    message = SapMessage.decode(packets[1].payload)
+    description = SessionDescription.parse(message.payload)
+    assert description.version == 2
+    assert description.connection_address == SPACE.index_to_ip(
+        own.session.address)
+    assert message.key() == own.message_key()
+    assert packets[2].payload == packets[1].payload
+
+
+def test_relocate_alone_rebuilds_the_key(world, calls):
+    # relocate() bumps no version: the stamp's address alone must
+    # invalidate the cached announcement.
+    alice = world(0)
+    alice.create_session("talk", ttl=63)
+    own = alice.own_sessions()[0]
+    old_key = own.message_key()
+    calls.clear()
+    alice.relocate(own, (own.session.address + 1) % SPACE.size)
+    new_key = own.message_key()
+    assert own.message_key() == new_key
+    assert calls["format"] == 1
+    assert new_key != old_key
+    assert new_key == SapMessage.announce(
+        alice.node, own.description.format()).key()
+
+
+def test_delete_withdraws_the_last_announcement(world, calls):
+    alice = world(0)
+    packets = heard(alice)
+    session = alice.create_session("talk", ttl=63)
+    alice.scheduler.run(until=1.0)
+    calls.clear()
+    alice.delete_session(session)
+    alice.scheduler.run(until=2.0)
+    assert calls["format"] == 0
+    assert calls["encode"] == 1
+    announce, delete = (SapMessage.decode(packet.payload)
+                        for packet in packets)
+    assert delete.msg_type is SapMessageType.DELETE
+    assert delete.payload == announce.payload
+    assert delete.key() == announce.key()
