@@ -2,8 +2,9 @@
 # Pre-PR gate: run every check the repo can enforce, in order of cost.
 #
 #   ./scripts/check.sh            # lint + style + types + perfbench
-#                                 # fingerprints + tier-1 tests
-#   ./scripts/check.sh --fast     # skip the fingerprints and pytest
+#                                 # fingerprints and a traced run +
+#                                 # tier-1 tests
+#   ./scripts/check.sh --fast     # skip perfbench and pytest
 #
 # ruff and mypy are optional-dev dependencies (pyproject [dev]); when
 # they are not installed the corresponding step is skipped with a
@@ -61,6 +62,14 @@ if [[ "${1:-}" != "--fast" ]]; then
         python3 perfbench/run.py --workload "$workload" --seed 1998 \
             --seconds 1 --trace 0 > /dev/null
     done
+
+    echo "== perfbench traced run (sap-refresh, seed 1998) =="
+    # The traced run wraps program methods by name (owns, step,
+    # visible_set, ...), so it fails when one is renamed or deleted, and
+    # it exits 1 when the traced repetition's fingerprint differs from
+    # the reference.  It takes about 5 s.
+    python3 perfbench/run.py --workload sap-refresh --seed 1998 \
+        --seconds 1 --trace 1 > /dev/null
 
     echo "== tier-1 pytest =="
     python -m pytest -x -q

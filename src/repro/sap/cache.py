@@ -275,6 +275,16 @@ class SessionCache:
         return [entries[key]
                 for key in self._by_address.get(address_index, ())]
 
+    def alone_at_address(self, entry: CacheEntry) -> bool:
+        """True if no other cached entry uses ``entry``'s address.
+
+        O(1): it reads the length of one address bucket, and at most
+        its one key.
+        """
+        keys = self._by_address.get(entry.address_index, ())
+        return not keys or (len(keys) == 1
+                            and self._entries[keys[0]] is entry)
+
     def visible_set(self) -> VisibleSet:
         """The allocator's view: (address, ttl) of cached sessions.
 

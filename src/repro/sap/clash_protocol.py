@@ -103,11 +103,21 @@ class ClashHandler:
 
     # ------------------------------------------------------------------
     def on_announcement(self, entry: CacheEntry) -> None:
-        """React to a newly received announcement ``entry``."""
-        if entry.address_index is None:
+        """React to a newly received announcement ``entry``.
+
+        Each phase first asks its index's owner one O(1) question: does
+        this site own a session at the entry's address, and does the
+        cache hold another entry there?  Most announcements are alone
+        at their address, so neither phase builds a list.
+        """
+        address = entry.address_index
+        if address is None:
             return
-        self._check_own_sessions(entry)
-        self._check_third_party(entry)
+        directory = self.directory
+        if directory.has_own_sessions_at(address):
+            self._check_own_sessions(entry)
+        if not directory.cache.alone_at_address(entry):
+            self._check_third_party(entry)
 
     def _is_established(self, age: float) -> bool:
         """Phase-1 predicate: does a session of this age stand its
@@ -116,12 +126,11 @@ class ClashHandler:
         return age > self.policy.recent_window
 
     def _check_own_sessions(self, entry: CacheEntry) -> None:
-        own_sessions = self.directory.own_sessions_at(entry.address_index)
-        if not own_sessions:
-            return
+        """Phases 1 and 2: defend or move own sessions at the entry's
+        address."""
         now = self.scheduler.now
         entry_key = entry.message.key()
-        for own in own_sessions:
+        for own in self.directory.own_sessions_at(entry.address_index):
             # Own keys are cached with the announcement.  Against
             # another origin the keys differ and the origins order them.
             own_key = own.message_key()
@@ -167,8 +176,8 @@ class ClashHandler:
                 continue
             if old.first_heard >= entry.first_heard:
                 continue  # defend the older entry, not the newer one
-            if self.directory.owns(old_key):
-                continue  # phases 1/2 already handled it
+            # No cached entry is this site's own: the directory drops
+            # its own announcements echoed back before they are cached.
             self.clashes_seen += 1
             self._schedule_defence(old, old_key, entry_key)
 

@@ -258,6 +258,11 @@ class SessionDirectory:
         """
         return list(self._own_by_address.get(address, ()))
 
+    def has_own_sessions_at(self, address: SlotIndex) -> bool:
+        """True if this site has a session at ``address``; O(1), and
+        builds no list."""
+        return address in self._own_by_address
+
     def relocate(self, own: OwnSession, address: SlotIndex) -> None:
         """Move an own session to ``address``.
 

@@ -13,8 +13,11 @@ from repro.sim.types import SimTime
 class SimClock:
     """A monotonically non-decreasing simulated clock.
 
-    Time is a float in seconds.  Only the owning :class:`EventScheduler`
-    should advance the clock; everything else treats it as read-only.
+    Time is a float in seconds.  The owning :class:`EventScheduler`
+    advances it as events fire, and the model checker's harness moves it
+    between them; everything else treats it as read-only.
+    ``_now`` is the one place the time is kept: the scheduler reads it
+    directly on every event, to skip a property call.
     """
 
     def __init__(self, start: SimTime = 0.0) -> None:

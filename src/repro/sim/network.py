@@ -17,7 +17,7 @@ from typing import Any, Callable, Dict, Iterable, List, Optional, Tuple
 
 from repro.sim.events import EventScheduler
 from repro.sim.rng import RandomStreams
-from repro.sim.types import Duration, SimTime, Ttl
+from repro.sim.types import SimTime, Ttl
 
 # A routing oracle: (source, ttl) -> iterable of (receiver, delay_seconds).
 ReceiverMap = Callable[[int, int], Iterable[Tuple[int, float]]]
@@ -47,10 +47,18 @@ class Packet:
 class NetworkModel:
     """End-to-end multicast delivery with loss and optional jitter.
 
+    A send's eligible receivers (the receiver map's pairs, minus the
+    sender, minus nodes with no listener) are resolved once per
+    ``(source, ttl)`` and kept until the next :meth:`listen` or
+    :meth:`unlisten`.  The receiver map must therefore be a pure
+    function of ``(source, ttl)``, and it is not reassigned after
+    construction.  The partition filter and the loss and jitter draws
+    still run on every send.
+
     Args:
         scheduler: the event scheduler driving the simulation.
         receiver_map: routing oracle returning (receiver, delay) pairs for
-            a (source, ttl) send.
+            a (source, ttl) send; a pure function of its arguments.
         streams: random streams used for loss and jitter draws.
         loss_rate: end-to-end loss probability applied independently per
             receiver (the paper's §2.3 uses a mean rate of 2%).
@@ -76,6 +84,9 @@ class NetworkModel:
         self.loss_rate = loss_rate
         self.jitter = jitter
         self._listeners: Dict[int, list] = {}
+        #: Eligible (receiver, delay) pairs per (source, ttl), in
+        #: receiver-map order; cleared by listen() and unlisten().
+        self._fanout: Dict[Tuple[int, int], List[Tuple[int, float]]] = {}
         self._partition: Optional[frozenset] = None
         self.packets_sent = 0
         self.packets_delivered = 0
@@ -109,10 +120,12 @@ class NetworkModel:
         every delivered packet.
         """
         self._listeners.setdefault(node, []).append(callback)
+        self._fanout.clear()
 
     def unlisten(self, node: int,
                  callback: "DeliveryCallback | None" = None) -> None:
         """Remove ``node``'s callbacks (or just ``callback``)."""
+        self._fanout.clear()
         if callback is None:
             self._listeners.pop(node, None)
             return
@@ -135,16 +148,20 @@ class NetworkModel:
         per-receiver ``random()`` and ``uniform(0.0, jitter)`` calls
         would draw, since ``uniform`` is ``low + range * next_double``.
         """
-        packet.sent_at = self.scheduler.now
+        scheduler = self.scheduler
+        packet.sent_at = scheduler.now
         self.packets_sent += 1
         source = packet.source
-        listeners = self._listeners
+        fanout_key = (source, packet.ttl)
+        receivers = self._fanout.get(fanout_key)
+        if receivers is None:
+            listeners = self._listeners
+            receivers = self._fanout[fanout_key] = [
+                (receiver, delay)
+                for receiver, delay in self.receiver_map(source, packet.ttl)
+                if receiver != source and receiver in listeners
+            ]
         partition = self._partition
-        receivers = [
-            (receiver, delay)
-            for receiver, delay in self.receiver_map(source, packet.ttl)
-            if receiver != source and receiver in listeners
-        ]
         if partition is not None:
             side = source in partition
             receivers = [(receiver, delay) for receiver, delay in receivers
@@ -157,29 +174,29 @@ class NetworkModel:
                     if draw >= self.loss_rate]
             self.packets_lost += len(receivers) - len(kept)
             receivers = kept
-        if self.jitter and receivers:
-            extras = self.jitter * self.streams.get("net.jitter").random(
-                len(receivers))
-            receivers = [(receiver, delay + extra) for (receiver, delay),
-                         extra in zip(receivers, extras.tolist())]
+            if not receivers:
+                return 0
+        if self.jitter:
+            jitter = self.jitter
+            extras = self.streams.get("net.jitter").random(len(receivers))
+            receivers = [(receiver, delay + jitter * extra)
+                         for (receiver, delay), extra
+                         in zip(receivers, extras.tolist())]
+        schedule = scheduler.schedule
         for receiver, delay in receivers:
-            self._schedule_delivery(receiver, packet, delay)
+            # Bound per receiver (a default, not the loop variable).
+            def deliver(receiver: int = receiver) -> None:
+                callbacks = self._listeners.get(receiver)
+                if callbacks:
+                    self.hand_over(receiver, packet, callbacks)
+
+            # Fire-and-forget is safe here: the closure looks the
+            # receiver's listeners up at *fire* time, so an unlisten()
+            # between send and delivery makes this a no-op rather than
+            # a stale callback — there is nothing a stored handle would
+            # ever need to cancel.
+            schedule(delay, deliver)  # simlint: disable=discarded-handle
         return len(receivers)
-
-    def _schedule_delivery(self, receiver: int, packet: Packet,
-                           delay: Duration) -> None:
-        def deliver() -> None:
-            callbacks = self._listeners.get(receiver)
-            if callbacks:
-                self.hand_over(receiver, packet, callbacks)
-
-        # Fire-and-forget is safe here: the closure looks the receiver's
-        # listeners up at *fire* time, so an unlisten() between send and
-        # delivery makes this a no-op rather than a stale callback —
-        # there is nothing a stored handle would ever need to cancel.
-        self.scheduler.schedule(  # simlint: disable=discarded-handle
-            delay, deliver
-        )
 
     def hand_over(self, receiver: int, packet: Packet,
                   callbacks: List[DeliveryCallback]) -> None:

@@ -196,6 +196,29 @@ class TestCleanKernelRun:
             "sanitize[test]: clean (0 violations)"
         )
 
+    def test_every_event_checked_for_schedule_and_schedule_at(self):
+        # ``schedule`` reaches the ``schedule_at`` wrapper through the
+        # instance, so every event, however it was scheduled, runs
+        # through the one SAN223 check.
+        context, scheduler = make_sanitized_scheduler()
+        fired = []
+
+        def spawn(tag):
+            fired.append(tag)
+            scheduler.schedule(0.0, lambda: fired.append(tag + "/now"))
+            scheduler.schedule_at(scheduler.now + 1.0,
+                                  lambda: fired.append(tag + "/at"))
+
+        scheduler.schedule(1.0, lambda: spawn("a"))
+        scheduler.schedule_at(1.0, lambda: spawn("b"))
+        doomed = scheduler.schedule_at(2.0, lambda: fired.append("doomed"))
+        scheduler.schedule(0.5, doomed.cancel)
+        scheduler.run()
+        assert fired == ["a", "b", "a/now", "b/now", "a/at", "b/at"]
+        assert scheduler.events_run == 7
+        assert context.scheduler_sanitizer.fires_checked == 7
+        assert context.clean
+
     def test_unmonitored_scheduler_has_no_monitor(self):
         # Attaching wraps methods on the one instance it is given:
         # a second scheduler and its clock stay plain.

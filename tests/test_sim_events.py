@@ -1,7 +1,7 @@
 """Event scheduler and clock tests."""
 
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from repro.sim.clock import SimClock
 from repro.sim.events import EventScheduler
@@ -220,3 +220,170 @@ class TestTieBreakWithCancellation:
         handles[1].cancel()
         handles[3].cancel()
         assert sched.pending_count == 3
+
+
+# --------------------------------------------------------------------
+# The kernel against a reference scheduler.  The reference keeps every
+# event in a plain list and finds the next one by sorting, so its order
+# is obviously (when, seq) with cancelled and fired events skipped.
+# Random programs drive both the same way and must agree after every
+# slice of work.
+# --------------------------------------------------------------------
+
+class ReferenceHandle:
+    def __init__(self, when, seq, callback):
+        self.when = when
+        self.seq = seq
+        self.callback = callback
+        self.cancelled = False
+
+    def cancel(self):
+        self.cancelled = True
+        self.callback = None
+
+    @property
+    def pending(self):
+        return not self.cancelled and self.callback is not None
+
+
+class ReferenceScheduler:
+    def __init__(self):
+        self.now = 0.0
+        self.events = []
+        self.events_run = 0
+
+    @property
+    def events_scheduled(self):
+        return len(self.events)
+
+    def schedule(self, delay, callback):
+        return self.schedule_at(self.now + delay, callback)
+
+    def schedule_at(self, when, callback):
+        handle = ReferenceHandle(when, len(self.events), callback)
+        self.events.append(handle)
+        return handle
+
+    def pending_handles(self):
+        return sorted((h for h in self.events if h.pending),
+                      key=lambda h: (h.when, h.seq))
+
+    def step(self):
+        live = self.pending_handles()
+        if not live:
+            return False
+        handle = live[0]
+        self.now = handle.when
+        callback, handle.callback = handle.callback, None
+        callback()
+        self.events_run += 1
+        return True
+
+    def run(self, until=None, max_events=None):
+        executed = 0
+        while self.pending_handles():
+            if max_events is not None and executed >= max_events:
+                return
+            if until is not None and self.pending_handles()[0].when > until:
+                self.now = until
+                return
+            self.step()
+            executed += 1
+        if until is not None and until > self.now:
+            self.now = until
+
+
+class Driver:
+    """Runs one program on one scheduler and records what fired."""
+
+    def __init__(self, scheduler):
+        self.scheduler = scheduler
+        self.handles = []
+        self.fired = []
+
+    def add(self, how, time, action):
+        label = len(self.handles)
+
+        def callback():
+            self.fired.append((label, self.scheduler.now))
+            self.act(action)
+
+        if how == "schedule":
+            handle = self.scheduler.schedule(time, callback)
+        else:
+            handle = self.scheduler.schedule_at(self.scheduler.now + time,
+                                                callback)
+        self.handles.append(handle)
+
+    def act(self, action):
+        kind, value = action
+        if kind in ("schedule", "schedule_at"):
+            self.add(kind, value, ("record", 0))
+        elif kind == "cancel" and self.handles:
+            self.handles[value % len(self.handles)].cancel()
+
+    def apply(self, op):
+        kind = op[0]
+        if kind in ("schedule", "schedule_at"):
+            self.add(kind, op[1], op[2])
+        elif kind == "cancel":
+            self.act(op)
+        elif kind == "run_until":
+            self.scheduler.run(until=self.scheduler.now + op[1])
+        elif kind == "run_max":
+            self.scheduler.run(max_events=op[1])
+        elif kind == "step":
+            return self.scheduler.step()
+        return None
+
+    def state(self):
+        label = {id(handle): index
+                 for index, handle in enumerate(self.handles)}
+        scheduler = self.scheduler
+        return (list(self.fired), scheduler.now, scheduler.events_run,
+                scheduler.events_scheduled,
+                [(h.when, h.seq, label[id(h)])
+                 for h in scheduler.pending_handles()])
+
+
+# Halves keep every sum exact, so equal times really tie; a zero delay
+# schedules at ``now``.
+TIMES = st.sampled_from([0.0, 0.5, 1.0, 1.5, 3.0])
+HOW = st.sampled_from(["schedule", "schedule_at"])
+CANCEL = st.tuples(st.just("cancel"), st.integers(0, 50))
+# What a callback does when it fires, besides recording itself.
+ACTIONS = st.one_of(st.tuples(st.just("record"), st.just(0)),
+                    st.tuples(HOW, TIMES), CANCEL)
+SCHEDULE = st.tuples(HOW, TIMES, ACTIONS)
+# Schedules and cancels are drawn three and two times as often as each
+# kind of slice, so slices usually find several events and tombstones
+# pending.
+OPS = st.one_of(
+    SCHEDULE, SCHEDULE, SCHEDULE, CANCEL, CANCEL,
+    st.tuples(st.just("run_until"), TIMES),
+    st.tuples(st.just("run_max"), st.integers(0, 4)),
+    st.tuples(st.just("step")),
+)
+
+
+class TestAgainstReference:
+    @settings(max_examples=300, deadline=None)
+    @given(st.lists(OPS, max_size=40))
+    # A tombstone at the head must not let run(until=...) fire a later
+    # event past ``until``.
+    @example([("schedule", 0.5, ("record", 0)),
+              ("schedule", 3.0, ("record", 0)),
+              ("cancel", 0), ("run_until", 1.0)])
+    # run(max_events=n) fires n events, no fewer.
+    @example([("schedule", 0.5, ("record", 0)),
+              ("schedule_at", 0.5, ("schedule", 0.0)),
+              ("schedule", 1.0, ("cancel", 0)),
+              ("run_max", 3)])
+    def test_matches_sorted_list_reference(self, program):
+        kernel = Driver(EventScheduler())
+        reference = Driver(ReferenceScheduler())
+        for op in program + [("run_max", 1000)]:
+            assert kernel.apply(op) == reference.apply(op)
+            assert kernel.state() == reference.state()
+            assert kernel.scheduler.pending_count == \
+                len(reference.scheduler.pending_handles())

@@ -212,3 +212,123 @@ class TestVectorDraws:
         assert draws.view(np.uint64).tolist() == \
             scaled.view(np.uint64).tolist()
         assert scalar.bit_generator.state == vector.bit_generator.state
+
+
+# --------------------------------------------------------------------
+# A send's eligible receivers are resolved once per (source, ttl) and
+# kept until the next listen() or unlisten().
+# --------------------------------------------------------------------
+
+class CountingMap:
+    """A receiver map that counts its calls per (source, ttl)."""
+
+    def __init__(self, receiver_map):
+        self.receiver_map = receiver_map
+        self.calls = {}
+
+    def __call__(self, source, ttl):
+        self.calls[(source, ttl)] = self.calls.get((source, ttl), 0) + 1
+        return self.receiver_map(source, ttl)
+
+
+def listen_all(net, nodes, got, sched):
+    for node in nodes:
+        net.listen(node, lambda n, p: got.append((n, sched.now)))
+
+
+class TestFanoutCache:
+    def test_receiver_map_called_once_per_source_and_ttl(self, sched):
+        counting = CountingMap(mesh_receiver_map)
+        net = NetworkModel(sched, counting)
+        got = []
+        listen_all(net, range(MESH), got, sched)
+        for __ in range(5):
+            for source in (0, 3):
+                for ttl in (4, 15):
+                    net.send(Packet(source=source, group=0, ttl=ttl))
+        assert counting.calls == {(0, 4): 1, (0, 15): 1,
+                                  (3, 4): 1, (3, 15): 1}
+        sched.run()
+        # 5 rounds: source 0 reaches nodes 1-2 at ttl 4 and 1-7 at
+        # ttl 15; source 3 reaches 0-2 at ttl 4 and the 7 others at 15.
+        assert len(got) == 5 * (2 + 7 + 3 + 7)
+
+    def test_listen_and_unlisten_change_the_next_send(self, sched):
+        counting = CountingMap(star_receiver_map)
+        net = NetworkModel(sched, counting)
+        got = []
+        sends = []
+
+        def send():
+            sends.append(net.send(Packet(source=0, group=0, ttl=16)))
+            sched.run()
+
+        net.listen(1, lambda n, p: got.append(n))
+        send()
+        net.listen(2, lambda n, p: got.append(n))
+        send()
+        net.unlisten(1)
+        send()
+        net.unlisten(2, got.append)  # not one of 2's callbacks
+        send()
+        assert sends == [1, 2, 1, 1]
+        assert got == [1, 1, 2, 2, 2]
+        assert counting.calls == {(0, 16): 4}
+
+    def test_partition_filters_every_send(self, sched):
+        counting = CountingMap(star_receiver_map)
+        net = NetworkModel(sched, counting)
+        for node in range(5):
+            net.listen(node, lambda n, p: None)
+        sends = []
+        for step in range(4):
+            if step == 1:
+                net.partition({0, 3})
+            elif step == 3:
+                net.heal()
+            sends.append(net.send(Packet(source=0, group=0, ttl=16)))
+        assert sends == [4, 1, 1, 4]
+        assert counting.calls == {(0, 16): 1}
+
+    @pytest.mark.parametrize("loss_rate, jitter", [(0.3, 0.01), (0.0, 0.5)])
+    def test_matches_reference_across_listener_changes(self, sched,
+                                                       loss_rate, jitter):
+        # The reference resolves the receivers afresh on every send;
+        # listeners come and go, so the cache is rebuilt many times.
+        net = NetworkModel(sched, mesh_receiver_map,
+                           streams=RandomStreams(5), loss_rate=loss_rate,
+                           jitter=jitter)
+        got = []
+        listen_all(net, range(MESH - 1), got, sched)
+        reference = RandomStreams(5)
+        loss_rng = reference.get("net.loss")
+        jitter_rng = reference.get("net.jitter")
+        draws = np.random.default_rng(6)
+        expected = []
+        for index in range(1500):
+            packet = Packet(source=int(draws.integers(0, MESH)), group=0,
+                            ttl=int(draws.integers(1, 2 * MESH)))
+            # Every delay is under a second, so nothing is in flight
+            # when the listeners change.
+            sched.run(until=float(index))
+            if index % 100 == 50:
+                node = int(draws.integers(0, MESH))
+                if node in net._listeners:
+                    net.unlisten(node)
+                else:
+                    listen_all(net, [node], got, sched)
+            if index == 700:
+                net.partition({1, 4, 6})
+            elif index == 1100:
+                net.heal()
+            pairs, __ = reference_send(net, packet, loss_rng, jitter_rng)
+            assert net.send(packet) == len(pairs)
+            expected.extend(sorted(
+                ((receiver, index + delay) for receiver, delay in pairs),
+                key=lambda pair: pair[1]))
+        sched.run()
+        assert got == expected
+        for name, rng in (("net.loss", loss_rng),
+                          ("net.jitter", jitter_rng)):
+            assert (net.streams.get(name).bit_generator.state
+                    == rng.bit_generator.state)
