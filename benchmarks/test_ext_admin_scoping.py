@@ -10,7 +10,7 @@ curve).  This bench quantifies the gap on the same synthetic Mbone.
 import numpy as np
 
 from repro.core.admin import AdminScopedAllocator
-from repro.core.allocator import VisibleSet
+from repro.core.allocator import OccupancyView
 from repro.core.informed import InformedRandomAllocator
 from repro.experiments.allocation_run import allocations_before_first_clash
 from repro.experiments.ttl_distributions import DS4
@@ -38,10 +38,7 @@ def _admin_fill(mbone, zone_map, rng) -> int:
         if len(used) == zone.range_size:
             return allocations  # a zone is perfectly full: stop
         allocator = AdminScopedAllocator(zone_map, node, SPACE, rng)
-        view = VisibleSet(
-            np.asarray(used, dtype=np.int64),
-            np.full(len(used), 63, dtype=np.int64),
-        )
+        view = OccupancyView.from_pairs(used, [63] * len(used), SPACE)
         result = allocator.allocate(63, view)
         if result.address in used:
             return allocations  # a clash (cannot happen pre-fill)

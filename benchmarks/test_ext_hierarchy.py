@@ -20,7 +20,7 @@ lose to flat allocation.
 
 import numpy as np
 
-from repro.core.allocator import VisibleSet
+from repro.core.allocator import OccupancyView
 from repro.core.hierarchy import HierarchicalAllocator, PrefixPool
 from repro.core.informed import InformedRandomAllocator
 
@@ -37,7 +37,7 @@ TRIALS = 10
 def _mask_view(addresses, invisible, rng):
     keep = rng.random(len(addresses)) > invisible
     kept = np.asarray(addresses, dtype=np.int64)[keep]
-    return VisibleSet(kept, np.full(len(kept), 63, dtype=np.int64))
+    return OccupancyView.from_pairs(kept, np.full(len(kept), 63), SPACE)
 
 
 def _run_flat(rng):

@@ -14,7 +14,7 @@ Run:  python examples/admin_zones.py
 import numpy as np
 
 from repro.core.admin import AdminScopedAllocator
-from repro.core.allocator import VisibleSet
+from repro.core.allocator import OccupancyView
 from repro.routing.admin_scoping import AdminScopeMap, zones_from_labels
 from repro.sap.mzap import ZamTransport, ZoneAnnouncer, ZoneListener
 from repro.sim.events import EventScheduler
@@ -58,8 +58,7 @@ def main() -> None:
                                          space_size=RANGE, rng=rng)
         used = []
         while len(used) < RANGE:
-            view = VisibleSet(np.asarray(used, dtype=np.int64),
-                              np.full(len(used), 63, dtype=np.int64))
+            view = OccupancyView.from_pairs(used, [63] * len(used), RANGE)
             result = allocator.allocate(63, view)
             assert not result.forced
             used.append(result.address)

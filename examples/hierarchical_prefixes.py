@@ -13,7 +13,7 @@ Run:  python examples/hierarchical_prefixes.py
 import numpy as np
 
 from repro.core.address_space import MulticastAddressSpace
-from repro.core.allocator import VisibleSet
+from repro.core.allocator import OccupancyView
 from repro.core.hierarchy import HierarchicalAllocator, PrefixPool
 
 REGIONS = ("north-america", "europe", "asia-pacific", "south-america")
@@ -49,10 +49,8 @@ def main() -> None:
             claimed.update(allocator.prefixes)
             # The lower level: only regional announcements needed.
             used = local_sessions[name]
-            view = VisibleSet(
-                np.asarray(used, dtype=np.int64),
-                np.full(len(used), 63, dtype=np.int64),
-            )
+            view = OccupancyView.from_pairs(used, [63] * len(used),
+                                            SPACE.size)
             result = allocator.allocate(63, view)
             used.append(result.address)
 

@@ -32,7 +32,6 @@ from repro.core import (
     RandomAllocator,
     Session,
     StaticIprmaAllocator,
-    VisibleSet,
 )
 from repro.routing import ScopeMap
 from repro.sap import SessionDirectory
@@ -57,7 +56,6 @@ __all__ = [
     "SessionDirectory",
     "StaticIprmaAllocator",
     "Topology",
-    "VisibleSet",
     "generate_doar",
     "generate_mbone",
     "__version__",

@@ -22,7 +22,6 @@ from repro.core.allocator import (
     AllocationResult,
     AllocationView,
     Allocator,
-    VisibleSet,
     nth_free_address,
 )
 from repro.core.clash import (
@@ -58,7 +57,6 @@ __all__ = [
     "RandomAllocator",
     "Session",
     "StaticIprmaAllocator",
-    "VisibleSet",
     "equal_band_ranges",
     "find_clashing_pairs",
     "margin_partition_map",

@@ -17,7 +17,7 @@ from typing import List, Optional, Protocol, Tuple
 
 import numpy as np
 
-from repro.core.partitions import PartitionMap
+from repro.core.partitions import MAX_TTL, PartitionMap
 from repro.sim.rng import derived_stream
 from repro.sim.types import Count, SlotIndex, Ttl
 
@@ -29,10 +29,10 @@ class AllocationView(Protocol):
     whose announcements reach it.  It asks that set three questions,
     and these are the only ones: which addresses of a range it sees in
     use, how many visible sessions each band of a partition map holds,
-    and how many sessions it sees in all.  :class:`VisibleSet` answers
-    them from arrays of (address, ttl) pairs; the allocation
-    experiments' world answers them from per-node count tables
-    (:class:`repro.experiments.world.OccupancyView`).
+    and how many sessions it sees in all.  :class:`OccupancyView`
+    answers all three from a count per address and a count per TTL;
+    the allocation experiments' world and every SAP directory keep
+    such counts live, so handing an allocator its view copies nothing.
     """
 
     def __len__(self) -> int:
@@ -48,42 +48,66 @@ class AllocationView(Protocol):
         sessions with TTL >= ``min_ttl``."""
 
 
-@dataclass
-class VisibleSet:
-    """The (address, ttl) pairs of sessions visible at a site.
+class OccupancyView:
+    """Counts of the sessions visible at a site, by address and by TTL.
 
-    Stored as parallel numpy arrays; an unordered multiset, since two
-    visible sessions may share an address.  Implements
-    :class:`AllocationView`.
+    An :class:`AllocationView`: an address is in use, as far as the
+    site knows, when its count is nonzero.  The view reads the arrays
+    it is given, not a copy, so it follows every change to them.  The
+    allocation world hands out a view over one node's column of its
+    tables; a SAP directory keeps one view live through :meth:`add`.
     """
 
-    addresses: np.ndarray
-    ttls: np.ndarray
+    __slots__ = ("_address_counts", "_ttl_counts")
 
-    def __post_init__(self) -> None:
-        self.addresses = np.asarray(self.addresses, dtype=np.int64)
-        self.ttls = np.asarray(self.ttls, dtype=np.int64)
-        if self.addresses.shape != self.ttls.shape:
-            raise ValueError("addresses and ttls must align")
+    def __init__(self, address_counts: np.ndarray,
+                 ttl_counts: np.ndarray) -> None:
+        self._address_counts = address_counts
+        self._ttl_counts = ttl_counts
 
     @classmethod
-    def empty(cls) -> "VisibleSet":
-        return cls(np.empty(0, dtype=np.int64), np.empty(0, dtype=np.int64))
+    def from_pairs(cls, addresses, ttls,
+                   space_size: Count) -> "OccupancyView":
+        """A view of the sessions with these (address, ttl) pairs.
+
+        The counts are int32 arrays of their own, over ``space_size``
+        addresses and the TTLs 0..255.
+
+        Raises:
+            ValueError: if the two sequences differ in length, an
+                address lies outside ``[0, space_size)`` or a TTL
+                outside 1..255.
+        """
+        addresses = np.asarray(addresses, dtype=np.int64)
+        ttls = np.asarray(ttls, dtype=np.int64)
+        if addresses.shape != ttls.shape:
+            raise ValueError("addresses and ttls must align")
+        if addresses.size and not (0 <= addresses.min()
+                                   and addresses.max() < space_size):
+            raise ValueError(f"an address lies outside [0, {space_size})")
+        if ttls.size and not (1 <= ttls.min() and ttls.max() <= MAX_TTL):
+            raise ValueError(f"a TTL lies outside [1, {MAX_TTL}]")
+        return cls(
+            np.bincount(addresses, minlength=space_size).astype(np.int32),
+            np.bincount(ttls, minlength=MAX_TTL + 1).astype(np.int32))
 
     def __len__(self) -> int:
-        return int(self.addresses.shape[0])
+        return int(self._ttl_counts.sum())
 
     def free_offsets(self, lo: SlotIndex, hi: SlotIndex) -> np.ndarray:
-        """The unmarked slots of one bool array over ``[lo, hi)``."""
-        addresses = self.addresses
-        occupied = np.zeros(hi - lo, dtype=bool)
-        occupied[addresses[(addresses >= lo) & (addresses < hi)] - lo] = True
-        return (~occupied).nonzero()[0]
+        """Offsets from ``lo`` of the addresses of ``[lo, hi)`` that no
+        session heard here uses; ``[lo, hi)`` must lie in the space."""
+        return (self._address_counts[lo:hi] == 0).nonzero()[0]
 
     def band_counts(self, partition_map: PartitionMap,
                     min_ttl: Ttl) -> List[int]:
-        ttls = self.ttls
-        return partition_map.band_counts(ttls[ttls >= min_ttl]).tolist()
+        return partition_map.fold_ttl_counts(self._ttl_counts, min_ttl)
+
+    def add(self, address: SlotIndex, ttl: Ttl, delta: int) -> None:
+        """Count ``delta`` more sessions of ``ttl`` at ``address``: +1
+        for a session heard, -1 for one gone."""
+        self._address_counts[address] += delta
+        self._ttl_counts[ttl] += delta
 
 
 @dataclass(frozen=True)

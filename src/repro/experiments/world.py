@@ -14,8 +14,9 @@ count the live sessions each node hears: one per (address, node) and
 one per (TTL, node).  Adding or removing a session adds or subtracts
 its reach mask ``need[source] <= ttl`` on one row of each, and
 :meth:`AllocationWorld.visible_at` hands the allocator one node's
-column of both, which answers every question of the
-:class:`~repro.core.allocator.AllocationView` protocol.
+column of both as an :class:`~repro.core.allocator.OccupancyView`.
+The view reads the live tables, so it holds only until the world
+changes.
 """
 
 from __future__ import annotations
@@ -24,40 +25,13 @@ from typing import Dict, List
 
 import numpy as np
 
-from repro.core.partitions import MAX_TTL, PartitionMap
+from repro.core.allocator import OccupancyView
+from repro.core.partitions import MAX_TTL
 from repro.core.session import Session
 from repro.routing.scoping import ScopeMap
 
 #: The tables count in int16, and no count exceeds the live sessions.
 MAX_LIVE_SESSIONS = int(np.iinfo(np.int16).max)
-
-
-class OccupancyView:
-    """One node's column of the world's two count tables.
-
-    An :class:`~repro.core.allocator.AllocationView`: an address is in
-    use, as far as the node knows, when its count is nonzero.  The view
-    reads the live tables, so it holds only until the world changes.
-    """
-
-    __slots__ = ("_address_counts", "_ttl_counts")
-
-    def __init__(self, address_counts: np.ndarray,
-                 ttl_counts: np.ndarray) -> None:
-        self._address_counts = address_counts
-        self._ttl_counts = ttl_counts
-
-    def __len__(self) -> int:
-        return int(self._ttl_counts.sum())
-
-    def free_offsets(self, lo: int, hi: int) -> np.ndarray:
-        """Offsets from ``lo`` of the addresses of ``[lo, hi)`` that no
-        session heard here uses; ``[lo, hi)`` must lie in the space."""
-        return (self._address_counts[lo:hi] == 0).nonzero()[0]
-
-    def band_counts(self, partition_map: PartitionMap,
-                    min_ttl: int) -> List[int]:
-        return partition_map.fold_ttl_counts(self._ttl_counts, min_ttl)
 
 
 class AllocationWorld:
@@ -85,11 +59,6 @@ class AllocationWorld:
 
     def __len__(self) -> int:
         return len(self._sessions)
-
-    @property
-    def sessions(self) -> List[Session]:
-        """The live sessions, in table order."""
-        return list(self._sessions)
 
     # ------------------------------------------------------------------
     # Mutation

@@ -360,7 +360,15 @@ class NegativeDelayRule(Rule):
                        f"rejects events in the past")
 
 
+#: The scheduler methods that return an :class:`EventHandle`.
+_SCHEDULE_METHODS = ("schedule", "schedule_at")
+
+
 class DiscardedHandleRule(Rule):
+    """A discarded ``<expr>.schedule(...)``/``schedule_at(...)`` call,
+    or, within a function, a discarded call through a name bound to one
+    of those methods there (``schedule = scheduler.schedule``)."""
+
     name = "discarded-handle"
     code = "SIM108"
     description = ("scheduler.schedule(...) result discarded; the "
@@ -368,17 +376,32 @@ class DiscardedHandleRule(Rule):
     scope = SIM_PACKAGES
 
     def check(self, tree: ast.AST) -> Iterator[RawFinding]:
+        flagged = set()
         for node in ast.walk(tree):
-            if not isinstance(node, ast.Expr):
-                continue
-            value = node.value
-            if isinstance(value, ast.Call) and \
-                    isinstance(value.func, ast.Attribute) and \
-                    value.func.attr in ("schedule", "schedule_at"):
-                yield (node.lineno, node.col_offset,
-                       "EventHandle discarded; store it so the event "
-                       "can be cancelled (retreat/stop paths), or "
-                       "suppress if genuinely fire-and-forget")
+            if isinstance(node, ast.Expr) and \
+                    isinstance(node.value, ast.Call) and \
+                    isinstance(node.value.func, ast.Attribute) and \
+                    node.value.func.attr in _SCHEDULE_METHODS:
+                flagged.add((node.lineno, node.col_offset))
+            elif isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                body = list(ast.walk(node))
+                aliases = {
+                    inner.targets[0].id for inner in body
+                    if isinstance(inner, ast.Assign)
+                    and isinstance(inner.targets[0], ast.Name)
+                    and isinstance(inner.value, ast.Attribute)
+                    and inner.value.attr in _SCHEDULE_METHODS}
+                flagged.update(
+                    (inner.lineno, inner.col_offset) for inner in body
+                    if isinstance(inner, ast.Expr)
+                    and isinstance(inner.value, ast.Call)
+                    and isinstance(inner.value.func, ast.Name)
+                    and inner.value.func.id in aliases)
+        for line, col in sorted(flagged):
+            yield (line, col,
+                   "EventHandle discarded; store it so the event "
+                   "can be cancelled (retreat/stop paths), or "
+                   "suppress if genuinely fire-and-forget")
 
 
 class ModuleMutableStateRule(Rule):

@@ -45,6 +45,7 @@ from __future__ import annotations
 import hashlib
 import zlib
 from dataclasses import dataclass
+from heapq import heapify
 from typing import Dict, List, Optional, Tuple
 
 import numpy as np
@@ -93,9 +94,16 @@ class ControlledScheduler(EventScheduler):
     def fire(self, handle: EventHandle) -> None:
         """Fire one pending handle now, advancing the clock to its
         due time if that lies in the future (time abstraction: firing
-        order is explorer choice, the clock never runs backwards)."""
+        order is explorer choice, the clock never runs backwards).
+
+        The handle's heap entry goes with it, so ``run``, ``step`` and
+        ``pending_count`` never meet a fired event.  The explorer's
+        heaps hold a few entries, so re-heapifying costs nothing.
+        """
         if not handle.pending:
             raise ValueError(f"cannot fire non-pending handle {handle!r}")
+        self._heap.remove((handle.when, handle.seq, handle))
+        heapify(self._heap)
         if handle.when > self.now:
             self.clock.advance_to(handle.when)
         callback, handle.callback = handle.callback, None

@@ -3,17 +3,16 @@
 "Session directories use an announce/listen approach to build up a
 complete list of these advertised sessions" (§2.1).  The cache holds
 every announcement heard, expires entries that stop being refreshed,
-and exposes the (address, ttl) view the allocator consumes.
+and counts each entry's address and TTL into the view the allocator
+consumes.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, Dict, Hashable, List, Optional, Tuple
+from typing import Callable, Dict, List, Optional, Tuple
 
-import numpy as np
-
-from repro.core.allocator import VisibleSet
+from repro.core.allocator import OccupancyView
 from repro.sap.messages import SapMessage, SapMessageType
 from repro.sap.sdp import SessionDescription
 from repro.sim.types import Duration, SimTime, SlotIndex, Ttl
@@ -30,64 +29,6 @@ SessionKey = Tuple[int, str, int]
 #: Maps a parsed description to its group's space index (None if the
 #: address is outside the space).
 AddressOf = Callable[[SessionDescription], Optional[SlotIndex]]
-
-#: Rows allocated for the (address, ttl) columns on the first row;
-#: they double when full.
-_INITIAL_ROWS = 16
-
-#: The columns before their first row (zero-length, so never written).
-_NO_ROWS = np.empty(0, dtype=np.int64)
-
-
-class RowColumns:
-    """(address, ttl) pairs in two numpy columns, one row per key.
-
-    Row order is unspecified: removing a row moves the last row into
-    its place.  The columns are allocated on the first row, so an
-    owner that never adds one pays nothing for them.
-    """
-
-    def __init__(self) -> None:
-        self._row_of: Dict[Hashable, int] = {}
-        self._row_keys: List[Hashable] = []
-        self._addresses = _NO_ROWS
-        self._ttls = _NO_ROWS
-
-    def __len__(self) -> int:
-        return len(self._row_keys)
-
-    def add(self, key: Hashable, address: SlotIndex, ttl: Ttl) -> None:
-        """Append ``key``'s (address, ttl) row."""
-        row = len(self._row_keys)
-        if row == len(self._addresses):
-            grow = np.empty(max(row, _INITIAL_ROWS), dtype=np.int64)
-            self._addresses = np.concatenate((self._addresses, grow))
-            self._ttls = np.concatenate((self._ttls, grow))
-        self._addresses[row] = address
-        self._ttls[row] = ttl
-        self._row_of[key] = row
-        self._row_keys.append(key)
-
-    def discard(self, key: Hashable) -> None:
-        """Remove ``key``'s row, if it has one; the last row fills the
-        hole."""
-        row = self._row_of.pop(key, None)
-        if row is None:
-            return
-        last_key = self._row_keys.pop()
-        if last_key == key:
-            return
-        last = len(self._row_keys)
-        self._addresses[row] = self._addresses[last]
-        self._ttls[row] = self._ttls[last]
-        self._row_keys[row] = last_key
-        self._row_of[last_key] = row
-
-    def columns(self) -> Tuple[np.ndarray, np.ndarray]:
-        """Views of the filled rows: (addresses, ttls)."""
-        rows = len(self._row_keys)
-        return self._addresses[:rows], self._ttls[:rows]
-
 
 @dataclass
 class CacheEntry:
@@ -126,20 +67,28 @@ class SessionCache:
     keys.  Every bucket lists its keys in ``_entries`` insertion
     order, which is the order a full scan would visit them.
 
-    The mapped entries' (address, ttl) pairs also sit in two numpy
-    columns, one row per entry, so the allocator's view is a copy of
-    two arrays.  Row order is unspecified: removing a row moves the
-    last row into its place.
+    Every entry with a mapped address is also counted, at its address
+    and its TTL, in ``view``: the allocator's view of the directory
+    that owns the cache, which counts its own sessions there too.  An
+    entry is counted when it is inserted or late-filled and uncounted
+    when it is removed, so allocating reads the counts and never
+    visits an entry.
+
+    Args:
+        view: the counts to keep; its space must hold every address
+            ``address_of`` maps to.
+        timeout: seconds without an announcement before an entry dies.
     """
 
-    def __init__(self, timeout: Duration = DEFAULT_TIMEOUT) -> None:
+    def __init__(self, view: OccupancyView,
+                 timeout: Duration = DEFAULT_TIMEOUT) -> None:
         if timeout <= 0:
             raise ValueError(f"timeout must be positive: {timeout}")
         self.timeout = timeout
+        self._view = view
         self._entries: Dict[CacheKey, CacheEntry] = {}
         self._by_address: Dict[SlotIndex, List[CacheKey]] = {}
         self._by_session: Dict[SessionKey, List[CacheKey]] = {}
-        self._rows = RowColumns()
 
     def __len__(self) -> int:
         return len(self._entries)
@@ -209,28 +158,28 @@ class SessionCache:
         members.add(key)
         self._by_address[address] = [k for k in self._entries
                                      if k in members]
-        self._rows.add(key, address, entry.ttl)
+        self._view.add(address, entry.ttl, 1)
 
     def _insert(self, key: CacheKey, entry: CacheEntry) -> None:
         """Add a new entry, appending its key to both indexes and, if
-        it has an address, its (address, ttl) row to the columns."""
+        it has an address, counting it in the view."""
         self._entries[key] = entry
         if entry.address_index is not None:
             self._by_address.setdefault(entry.address_index, []).append(key)
-            self._rows.add(key, entry.address_index, entry.ttl)
+            self._view.add(entry.address_index, entry.ttl, 1)
         if entry.description is not None:
             self._by_session.setdefault(
                 _session_key(key[0], entry.description), []).append(key)
 
     def _remove(self, key: CacheKey) -> None:
-        """Drop an entry, if present, from the cache, both indexes and
-        the columns."""
+        """Drop an entry, if present, from the cache and both indexes,
+        and uncount it from the view."""
         entry = self._entries.pop(key, None)
         if entry is None:
             return
         if entry.address_index is not None:
             _unlink(self._by_address, entry.address_index, key)
-            self._rows.discard(key)
+            self._view.add(entry.address_index, entry.ttl, -1)
         if entry.description is not None:
             _unlink(self._by_session,
                     _session_key(key[0], entry.description), key)
@@ -285,17 +234,15 @@ class SessionCache:
         return not keys or (len(keys) == 1
                             and self._entries[keys[0]] is entry)
 
-    def visible_set(self) -> VisibleSet:
-        """The allocator's view: (address, ttl) of cached sessions.
+    def visible_set(self) -> OccupancyView:
+        """The view this cache counts into, live: it answers for every
+        mapped entry and for the owning directory's own sessions.
 
-        An unordered multiset: one pair per entry with a mapped
-        address, in no particular order, which every allocator
-        tolerates because it only counts or deduplicates the pairs.
-        Entries without a mapped address are not in it.  The result
-        copies the cache's two columns; no entry is visited.
+        The directory allocates from the view it owns, and calls no
+        method here for it.  This one stays because the benchmark's
+        traced run wraps it by name.
         """
-        addresses, ttls = self._rows.columns()
-        return VisibleSet(addresses.copy(), ttls.copy())
+        return self._view
 
 
 def _session_key(origin: int, description: SessionDescription) -> SessionKey:

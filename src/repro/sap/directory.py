@@ -19,14 +19,15 @@ from typing import Callable, Dict, List, Optional, Sequence, Tuple
 import numpy as np
 
 from repro.core.address_space import MulticastAddressSpace
-from repro.core.allocator import Allocator, VisibleSet
+from repro.core.allocator import Allocator, OccupancyView
+from repro.core.partitions import MAX_TTL
 from repro.core.session import Session
 from repro.sap.announcer import (
     Announcer,
     AnnouncementStrategy,
     FixedIntervalStrategy,
 )
-from repro.sap.cache import RowColumns, SessionCache
+from repro.sap.cache import SessionCache
 from repro.sap.clash_protocol import ClashHandler, ClashPolicy
 from repro.sap.messages import SapMessage, SapMessageType
 from repro.sap.sdp import MediaStream, SessionDescription
@@ -37,6 +38,10 @@ from repro.sim.types import SlotIndex
 #: Conventional "group" carried in simulated SAP packets; the network
 #: model routes on (source, ttl), so this is informational only.
 SAP_GROUP = 0
+
+#: The most addresses a directory allocates over: sdr's dynamic range
+#: (§4.1).  A directory keeps an int32 count per address, 256 KB here.
+MAX_SPACE_SIZE = 65_536
 
 
 @dataclass
@@ -106,13 +111,18 @@ class SessionDirectory:
         scheduler: simulation event scheduler.
         network: multicast delivery substrate.
         allocator: the address allocation algorithm to use.
-        address_space: maps allocator indices to real group addresses.
+        address_space: maps allocator indices to real group addresses;
+            at most :data:`MAX_SPACE_SIZE` of them.
         strategy_factory: builds the announcement strategy per session.
         clash_policy: three-phase protocol tunables; defaults applied
             when omitted.
         enable_clash_protocol: set False to disable clash handling.
         username: SDP origin username.
         rng: numpy Generator for timers and jitter.
+
+    Raises:
+        ValueError: if the space holds more than
+            :data:`MAX_SPACE_SIZE` addresses.
     """
 
     def __init__(
@@ -130,6 +140,10 @@ class SessionDirectory:
         username: str = "user",
         rng: Optional[np.random.Generator] = None,
     ) -> None:
+        if address_space.size > MAX_SPACE_SIZE:
+            raise ValueError(
+                f"a directory counts at most {MAX_SPACE_SIZE} addresses, "
+                f"not {address_space.size}")
         self.node = node
         self.scheduler = scheduler
         self.network = network
@@ -137,16 +151,18 @@ class SessionDirectory:
         self.address_space = address_space
         self.strategy_factory = strategy_factory
         self.username = username
-        self.cache = SessionCache()
+        #: What this site knows to be in use: the cache counts its
+        #: mapped entries here, and the own-session index its sessions.
+        self._view = OccupancyView(
+            np.zeros(address_space.size, dtype=np.int32),
+            np.zeros(MAX_TTL + 1, dtype=np.int32))
+        self.cache = SessionCache(self._view)
         self.rng = rng if rng is not None else np.random.default_rng(node)
         self._own: Dict[Tuple[int, int], OwnSession] = {}
         #: Own sessions by address.  Each bucket keeps ``_own`` order,
         #: which is SDP session-id order: clashing own sessions each
         #: may retreat, drawing from the allocator's RNG, in that order.
         self._own_by_address: Dict[SlotIndex, List[OwnSession]] = {}
-        #: Own sessions' (address, ttl) rows by SDP session id, kept in
-        #: step with the index for the allocator's view.
-        self._own_rows = RowColumns()
         self._session_ids = itertools.count(1)
         self.clash_handler: Optional[ClashHandler] = None
         if enable_clash_protocol:
@@ -332,18 +348,13 @@ class SessionDirectory:
     # ------------------------------------------------------------------
     # Internals
     # ------------------------------------------------------------------
-    def _allocation_view(self) -> VisibleSet:
-        """Cache contents plus our own live sessions."""
-        cached = self.cache.visible_set()
-        if not self._own_rows:
-            return cached
-        addresses, ttls = self._own_rows.columns()
-        return VisibleSet(np.concatenate((cached.addresses, addresses)),
-                          np.concatenate((cached.ttls, ttls)))
+    def _allocation_view(self) -> OccupancyView:
+        """Cache contents plus our own live sessions, as live counts."""
+        return self._view
 
     def _index_own(self, own: OwnSession) -> None:
         """Put ``own`` in its address bucket at its session-id place,
-        and its (address, ttl) row in the own columns."""
+        and count it in the view."""
         address = own.session.address
         bucket = self._own_by_address.setdefault(address, [])
         session_id = own.description.session_id
@@ -351,12 +362,11 @@ class SessionDirectory:
         while place and bucket[place - 1].description.session_id > session_id:
             place -= 1
         bucket.insert(place, own)
-        self._own_rows.add(session_id, address, own.session.ttl)
+        self._view.add(address, own.session.ttl, 1)
 
     def _unindex_own(self, own: OwnSession) -> None:
-        """Take ``own`` out of its address bucket and the own columns,
-        if it is there."""
-        self._own_rows.discard(own.description.session_id)
+        """Take ``own`` out of its address bucket and uncount it, if it
+        is there."""
         address = own.session.address
         bucket = self._own_by_address.get(address, [])
         for place, member in enumerate(bucket):
@@ -364,6 +374,7 @@ class SessionDirectory:
                 del bucket[place]
                 if not bucket:
                     del self._own_by_address[address]
+                self._view.add(address, own.session.ttl, -1)
                 return
 
     def _make_announcer(self, own: OwnSession) -> Announcer:

@@ -11,7 +11,7 @@ the figure rows and the benchmark fingerprints rest on both.
 import numpy as np
 import pytest
 
-from repro.core.allocator import VisibleSet, nth_free_address
+from repro.core.allocator import OccupancyView, nth_free_address
 from repro.core.informed import InformedRandomAllocator
 from repro.core.partitions import (
     IPR3_EDGES,
@@ -33,9 +33,9 @@ def mbone60_scope_map():
         generate_mbone(MboneParams(total_nodes=60, seed=1998)))
 
 
-def _reference_pick(rng, visible, lo, hi):
+def _reference_pick(rng, addresses, lo, hi):
     """The informed pick as ``np.unique`` plus ``nth_free_address``."""
-    addresses = visible.addresses
+    addresses = np.asarray(addresses, dtype=np.int64)
     used = np.unique(addresses[(addresses >= lo) & (addresses < hi)])
     free = (hi - lo) - len(used)
     if free <= 0:
@@ -44,12 +44,13 @@ def _reference_pick(rng, visible, lo, hi):
 
 
 class TestInformedPick:
-    def _check(self, seed, visible, lo, hi):
+    def _check(self, seed, addresses, ttls, lo, hi, space_size):
         allocator = InformedRandomAllocator(
             hi, rng=np.random.default_rng(seed))
         reference_rng = np.random.default_rng(seed)
+        visible = OccupancyView.from_pairs(addresses, ttls, space_size)
         result = allocator._informed_pick(visible, lo, hi, band=3)
-        address, forced = _reference_pick(reference_rng, visible, lo, hi)
+        address, forced = _reference_pick(reference_rng, addresses, lo, hi)
         assert (result.address, result.forced) == (address, forced)
         assert result.informed is not forced
         assert result.band == 3
@@ -66,18 +67,17 @@ class TestInformedPick:
             count = int(rng.integers(0, 80))
             addresses = rng.integers(0, hi + 10, size=count)
             ttls = rng.integers(1, 256, size=count)
-            self._check(seed, VisibleSet(addresses, ttls), lo, hi)
+            self._check(seed, addresses, ttls, lo, hi, hi + 10)
 
     def test_empty_view(self):
         for seed in range(50):
-            result = self._check(seed, VisibleSet.empty(), 7, 19)
+            result = self._check(seed, [], [], 7, 19, 19)
             assert not result.forced
 
     def test_full_range_forces_a_pick(self):
-        addresses = np.array([12, 10, 11, 13, 10, 3, 40])
-        visible = VisibleSet(addresses, np.ones_like(addresses))
+        addresses = [12, 10, 11, 13, 10, 3, 40]
         for seed in range(50):
-            result = self._check(seed, visible, 10, 14)
+            result = self._check(seed, addresses, [1] * 7, 10, 14, 41)
             assert result.forced
             assert 10 <= result.address < 14
 
@@ -116,9 +116,32 @@ CHURN_MAPS = (PartitionMap(IPR3_EDGES), PartitionMap(IPR7_EDGES),
 PICK_RANGES = [(0, CHURN_SPACE)] + equal_band_ranges(CHURN_SPACE, 7)
 
 
+class PairsView:
+    """The reference view: the (address, ttl) pairs of the sessions a
+    node hears, answering each question from the pairs themselves."""
+
+    def __init__(self, addresses, ttls):
+        self.addresses = np.asarray(addresses, dtype=np.int64)
+        self.ttls = np.asarray(ttls, dtype=np.int64)
+
+    def __len__(self):
+        return len(self.addresses)
+
+    def free_offsets(self, lo, hi):
+        addresses = self.addresses
+        occupied = np.zeros(hi - lo, dtype=bool)
+        occupied[addresses[(addresses >= lo) & (addresses < hi)] - lo] = True
+        return (~occupied).nonzero()[0]
+
+    def band_counts(self, partition_map, min_ttl):
+        ttls = self.ttls
+        return partition_map.band_counts(ttls[ttls >= min_ttl]).tolist()
+
+
 class TestVisibleAt:
-    """The world's view of a node against a :class:`VisibleSet` of the
-    sessions that node hears, gathered from ``need``."""
+    """The world's view of a node against the pairs of the sessions
+    that node hears, gathered from ``need`` over a live list kept
+    beside the world."""
 
     def _assert_same_view(self, view, reference, seed):
         assert len(view) == len(reference)
@@ -144,23 +167,27 @@ class TestVisibleAt:
     def test_matches_need_gather_under_churn(self, mbone60_scope_map):
         scope_map = mbone60_scope_map
         world = AllocationWorld(scope_map, CHURN_SPACE)
+        live = []
         rng = np.random.default_rng(5)
         n = scope_map.num_nodes
         for step in range(600):
             if len(world) and rng.random() < 0.4:
-                world.remove_at(world.random_slot(rng))
+                removed = world.remove_at(world.random_slot(rng))
+                live.remove(removed)
             else:
                 # Any TTL, so that some equal a need entry exactly.
-                world.add(Session(address=int(rng.integers(0, CHURN_SPACE)),
+                session = Session(address=int(rng.integers(0, CHURN_SPACE)),
                                   ttl=int(rng.integers(1, 256)),
-                                  source=int(rng.integers(0, n))))
-            live = world.sessions
+                                  source=int(rng.integers(0, n)))
+                world.add(session)
+                live.append(session)
+            assert len(world) == len(live)
             sources = np.array([s.source for s in live], dtype=np.int64)
             ttls = np.array([s.ttl for s in live], dtype=np.int64)
             addresses = np.array([s.address for s in live], dtype=np.int64)
             node = step % n
             mask = scope_map.need[sources, node] <= ttls
-            reference = VisibleSet(addresses[mask], ttls[mask])
+            reference = PairsView(addresses[mask], ttls[mask])
             self._assert_same_view(world.visible_at(node), reference, step)
 
 

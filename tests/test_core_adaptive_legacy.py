@@ -1,27 +1,24 @@
 """Original (fig. 7) adaptive IPRMA tests — including its failure."""
 
-import numpy as np
 import pytest
 
 from repro.core.adaptive import AdaptiveIprmaAllocator
 from repro.core.adaptive_legacy import LegacyAdaptiveIprmaAllocator
-from repro.core.allocator import VisibleSet
+from repro.core.allocator import OccupancyView
 
 PAPER_TTLS = (1, 15, 31, 47, 63, 127, 191)
 
 
-def visible_of(pairs):
-    return VisibleSet(
-        np.array([a for a, __ in pairs], dtype=np.int64),
-        np.array([t for __, t in pairs], dtype=np.int64),
-    )
+def visible_of(pairs, space_size=700):
+    return OccupancyView.from_pairs([a for a, __ in pairs],
+                                    [t for __, t in pairs], space_size)
 
 
 class TestLegacyGeometry:
     def test_empty_world_even_partitions(self, rng):
         allocator = LegacyAdaptiveIprmaAllocator(700, mode="push",
                                                  rng=rng)
-        geometry = allocator.band_geometry(VisibleSet.empty())
+        geometry = allocator.band_geometry(visible_of([]))
         widths = [hi - lo for lo, hi in geometry]
         assert len(geometry) == 7
         assert all(w == 100 for w in widths)
@@ -59,9 +56,9 @@ class TestLegacyGeometry:
             allocator = LegacyAdaptiveIprmaAllocator(700, mode=mode,
                                                      rng=rng)
             for ttl in PAPER_TTLS:
-                result = allocator.allocate(ttl, VisibleSet.empty())
+                result = allocator.allocate(ttl, visible_of([]))
                 band = allocator.partition_map.band_of(ttl)
-                lo, hi = allocator.band_geometry(VisibleSet.empty())[band]
+                lo, hi = allocator.band_geometry(visible_of([]))[band]
                 assert lo <= result.address < hi
 
     def test_invalid_mode_rejected(self, rng):

@@ -1,4 +1,4 @@
-"""VisibleSet, nth_free_address and the allocator base contract."""
+"""OccupancyView, nth_free_address and the allocator base contract."""
 
 import numpy as np
 import pytest
@@ -6,30 +6,51 @@ from hypothesis import given, strategies as st
 
 from repro.core.allocator import (
     AllocationResult,
-    VisibleSet,
+    OccupancyView,
     nth_free_address,
 )
 from repro.core.partitions import IPR3_EDGES, PartitionMap
 
 
-class TestVisibleSet:
+def from_pairs(addresses, ttls, space_size=16):
+    return OccupancyView.from_pairs(np.array(addresses), np.array(ttls),
+                                    space_size)
+
+
+class TestOccupancyViewFromPairs:
     def test_empty(self):
-        vs = VisibleSet.empty()
+        vs = from_pairs([], [])
         assert len(vs) == 0
         assert vs.free_offsets(4, 9).tolist() == [0, 1, 2, 3, 4]
 
     def test_mismatched_shapes_rejected(self):
         with pytest.raises(ValueError):
-            VisibleSet(np.array([1, 2]), np.array([15]))
+            from_pairs([1, 2], [15])
+
+    @pytest.mark.parametrize("address", [-1, 16, 1000])
+    def test_address_outside_space_rejected(self, address):
+        with pytest.raises(ValueError, match="address"):
+            from_pairs([3, address], [15, 15])
+
+    @pytest.mark.parametrize("ttl", [0, 256, -3])
+    def test_ttl_outside_1_to_255_rejected(self, ttl):
+        with pytest.raises(ValueError, match="TTL"):
+            from_pairs([3, 4], [15, ttl])
+
+    def test_edges_of_both_ranges_accepted(self):
+        vs = from_pairs([0, 15], [1, 255])
+        assert len(vs) == 2
+        assert vs.free_offsets(0, 16).tolist() == list(range(1, 15))
 
     def test_free_offsets_skip_each_used_address(self):
-        vs = VisibleSet(np.array([9, 3, 9, 1, 12]), np.array([1, 1, 2, 3, 1]))
+        vs = from_pairs([9, 3, 9, 1, 12], [1, 1, 2, 3, 1])
+        assert len(vs) == 5
         # Free addresses of [1, 11): 2, 4..8, 10.
         assert vs.free_offsets(1, 11).tolist() == [1, 3, 4, 5, 6, 7, 9]
 
     def test_with_ttl_at_least(self):
         # Band counts take only the sessions with TTL >= min_ttl.
-        vs = VisibleSet(np.array([1, 5, 9]), np.array([1, 63, 127]))
+        vs = from_pairs([1, 5, 9], [1, 63, 127])
         ipr3 = PartitionMap(IPR3_EDGES)
         assert vs.band_counts(ipr3, 1) == [1, 1, 1]
         assert vs.band_counts(ipr3, 63) == [0, 1, 1]
@@ -86,9 +107,9 @@ class TestAllocatorBase:
         from repro.core.random_alloc import RandomAllocator
         allocator = RandomAllocator(100, rng)
         with pytest.raises(ValueError):
-            allocator.allocate(0, VisibleSet.empty())
+            allocator.allocate(0, from_pairs([], [], 100))
         with pytest.raises(ValueError):
-            allocator.allocate(256, VisibleSet.empty())
+            allocator.allocate(256, from_pairs([], [], 100))
 
     def test_allocation_result_fields(self):
         result = AllocationResult(address=5, band=2, informed=True,

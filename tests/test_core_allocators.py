@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from repro.core.adaptive import AdaptiveIprmaAllocator
-from repro.core.allocator import VisibleSet
+from repro.core.allocator import OccupancyView
 from repro.core.hybrid import HybridIprmaAllocator
 from repro.core.informed import InformedRandomAllocator
 from repro.core.iprma import StaticIprmaAllocator
@@ -15,17 +15,18 @@ from repro.core.random_alloc import RandomAllocator
 PAPER_TTLS = (1, 15, 31, 47, 63, 127, 191)
 
 
-def visible_of(pairs):
-    addresses = np.array([a for a, __ in pairs], dtype=np.int64)
-    ttls = np.array([t for __, t in pairs], dtype=np.int64)
-    return VisibleSet(addresses, ttls)
+def visible_of(pairs, space_size=1000):
+    """A view of ``(address, ttl)`` pairs over a space that holds every
+    allocator's here."""
+    return OccupancyView.from_pairs([a for a, __ in pairs],
+                                    [t for __, t in pairs], space_size)
 
 
 class TestRandomAllocator:
     def test_in_space(self, rng):
         allocator = RandomAllocator(50, rng)
         for __ in range(200):
-            result = allocator.allocate(63, VisibleSet.empty())
+            result = allocator.allocate(63, visible_of([]))
             assert 0 <= result.address < 50
             assert not result.informed
 
@@ -75,7 +76,7 @@ class TestStaticIprma:
     def test_allocation_lands_in_ttl_band(self, rng):
         allocator = StaticIprmaAllocator.seven_band(700, rng)
         for ttl in PAPER_TTLS:
-            result = allocator.allocate(ttl, VisibleSet.empty())
+            result = allocator.allocate(ttl, visible_of([]))
             lo, hi = allocator.band_range(ttl)
             assert lo <= result.address < hi
             assert result.band == allocator.partition_map.band_of(ttl)
@@ -85,7 +86,7 @@ class TestStaticIprma:
         addresses = {}
         for ttl in PAPER_TTLS:
             for __ in range(30):
-                a = allocator.allocate(ttl, VisibleSet.empty()).address
+                a = allocator.allocate(ttl, visible_of([])).address
                 addresses.setdefault(ttl, set()).add(a)
         for t1 in PAPER_TTLS:
             for t2 in PAPER_TTLS:
@@ -115,7 +116,7 @@ class TestStaticIprma:
 class TestAdaptiveIprma:
     def test_empty_world_bands_cluster_at_top(self, rng):
         allocator = AdaptiveIprmaAllocator.aipr1(1000, rng=rng)
-        geometry = allocator.band_geometry(VisibleSet.empty())
+        geometry = allocator.band_geometry(visible_of([]))
         assert len(geometry) == 7
         # Every initial band is a single address near the top.
         for lo, hi in geometry:
@@ -158,8 +159,8 @@ class TestAdaptiveIprma:
     def test_gap_fraction_spreads_bands(self, rng):
         tight = AdaptiveIprmaAllocator(1000, gap_fraction=0.2, rng=rng)
         loose = AdaptiveIprmaAllocator(1000, gap_fraction=0.7, rng=rng)
-        geo_tight = tight.band_geometry(VisibleSet.empty())
-        geo_loose = loose.band_geometry(VisibleSet.empty())
+        geo_tight = tight.band_geometry(visible_of([]))
+        geo_loose = loose.band_geometry(visible_of([]))
         span_tight = geo_tight[-1][1] - geo_tight[0][0]
         span_loose = geo_loose[-1][1] - geo_loose[0][0]
         assert span_loose > span_tight
@@ -193,7 +194,7 @@ class TestAdaptiveIprma:
 class TestHybridIprma:
     def test_initial_layout_occupies_top_half(self, rng):
         allocator = HybridIprmaAllocator(1000, rng=rng)
-        geometry = allocator.band_geometry(VisibleSet.empty())
+        geometry = allocator.band_geometry(visible_of([]))
         assert geometry[-1][1] == 1000
         # The lowest band's bottom stays in the upper half initially.
         assert geometry[0][0] >= 250
@@ -210,15 +211,15 @@ class TestHybridIprma:
 
     def test_unpushed_band_keeps_initial_width(self, rng):
         allocator = HybridIprmaAllocator(1000, rng=rng)
-        geometry = allocator.band_geometry(VisibleSet.empty())
+        geometry = allocator.band_geometry(visible_of([]))
         widths = [hi - lo for lo, hi in geometry]
         assert all(w == allocator.initial_width for w in widths)
 
     def test_allocates_in_correct_band(self, rng):
         allocator = HybridIprmaAllocator(1000, rng=rng)
-        result = allocator.allocate(15, VisibleSet.empty())
+        result = allocator.allocate(15, visible_of([]))
         band = allocator.partition_map.band_of(15)
-        lo, hi = allocator.band_geometry(VisibleSet.empty())[band]
+        lo, hi = allocator.band_geometry(visible_of([]))[band]
         assert lo <= result.address < hi
 
     def test_invalid_span_rejected(self, rng):

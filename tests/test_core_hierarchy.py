@@ -3,8 +3,14 @@
 import numpy as np
 import pytest
 
-from repro.core.allocator import VisibleSet
+from repro.core.allocator import OccupancyView
 from repro.core.hierarchy import HierarchicalAllocator, PrefixPool
+
+
+def visible_at(addresses, pool):
+    """A view of TTL-63 sessions at ``addresses`` over ``pool``'s space."""
+    return OccupancyView.from_pairs(addresses, [63] * len(addresses),
+                                    pool.space_size)
 
 
 class TestPrefixPool:
@@ -40,7 +46,7 @@ class TestHierarchicalAllocator:
     def test_first_allocation_claims_a_prefix(self, rng):
         pool = PrefixPool(1000, 10)
         allocator = HierarchicalAllocator(pool, rng=rng)
-        result = allocator.allocate(63, VisibleSet.empty())
+        result = allocator.allocate(63, visible_at([], pool))
         assert len(allocator.prefixes) == 1
         lo, hi = pool.prefix_range(allocator.prefixes[0])
         assert lo <= result.address < hi
@@ -53,7 +59,7 @@ class TestHierarchicalAllocator:
         claimed = set()
         for region in regions:
             region.observe_claims(claimed)
-            region.allocate(63, VisibleSet.empty())
+            region.allocate(63, visible_at([], pool))
             for prefix in region.prefixes:
                 assert prefix not in claimed
                 claimed.add(prefix)
@@ -73,10 +79,7 @@ class TestHierarchicalAllocator:
         allocator.ensure_capacity(1)
         prefix = allocator.prefixes[0]
         lo, hi = pool.prefix_range(prefix)
-        visible = VisibleSet(
-            np.arange(lo, hi - 1, dtype=np.int64),
-            np.full(hi - 1 - lo, 63, dtype=np.int64),
-        )
+        visible = visible_at(list(range(lo, hi - 1)), pool)
         result = allocator.allocate(63, visible)
         assert result.address == hi - 1
 
@@ -86,7 +89,7 @@ class TestHierarchicalAllocator:
         a.observe_claims([0, 1])
         a.prefixes = []
         with pytest.raises(RuntimeError):
-            a.allocate(63, VisibleSet.empty())
+            a.allocate(63, visible_at([], pool))
 
     def test_invalid_grow_at_rejected(self, rng):
         with pytest.raises(ValueError):
@@ -97,10 +100,7 @@ class TestHierarchicalAllocator:
         allocator = HierarchicalAllocator(pool, rng=rng)
         allocator.prefixes = [0, 5]
         # Prefix 0 (addresses 0..10) nearly full; prefix 5 empty.
-        visible = VisibleSet(
-            np.arange(0, 9, dtype=np.int64),
-            np.full(9, 63, dtype=np.int64),
-        )
+        visible = visible_at(list(range(0, 9)), pool)
         result = allocator.allocate(63, visible)
         assert 50 <= result.address < 60
 
@@ -110,10 +110,7 @@ class TestHierarchicalAllocator:
         allocator.prefixes = [0, 5]
         # Prefix 0 holds four sessions on two addresses (two clashes),
         # prefix 5 three sessions on three: prefix 0 has more free.
-        visible = VisibleSet(
-            np.array([1, 1, 2, 2, 50, 51, 52], dtype=np.int64),
-            np.full(7, 63, dtype=np.int64),
-        )
+        visible = visible_at([1, 1, 2, 2, 50, 51, 52], pool)
         for __ in range(20):
             result = allocator.allocate(63, visible)
             assert 3 <= result.address < 10

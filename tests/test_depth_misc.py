@@ -126,7 +126,9 @@ class TestDirectoryInternals:
         sched.run(until=1.0)
         s2 = bob.create_session("b", ttl=63)
         view = bob._allocation_view()
-        assert set(view.addresses.tolist()) == {s1.address, s2.address}
+        assert len(view) == 2
+        free = set(view.free_offsets(0, space.size).tolist())
+        assert set(range(space.size)) - free == {s1.address, s2.address}
 
     def test_expire_cache_drops_stale(self, world):
         sched, net, space, make = world

@@ -198,6 +198,30 @@ class TestDiscardedHandle:
         assert names("sched.schedule(1.0, cb)\n",
                      package="lint") == []
 
+    def test_discarded_alias_call_flagged(self):
+        code = ("def send(scheduler, cb):\n"
+                "    schedule = scheduler.schedule_at\n"
+                "    schedule(1.0, cb)\n"
+                "    def later():\n"
+                "        schedule(2.0, cb)\n"
+                "    return later\n")
+        findings = lint_source(code, package="sim")
+        assert [(f.rule, f.line) for f in findings] == \
+            [("discarded-handle", 3), ("discarded-handle", 5)]
+
+    def test_stored_alias_result_clean(self):
+        code = ("def send(scheduler, cb):\n"
+                "    schedule = scheduler.schedule\n"
+                "    handle = schedule(1.0, cb)\n"
+                "    return handle\n")
+        assert names(code) == []
+
+    def test_alias_of_another_attribute_clean(self):
+        code = ("def send(network, packet):\n"
+                "    deliver = network.send\n"
+                "    deliver(packet)\n")
+        assert names(code) == []
+
 
 class TestModuleMutableState:
     def test_module_dict_flagged_in_sim(self):

@@ -5,6 +5,7 @@ import pytest
 from repro.modelcheck.harness import (
     DELIVER,
     MUTATIONS,
+    ControlledScheduler,
     ProtocolHarness,
     Snapshot,
     _callback_name,
@@ -106,6 +107,27 @@ class TestExplorationSurface:
         assert allocator.forced_allocations == 0
         harness.create(0, "third")  # space of 2 is now exhausted
         assert allocator.forced_allocations == 1
+
+
+class TestControlledScheduler:
+    def test_fired_handle_leaves_the_heap(self):
+        """A handle fired out of band is gone from the queue, so
+        ``run`` neither reads its time nor steps past ``until``."""
+        scheduler = ControlledScheduler()
+        fired = []
+        first = scheduler.schedule(1.0, lambda: fired.append(1.0))
+        keep = scheduler.schedule(5.0, lambda: fired.append(5.0))
+        scheduler.fire(first)
+        assert fired == [1.0]
+        assert scheduler.pending_count == 1
+        scheduler.run(until=2.0)
+        assert fired == [1.0]
+        assert scheduler.now == 2.0
+        assert scheduler.pending_count == 1
+        assert scheduler.pending_handles() == [keep]
+        scheduler.run()
+        assert fired == [1.0, 5.0]
+        assert scheduler.events_run == 2
 
 
 class TestTimerNames:

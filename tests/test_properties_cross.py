@@ -18,7 +18,7 @@ from hypothesis import given, settings, strategies as st
 
 from repro.core.adaptive import AdaptiveIprmaAllocator
 from repro.core.adaptive_legacy import LegacyAdaptiveIprmaAllocator
-from repro.core.allocator import VisibleSet
+from repro.core.allocator import OccupancyView
 from repro.core.hybrid import HybridIprmaAllocator
 from repro.core.informed import InformedRandomAllocator
 from repro.core.iprma import StaticIprmaAllocator
@@ -46,10 +46,8 @@ ALLOCATOR_FACTORIES = [
 visible_sets = st.lists(
     st.tuples(st.integers(0, SPACE - 1), st.sampled_from(PAPER_TTLS)),
     max_size=80,
-).map(lambda pairs: VisibleSet(
-    np.array([a for a, __ in pairs], dtype=np.int64),
-    np.array([t for __, t in pairs], dtype=np.int64),
-))
+).map(lambda pairs: OccupancyView.from_pairs(
+    [a for a, __ in pairs], [t for __, t in pairs], SPACE))
 
 
 class TestAllocatorInvariants:
@@ -67,7 +65,8 @@ class TestAllocatorInvariants:
            seed=st.integers(0, 2 ** 31))
     def test_unforced_informed_never_reuses_visible(self, visible, ttl,
                                                     seed):
-        used = set(visible.addresses.tolist())
+        used = set(range(SPACE)) - set(
+            visible.free_offsets(0, SPACE).tolist())
         for factory in ALLOCATOR_FACTORIES[1:]:  # skip pure random
             allocator = factory(np.random.default_rng(seed))
             result = allocator.allocate(ttl, visible)

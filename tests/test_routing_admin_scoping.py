@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from repro.core.admin import AdminScopedAllocator
-from repro.core.allocator import VisibleSet
+from repro.core.allocator import OccupancyView
 from repro.routing.admin_scoping import (
     AdminScopeMap,
     ScopeZone,
@@ -101,18 +101,22 @@ class TestZonesFromLabels:
         assert len(scope_map.zones) == len(zones)
 
 
+def empty_view(space_size):
+    return OccupancyView.from_pairs([], [], space_size)
+
+
 class TestAdminScopedAllocator:
     def test_allocates_within_zone_range(self, two_zone_map, rng):
         allocator = AdminScopedAllocator(two_zone_map, node=7,
                                          space_size=300, rng=rng)
         for __ in range(30):
-            result = allocator.allocate(63, VisibleSet.empty())
+            result = allocator.allocate(63, empty_view(300))
             assert 100 <= result.address < 200
 
     def test_prefers_smallest_zone(self, two_zone_map, rng):
         allocator = AdminScopedAllocator(two_zone_map, node=0,
                                          space_size=300, rng=rng)
-        result = allocator.allocate(63, VisibleSet.empty())
+        result = allocator.allocate(63, empty_view(300))
         assert 200 <= result.address < 210  # campus, not west
 
     def test_full_packing_with_symmetric_visibility(self, two_zone_map):
@@ -122,10 +126,7 @@ class TestAdminScopedAllocator:
                                          space_size=300, rng=rng)
         used = []
         for __ in range(100):  # zone has exactly 100 addresses
-            view = VisibleSet(
-                np.asarray(used, dtype=np.int64),
-                np.full(len(used), 63, dtype=np.int64),
-            )
+            view = OccupancyView.from_pairs(used, [63] * len(used), 300)
             result = allocator.allocate(63, view)
             assert not result.forced
             assert result.address not in used
@@ -136,5 +137,5 @@ class TestAdminScopedAllocator:
         scope_map = AdminScopeMap(3)
         allocator = AdminScopedAllocator(scope_map, node=0,
                                          space_size=50, rng=rng)
-        result = allocator.allocate(63, VisibleSet.empty())
+        result = allocator.allocate(63, empty_view(50))
         assert 0 <= result.address < 50

@@ -11,7 +11,7 @@ third-party proxy defence) stays silent.
 import numpy as np
 
 from repro.core.address_space import MulticastAddressSpace
-from repro.core.allocator import AllocationResult, Allocator, VisibleSet
+from repro.core.allocator import AllocationResult, Allocator, OccupancyView
 from repro.core.informed import InformedRandomAllocator
 from repro.core.session import Session
 from repro.experiments.world import AllocationWorld
@@ -52,6 +52,11 @@ def make_directory(context, scheduler, network, node):
     return context.watch_directory(directory)
 
 
+def view_of(addresses):
+    """A view of TTL-127 sessions at ``addresses``."""
+    return OccupancyView.from_pairs(addresses, [127] * len(addresses), SPACE)
+
+
 def codes(context):
     return [violation.code for violation in context.violations]
 
@@ -87,7 +92,7 @@ class TestDoubleAllocate:
     def test_visible_address_reuse_records_san201(self):
         context = SanitizerContext(scenario="test")
         allocator = context.watch_allocator(BlindAllocator(SPACE))
-        visible = VisibleSet(np.array([5, 9]), np.array([127, 127]))
+        visible = view_of([5, 9])
         result = allocator.allocate(127, visible)
         assert result.address == 5
         assert "SAN201" in codes(context)
@@ -98,15 +103,12 @@ class TestDoubleAllocate:
         allocator = context.watch_allocator(
             InformedRandomAllocator(SPACE, np.random.default_rng(7))
         )
-        visible = VisibleSet.empty()
+        used = []
         for __ in range(SPACE):
-            result = allocator.allocate(127, visible)
-            visible = VisibleSet(
-                np.append(visible.addresses, result.address),
-                np.append(visible.ttls, 127),
-            )
+            result = allocator.allocate(127, view_of(used))
+            used.append(result.address)
         # The space is now full: the forced fallback is not a SAN201.
-        forced = allocator.allocate(127, visible)
+        forced = allocator.allocate(127, view_of(used))
         assert forced.forced
         assert context.clean
 
@@ -115,14 +117,14 @@ class TestDoubleAllocate:
         allocator = BlindAllocator(SPACE)
         context.watch_allocator(allocator)
         context.watch_allocator(allocator)  # must not double-wrap
-        visible = VisibleSet(np.array([3]), np.array([127]))
+        visible = view_of([3])
         allocator.allocate(127, visible)
         assert codes(context) == ["SAN201"]
 
 
 class TestDoubleAllocateOnWorldView:
     """SAN201 on the view the ``steady`` scenario feeds the sanitizer:
-    an allocation world's per-node counts, not a :class:`VisibleSet`."""
+    an allocation world's per-node counts, a column of its tables."""
 
     def test_visible_address_reuse_records_san201(self, chain_scope_map):
         context = SanitizerContext(scenario="test")
@@ -156,7 +158,7 @@ class TestAllocOutOfBounds:
     def test_escape_from_declared_range_records_san202(self):
         context = SanitizerContext(scenario="test")
         allocator = context.watch_allocator(EscapingAllocator(SPACE))
-        allocator.allocate(127, VisibleSet.empty())
+        allocator.allocate(127, view_of([]))
         assert codes(context) == ["SAN202"]
         assert context.violations[0].rule == "alloc-out-of-bounds"
 
@@ -166,7 +168,7 @@ class TestAllocOutOfBounds:
             InformedRandomAllocator(SPACE, np.random.default_rng(7))
         )
         for __ in range(10):
-            result = allocator.allocate(127, VisibleSet.empty())
+            result = allocator.allocate(127, view_of([]))
             assert 0 <= result.address < SPACE
         assert context.clean
 

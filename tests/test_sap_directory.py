@@ -5,9 +5,11 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from repro.core.address_space import MulticastAddressSpace
+from repro.core.allocator import OccupancyView
 from repro.core.informed import InformedRandomAllocator
+from repro.core.partitions import IPR3_EDGES, PartitionMap
 from repro.sap.clash_protocol import ClashPolicy
-from repro.sap.directory import SessionDirectory
+from repro.sap.directory import MAX_SPACE_SIZE, SessionDirectory
 from repro.sap.messages import SapMessage
 from repro.sap.response_timer import UniformDelayTimer
 from repro.sap.sdp import SessionDescription
@@ -131,6 +133,33 @@ class TestSessionLifetime:
         alice.create_session("forever", ttl=63)
         sched.run(until=10_000.0)
         assert len(alice.own_sessions()) == 1
+
+
+class TestSpaceBound:
+    """A directory counts every address of its space, so the space is
+    bounded by sdr's dynamic range."""
+
+    @pytest.mark.parametrize("space", [
+        MulticastAddressSpace.full_ipv4(),
+        MulticastAddressSpace.abstract(MAX_SPACE_SIZE + 1),
+    ], ids=["full-ipv4", "abstract-65537"])
+    def test_larger_space_rejected(self, sched, net, space):
+        allocator = InformedRandomAllocator(
+            space.size, np.random.default_rng(0))
+        with pytest.raises(ValueError, match="at most 65536"):
+            SessionDirectory(0, sched, net, allocator, space)
+        assert net._listeners == {}  # raised before it listened
+
+    def test_sdr_dynamic_range_allocates(self, sched, net):
+        space = MulticastAddressSpace.sdr_dynamic()
+        assert space.size == MAX_SPACE_SIZE
+        rng = np.random.default_rng(0)
+        directory = SessionDirectory(
+            0, sched, net, InformedRandomAllocator(space.size, rng), space,
+            rng=rng)
+        session = directory.create_session("wide", ttl=127)
+        assert 0 <= session.address < space.size
+        assert len(directory._allocation_view()) == 1
 
 
 def rig_clash(directory, address):
@@ -357,13 +386,20 @@ class TestOwnSessionIndex:
             directory.cache.observe(
                 SapMessage.announce(9, theirs.format()), 0.0,
                 address_of=directory._address_of)
+        ipr3 = PartitionMap(IPR3_EDGES)
         for step in steps:
             apply_own_step(directory, step)
+            pairs = cached + [(own.session.address, own.session.ttl)
+                              for own in directory.own_sessions()]
+            expected = OccupancyView.from_pairs(
+                [a for a, __ in pairs], [t for __, t in pairs], TINY.size)
             view = directory._allocation_view()
-            expected = cached + [(own.session.address, own.session.ttl)
-                                 for own in directory.own_sessions()]
-            assert sorted(zip(view.addresses.tolist(),
-                              view.ttls.tolist())) == sorted(expected)
+            assert len(view) == len(pairs)
+            assert view.free_offsets(0, TINY.size).tolist() == \
+                expected.free_offsets(0, TINY.size).tolist()
+            for min_ttl in (1, 15, 64):
+                assert view.band_counts(ipr3, min_ttl) == \
+                    expected.band_counts(ipr3, min_ttl)
 
     def test_relocate_sets_both_addresses_only(self, sched, net):
         alice = make_directory(0, sched, net)

@@ -3,7 +3,13 @@
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from repro.core.allocator import VisibleSet
+from repro.core.allocator import OccupancyView
+from repro.core.partitions import (
+    IPR3_EDGES,
+    IPR7_EDGES,
+    PartitionMap,
+    margin_partition_map,
+)
 from repro.sap.cache import SessionCache
 from repro.sap import messages
 from repro.sap.messages import SapMessage, SapMessageType, payload_hash
@@ -14,9 +20,36 @@ PAYLOAD = SessionDescription(
 ).format()
 
 
+#: The space a bare cache counts over here.
+CACHE_SPACE = 16
+
+
+def new_cache(**kwargs):
+    """A cache counting into a view of its own, as a directory's does."""
+    return SessionCache(OccupancyView.from_pairs([], [], CACHE_SPACE),
+                        **kwargs)
+
+
 def at(index):
     """An ``address_of`` mapper that puts every description at ``index``."""
     return lambda description: index
+
+
+MAPS = (PartitionMap(IPR3_EDGES), PartitionMap(IPR7_EDGES),
+        margin_partition_map(2))
+
+
+def assert_counts_match(view, pairs):
+    """``view`` answers as a view built from ``pairs`` does."""
+    reference = OccupancyView.from_pairs([a for a, __ in pairs],
+                                         [t for __, t in pairs], CACHE_SPACE)
+    assert len(view) == len(reference) == len(pairs)
+    assert view.free_offsets(0, CACHE_SPACE).tolist() == \
+        reference.free_offsets(0, CACHE_SPACE).tolist()
+    for partition_map in MAPS:
+        for min_ttl in (1, 15, 64, 200):
+            assert view.band_counts(partition_map, min_ttl) == \
+                reference.band_counts(partition_map, min_ttl)
 
 
 class TestSapMessage:
@@ -114,7 +147,7 @@ class TestDecodeMemo:
 
 class TestSessionCache:
     def test_observe_announcement(self):
-        cache = SessionCache()
+        cache = new_cache()
         msg = SapMessage.announce(1, PAYLOAD)
         entry = cache.observe(msg, now=5.0, address_of=at(9))
         assert len(cache) == 1
@@ -124,7 +157,7 @@ class TestSessionCache:
         assert entry.ttl == 63
 
     def test_repeat_updates_last_heard(self):
-        cache = SessionCache()
+        cache = new_cache()
         msg = SapMessage.announce(1, PAYLOAD)
         cache.observe(msg, now=5.0)
         entry = cache.observe(msg, now=15.0)
@@ -134,19 +167,19 @@ class TestSessionCache:
         assert entry.times_heard == 2
 
     def test_delete_removes(self):
-        cache = SessionCache()
+        cache = new_cache()
         cache.observe(SapMessage.announce(1, PAYLOAD), now=0.0)
         cache.observe(SapMessage.delete(1, PAYLOAD), now=1.0)
         assert len(cache) == 0
 
     def test_unparseable_payload_ignored(self):
-        cache = SessionCache()
+        cache = new_cache()
         entry = cache.observe(SapMessage.announce(1, "garbage"), now=0.0)
         assert entry is None
         assert len(cache) == 0
 
     def test_expiry(self):
-        cache = SessionCache(timeout=100.0)
+        cache = new_cache(timeout=100.0)
         cache.observe(SapMessage.announce(1, PAYLOAD), now=0.0)
         other = SessionDescription(name="other").format()
         cache.observe(SapMessage.announce(2, other), now=90.0)
@@ -155,14 +188,14 @@ class TestSessionCache:
         assert cache.lookup(1, payload_hash(PAYLOAD)) is None
 
     def test_refresh_prevents_expiry(self):
-        cache = SessionCache(timeout=100.0)
+        cache = new_cache(timeout=100.0)
         msg = SapMessage.announce(1, PAYLOAD)
         cache.observe(msg, now=0.0)
         cache.observe(msg, now=80.0)
         assert cache.expire(now=150.0) == 0
 
     def test_entries_for_address(self):
-        cache = SessionCache()
+        cache = new_cache()
         cache.observe(SapMessage.announce(1, PAYLOAD), now=0.0,
                       address_of=at(9))
         other = SessionDescription(name="other").format()
@@ -173,24 +206,27 @@ class TestSessionCache:
         assert hits[0].description.name == "demo"
 
     def test_visible_set(self):
-        cache = SessionCache()
+        cache = new_cache()
         cache.observe(SapMessage.announce(1, PAYLOAD), now=0.0,
                       address_of=at(9))
         unmapped = SessionDescription(name="unmapped").format()
         cache.observe(SapMessage.announce(2, unmapped), now=0.0)
         vs = cache.visible_set()
-        assert isinstance(vs, VisibleSet)
-        assert vs.addresses.tolist() == [9]
-        assert vs.ttls.tolist() == [63]
+        assert isinstance(vs, OccupancyView)
+        assert len(vs) == 1
+        assert vs.free_offsets(0, CACHE_SPACE).tolist() == \
+            [a for a in range(CACHE_SPACE) if a != 9]
+        assert vs.band_counts(PartitionMap(IPR3_EDGES), 1) == [0, 1, 0]
+        assert vs.band_counts(PartitionMap(IPR3_EDGES), 64) == [0, 0, 0]
 
     def test_invalid_timeout_rejected(self):
         with pytest.raises(ValueError):
-            SessionCache(timeout=0.0)
+            new_cache(timeout=0.0)
 
     def test_modified_announcement_supersedes_older_version(self):
         """An address change (clash retreat) must not leave the old
         address looking occupied: version 2 replaces version 1."""
-        cache = SessionCache()
+        cache = new_cache()
         v1 = SessionDescription(name="talk", username="mjh",
                                 session_id=7, version=1,
                                 connection_address="224.2.128.5",
@@ -210,7 +246,7 @@ class TestSessionCache:
         assert cache.entries_for_address(5) == []
 
     def test_stale_version_does_not_displace_newer(self):
-        cache = SessionCache()
+        cache = new_cache()
         v2 = SessionDescription(name="talk", username="mjh",
                                 session_id=7, version=2)
         v1 = SessionDescription(name="talk", username="mjh",
@@ -224,7 +260,7 @@ class TestSessionCache:
         assert 2 in versions
 
     def test_same_session_id_different_origin_not_superseded(self):
-        cache = SessionCache()
+        cache = new_cache()
         desc = SessionDescription(name="talk", username="mjh",
                                   session_id=7, version=2)
         cache.observe(SapMessage.announce(1, desc.format()), now=0.0)
@@ -246,8 +282,8 @@ def address_of(description):
 
 
 def sdp(origin_key, version, address):
-    # The TTL varies with the session and version, so that a column
-    # row that kept another entry's TTL would show.
+    # The TTL varies with the session and version, so that a count
+    # left at another entry's TTL would show.
     username, session_id = origin_key
     return SessionDescription(name="s", username=username,
                               session_id=session_id, version=version,
@@ -256,8 +292,7 @@ def sdp(origin_key, version, address):
 
 
 def scanned_visible_pairs(entries):
-    """The allocator's view built by the loop the cache used before it
-    kept columns, as sorted (address, ttl) pairs."""
+    """The (address, ttl) pairs of the mapped entries, from a scan."""
     return sorted((entry.address_index, entry.ttl) for entry in entries
                   if entry.address_index is not None)
 
@@ -353,7 +388,7 @@ class TestCacheIndexes:
     @given(STEPS)
     @settings(max_examples=150, deadline=None)
     def test_indexes_match_full_scans(self, steps):
-        cache = SessionCache(timeout=TIMEOUT)
+        cache = new_cache(timeout=TIMEOUT)
         reference = FullScanCache()
         for now, step in enumerate(steps):
             apply_step(cache, reference, step, float(now))
@@ -366,13 +401,11 @@ class TestCacheIndexes:
                 expected = [e for e in entries if e.address_index == address]
                 assert [id(e) for e in cache.entries_for_address(address)] \
                     == [id(e) for e in expected]
-            visible = cache.visible_set()
-            assert sorted(zip(visible.addresses.tolist(),
-                              visible.ttls.tolist())) == \
-                scanned_visible_pairs(entries)
+            assert_counts_match(cache.visible_set(),
+                                scanned_visible_pairs(entries))
 
     def test_late_fill_keeps_scan_order(self):
-        cache = SessionCache()
+        cache = new_cache()
         early = SapMessage.announce(1, sdp(("a", 1), 1, UNMAPPED))
         cache.observe(early, 0.0, address_of=address_of)
         cache.observe(SapMessage.announce(2, sdp(("a", 2), 1,
@@ -392,8 +425,7 @@ class TestCacheIndexes:
 # --------------------------------------------------------------------
 
 def test_mutating_returned_entries_leaves_cache_intact():
-    from repro.sap.cache import SessionCache
-    cache = SessionCache()
+    cache = new_cache()
     cache._entries[(1, 2)] = "sentinel"
     view = cache.entries()
     view.clear()

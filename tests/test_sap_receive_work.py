@@ -8,8 +8,8 @@ and maps the group address from that parse; a hit on an entry that
 already has its address parses nothing.  ``owns()`` answers a key of
 another origin without reading any own session.  The clash check
 reads the own sessions at the announced address, never the site's
-full list, and the allocator's view copies the cache's columns
-without visiting an entry.  The counts are pinned here because they
+full list, and the allocator's view is counted as entries and own
+sessions come and go, so allocating visits no entry.  The counts are pinned here because they
 are the per-packet and per-allocation cost the benchmark's SAP
 workloads measure.
 """
@@ -183,24 +183,34 @@ def test_delivery_never_lists_all_own_sessions(world, monkeypatch):
     assert bob.address_changes == 1
 
 
-def test_visible_set_reads_no_cache_entry(monkeypatch):
-    cache = SessionCache()
+def test_visible_set_reads_no_cache_entry(world, monkeypatch):
+    """The view is counted as entries come and go, so reading it or
+    allocating visits no entry and lists neither the cache nor the own
+    sessions."""
+    alice = world(0)
     for index in range(5):
         description = SessionDescription(
             name=f"s{index}", session_id=index, ttl=15 + index,
             connection_address=SPACE.index_to_ip(index))
-        cache.observe(SapMessage.announce(2, description.format()), 0.0,
-                      address_of=lambda d: SPACE.ip_to_index(
-                          d.connection_address))
+        alice.cache.observe(SapMessage.announce(2, description.format()),
+                            0.0, address_of=alice._address_of)
+    mine = alice.create_session("mine", ttl=63)
 
-    def read(entry):
-        raise AssertionError("visible_set() read CacheEntry.ttl")
+    def read(*args):
+        raise AssertionError("allocation read a cache entry or a list")
 
     monkeypatch.setattr(CacheEntry, "ttl", property(read))
-    visible = cache.visible_set()
-    assert sorted(zip(visible.addresses.tolist(),
-                      visible.ttls.tolist())) == \
-        [(index, 15 + index) for index in range(5)]
+    monkeypatch.setattr(SessionCache, "entries", read)
+    monkeypatch.setattr(SessionDirectory, "own_sessions", read)
+    view = alice.cache.visible_set()
+    assert view is alice._allocation_view()
+    assert len(view) == 6
+    used = sorted(set(range(SPACE.size))
+                  - set(view.free_offsets(0, SPACE.size).tolist()))
+    assert used == sorted([0, 1, 2, 3, 4, mine.address])
+    session = alice.create_session("next", ttl=63)
+    assert session.address not in used
+    assert len(alice._allocation_view()) == 7
 
 
 # ----------------------------------------------------------------------
