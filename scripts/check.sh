@@ -30,12 +30,15 @@ echo "== repro.modelcheck (bounded exhaustive exploration) =="
 # scenario (~1 min) runs in CI's model-check step, not the local gate.
 python -m repro.modelcheck smoke simultaneous
 
-echo "== examples (every script runs to completion) =="
-# The examples are documentation that executes; any non-zero exit
-# fails the gate.  The whole set takes a few seconds.
+echo "== examples (every script prints its expected output) =="
+# The examples are documentation that executes.  Each one's stdout
+# must equal examples/expected/<name>.txt byte for byte: a diff fails
+# the gate, and so does a crash (pipefail).  The set takes a few
+# seconds.
 for example in examples/*.py; do
     echo "-- $example"
-    python "$example" > /dev/null
+    expected="examples/expected/$(basename "$example" .py).txt"
+    python "$example" | diff -u "$expected" -
 done
 
 if command -v ruff >/dev/null 2>&1; then

@@ -24,10 +24,7 @@ from repro.core.allocator import (
     Allocator,
     nth_free_address,
 )
-from repro.core.clash import (
-    find_clashing_pairs,
-    sessions_clash,
-)
+from repro.core.clash import find_clashing_pairs
 from repro.core.hierarchy import HierarchicalAllocator, PrefixPool
 from repro.core.hybrid import HybridIprmaAllocator
 from repro.core.informed import InformedRandomAllocator
@@ -44,7 +41,6 @@ __all__ = [
     "AdaptiveIprmaAllocator",
     "AdminScopedAllocator",
     "LegacyAdaptiveIprmaAllocator",
-    "sessions_clash",
     "AllocationResult",
     "AllocationView",
     "Allocator",

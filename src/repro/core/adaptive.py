@@ -59,7 +59,7 @@ class AdaptiveIprmaAllocator(Allocator):
     def __init__(self, space_size: int, gap_fraction: float = 0.2,
                  edges: Sequence[int] = IPR7_EDGES,
                  occupancy: float = DEFAULT_OCCUPANCY,
-                 rng: Optional[np.random.Generator] = None) -> None:
+                 *, rng: np.random.Generator) -> None:
         super().__init__(space_size, rng)
         if not 0.0 <= gap_fraction < 1.0:
             raise ValueError(f"gap_fraction outside [0, 1): {gap_fraction}")
@@ -72,19 +72,23 @@ class AdaptiveIprmaAllocator(Allocator):
 
     # Factories matching the paper's labels -----------------------------
     @classmethod
-    def aipr1(cls, space_size: int, rng=None) -> "AdaptiveIprmaAllocator":
+    def aipr1(cls, space_size: int,
+              rng: np.random.Generator) -> "AdaptiveIprmaAllocator":
         return cls(space_size, gap_fraction=0.2, rng=rng)
 
     @classmethod
-    def aipr2(cls, space_size: int, rng=None) -> "AdaptiveIprmaAllocator":
+    def aipr2(cls, space_size: int,
+              rng: np.random.Generator) -> "AdaptiveIprmaAllocator":
         return cls(space_size, gap_fraction=0.5, rng=rng)
 
     @classmethod
-    def aipr3(cls, space_size: int, rng=None) -> "AdaptiveIprmaAllocator":
+    def aipr3(cls, space_size: int,
+              rng: np.random.Generator) -> "AdaptiveIprmaAllocator":
         return cls(space_size, gap_fraction=0.6, rng=rng)
 
     @classmethod
-    def aipr4(cls, space_size: int, rng=None) -> "AdaptiveIprmaAllocator":
+    def aipr4(cls, space_size: int,
+              rng: np.random.Generator) -> "AdaptiveIprmaAllocator":
         return cls(space_size, gap_fraction=0.7, rng=rng)
 
     # -------------------------------------------------------------------

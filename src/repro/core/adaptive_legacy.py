@@ -34,7 +34,7 @@ variant removes.
 from __future__ import annotations
 
 import math
-from typing import List, Optional, Sequence, Tuple
+from typing import List, Sequence, Tuple
 
 import numpy as np
 
@@ -59,7 +59,7 @@ class LegacyAdaptiveIprmaAllocator(Allocator):
     def __init__(self, space_size: int, mode: str = "push",
                  edges: Sequence[int] = IPR7_EDGES,
                  occupancy: float = DEFAULT_OCCUPANCY,
-                 rng: Optional[np.random.Generator] = None) -> None:
+                 *, rng: np.random.Generator) -> None:
         super().__init__(space_size, rng)
         if mode not in _MODES:
             raise ValueError(f"mode must be one of {_MODES}: {mode!r}")

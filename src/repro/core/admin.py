@@ -36,8 +36,7 @@ class AdminScopedAllocator(Allocator):
     name = "Admin-IR"
 
     def __init__(self, scope_map: AdminScopeMap, node: int,
-                 space_size: int,
-                 rng: Optional[np.random.Generator] = None) -> None:
+                 space_size: int, rng: np.random.Generator) -> None:
         super().__init__(space_size, rng)
         self.scope_map = scope_map
         self.node = node

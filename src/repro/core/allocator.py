@@ -18,7 +18,6 @@ from typing import List, Optional, Protocol, Tuple
 import numpy as np
 
 from repro.core.partitions import MAX_TTL, PartitionMap
-from repro.sim.rng import derived_stream
 from repro.sim.types import Count, SlotIndex, Ttl
 
 
@@ -133,21 +132,18 @@ class Allocator(abc.ABC):
 
     Args:
         space_size: number of addresses in the allocation space.
-        rng: numpy Generator; a fresh default one is made if omitted.
+        rng: numpy Generator the allocator draws from.
     """
 
     #: short name used in experiment output ("R", "IR", "IPR 3-band"...)
     name: str = "base"
 
     def __init__(self, space_size: Count,
-                 rng: Optional[np.random.Generator] = None) -> None:
+                 rng: np.random.Generator) -> None:
         if space_size <= 0:
             raise ValueError(f"space_size must be positive: {space_size}")
         self.space_size = int(space_size)
-        self.rng = rng if rng is not None else derived_stream(
-            "core.allocator"
-        )
-        self.forced_allocations = 0
+        self.rng = rng
 
     @abc.abstractmethod
     def allocate(self, ttl: Ttl,
@@ -187,7 +183,6 @@ class Allocator(abc.ABC):
         """
         free = visible.free_offsets(lo, hi)
         if len(free) == 0:
-            self.forced_allocations += 1
             address = int(self.rng.integers(lo, hi))
             return AllocationResult(address, band=band, informed=False,
                                     forced=True)

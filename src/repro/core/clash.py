@@ -16,13 +16,6 @@ from repro.core.session import Session
 from repro.routing.scoping import ScopeMap
 
 
-def sessions_clash(a: Session, b: Session, scope_map: ScopeMap) -> bool:
-    """True if ``a`` and ``b`` collide on address and overlapping scope."""
-    if a.address != b.address:
-        return False
-    return scope_map.scopes_overlap(a.source, a.ttl, b.source, b.ttl)
-
-
 def find_clashing_pairs(sessions: Sequence[Session],
                         scope_map: ScopeMap) -> List[Tuple[int, int]]:
     """All clashing index pairs (i < j) within ``sessions``."""

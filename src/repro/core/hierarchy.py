@@ -98,7 +98,7 @@ class HierarchicalAllocator(Allocator):
 
     def __init__(self, pool: PrefixPool, region_id: int = 0,
                  grow_at: float = 0.67,
-                 rng: Optional[np.random.Generator] = None) -> None:
+                 *, rng: np.random.Generator) -> None:
         super().__init__(pool.space_size, rng)
         if not 0.0 < grow_at <= 1.0:
             raise ValueError(f"grow_at outside (0, 1]: {grow_at}")

@@ -46,7 +46,7 @@ class HybridIprmaAllocator(Allocator):
                  initial_span: float = 0.5,
                  edges: Sequence[int] = IPR7_EDGES,
                  occupancy: float = DEFAULT_OCCUPANCY,
-                 rng: Optional[np.random.Generator] = None) -> None:
+                 *, rng: np.random.Generator) -> None:
         super().__init__(space_size, rng)
         if not 0.0 <= gap_fraction < initial_span <= 1.0:
             raise ValueError(

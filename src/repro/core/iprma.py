@@ -16,7 +16,7 @@ match the TTL boundaries actually deployed.  The paper's two variants:
 
 from __future__ import annotations
 
-from typing import List, Optional, Sequence, Tuple
+from typing import List, Sequence, Tuple
 
 import numpy as np
 
@@ -40,7 +40,7 @@ class StaticIprmaAllocator(Allocator):
 
     def __init__(self, space_size: int,
                  edges: Sequence[int] = IPR3_EDGES,
-                 rng: Optional[np.random.Generator] = None) -> None:
+                 *, rng: np.random.Generator) -> None:
         super().__init__(space_size, rng)
         self.partition_map = PartitionMap(tuple(edges))
         self.band_ranges: List[Tuple[int, int]] = equal_band_ranges(
@@ -50,17 +50,15 @@ class StaticIprmaAllocator(Allocator):
 
     @classmethod
     def three_band(cls, space_size: int,
-                   rng: Optional[np.random.Generator] = None
-                   ) -> "StaticIprmaAllocator":
+                   rng: np.random.Generator) -> "StaticIprmaAllocator":
         """The paper's IPR 3-band (separators at TTL 15 and 64)."""
-        return cls(space_size, IPR3_EDGES, rng)
+        return cls(space_size, IPR3_EDGES, rng=rng)
 
     @classmethod
     def seven_band(cls, space_size: int,
-                   rng: Optional[np.random.Generator] = None
-                   ) -> "StaticIprmaAllocator":
+                   rng: np.random.Generator) -> "StaticIprmaAllocator":
         """The paper's IPR 7-band (2, 16, 32, 48, 64, 128)."""
-        return cls(space_size, IPR7_EDGES, rng)
+        return cls(space_size, IPR7_EDGES, rng=rng)
 
     def band_range(self, ttl: int) -> Tuple[int, int]:
         """Half-open address range of the band serving ``ttl``."""

@@ -43,10 +43,6 @@ class TtlDistribution:
         """
         return self.values[int(rng.integers(0, len(self.values)))]
 
-    def distinct(self) -> Tuple[int, ...]:
-        """The distinct TTL values, ascending."""
-        return tuple(sorted(set(self.values)))
-
 
 DS1 = TtlDistribution("ds1", (1, 15, 31, 47, 63, 127, 191))
 DS2 = TtlDistribution("ds2", (1, 1, 15, 15, 31, 47, 63, 127, 191))

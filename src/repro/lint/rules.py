@@ -174,7 +174,7 @@ class UnseededRngRule(Rule):
                     yield (node.lineno, node.col_offset,
                            f"unseeded {written}(); inject an "
                            f"np.random.Generator or derive one from "
-                           f"RandomStreams (e.g. rng.derived_stream)")
+                           f"RandomStreams (e.g. streams.get(key))")
             elif leaf in _LEGACY_NP_RANDOM:
                 yield (node.lineno, node.col_offset,
                        f"legacy module-global numpy RNG call "
@@ -684,29 +684,19 @@ class LoopCaptureRule(Rule):
 
 
 def stream_key_sites(tree: ast.AST
-                     ) -> Iterator[Tuple[ast.Call, ast.expr, str]]:
-    """Every call that names an RNG stream: ``(call, key, seed)``.
+                     ) -> Iterator[Tuple[ast.Call, ast.expr]]:
+    """Every call that names an RNG stream: ``(call, key)``.
 
-    ``derived_stream(key, seed)`` is keyed by its seed expression too,
-    as source text (``"0"`` when omitted); ``<x>.get(key)`` on a
-    receiver whose name contains ``streams`` (a ``RandomStreams``) is
-    scoped to that instance, whose seed is not known statically.
+    A stream is named by ``<x>.get(key)`` on a receiver whose name
+    contains ``streams`` (a ``RandomStreams``).
     """
     for node in ast.walk(tree):
         if not isinstance(node, ast.Call) or not node.args:
             continue
         func = node.func
-        name = func.attr if isinstance(func, ast.Attribute) \
-            else getattr(func, "id", "")
-        if name == "derived_stream":
-            seeds = node.args[1:2] + [keyword.value for keyword
-                                      in node.keywords
-                                      if keyword.arg == "seed"]
-            yield (node, node.args[0],
-                   ast.unparse(seeds[0]) if seeds else "0")
-        elif isinstance(func, ast.Attribute) and name == "get" and \
+        if isinstance(func, ast.Attribute) and func.attr == "get" and \
                 "streams" in (dotted_name(func.value) or "").lower():
-            yield node, node.args[0], "<instance>"
+            yield node, node.args[0]
 
 
 def fold_key(node: ast.expr) -> Tuple[str, List[ast.expr]]:
@@ -737,7 +727,7 @@ class TaintedStreamKeyRule(Rule):
 
     def check(self, tree: ast.AST) -> Iterator[RawFinding]:
         aliases = import_aliases(tree)
-        for call, key, _ in stream_key_sites(tree):
+        for call, key in stream_key_sites(tree):
             pattern, holes = fold_key(key)
             if any(self._tainted(hole, aliases) for hole in holes):
                 yield (call.lineno, call.col_offset,
@@ -765,19 +755,18 @@ class StreamKeyCollisionRule(TreeRule):
     name = "stream-key-collision"
     code = "SIM116"
     description = ("two call sites derive the same fully-constant "
-                   "stream key and seed: the components draw "
-                   "correlated values")
+                   "stream key: the components draw correlated values")
 
     def check_tree(self, modules: Sequence[Tuple[str, ast.AST]]
                    ) -> Iterator[RawTreeFinding]:
-        by_key: Dict[Tuple[str, str], List[Tuple[str, int, int]]] = {}
+        by_key: Dict[str, List[Tuple[str, int, int]]] = {}
         for path, tree in modules:
-            for call, key, seed in stream_key_sites(tree):
+            for call, key in stream_key_sites(tree):
                 pattern, holes = fold_key(key)
                 if not holes:
-                    by_key.setdefault((pattern, seed), []).append(
+                    by_key.setdefault(pattern, []).append(
                         (path, call.lineno, call.col_offset))
-        for (pattern, seed), sites in by_key.items():
+        for pattern, sites in by_key.items():
             if len(sites) < 2:
                 continue
             for site in sites:
@@ -785,7 +774,7 @@ class StreamKeyCollisionRule(TreeRule):
                                    for path, line, col in sites
                                    if (path, line, col) != site)
                 yield site + (
-                    f"stream key {pattern!r} (seed={seed}) is also "
+                    f"stream key {pattern!r} is also "
                     f"derived at {others}; distinct components "
                     f"sharing a stream draw correlated values",)
 

@@ -220,7 +220,6 @@ class FirstFitAllocator(Allocator):
         if len(free):
             return AllocationResult(int(free[0]), informed=True,
                                     forced=False)
-        self.forced_allocations += 1
         address = int(self.rng.integers(0, self.space_size))
         return AllocationResult(address, informed=False, forced=True)
 

@@ -19,7 +19,7 @@ defend     ``defend``, ``proxy_defend``
 retreat    ``retreat``
 allocate   ``allocate``
 schedule   ``schedule``, ``schedule_at``
-cancel     ``cancel``, ``cancel_all``, ``stop``
+cancel     ``cancel``, ``stop``
 ========== ====================================================
 
 A handler's *schedules* set lists the methods it arms timers for —
@@ -46,7 +46,6 @@ EFFECT_NAMES: Dict[str, str] = {
     "schedule": "schedule",
     "schedule_at": "schedule",
     "cancel": "cancel",
-    "cancel_all": "cancel",
     "stop": "cancel",
 }
 
@@ -121,13 +120,6 @@ SPEC_MACHINES: Dict[str, MachineSpec] = {
                 event="random-delay defence timer",
                 allowed=_fs("defend"),
                 required=_fs("defend"),
-            ),
-            HandlerSpec(
-                name="cancel_all",
-                state="*",
-                event="teardown",
-                allowed=_fs("cancel"),
-                required=_fs("cancel"),
             ),
         ),
     ),

@@ -83,10 +83,6 @@ class ShortestPathTree:
         out.reverse()
         return out
 
-    def depth(self, node: int) -> int:
-        """Hop count from the source to ``node``."""
-        return len(self.path(node)) - 1
-
 
 class ShortestPathForest:
     """Cached per-source shortest-path trees for one topology/weight."""

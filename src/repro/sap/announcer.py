@@ -18,7 +18,6 @@ import numpy as np
 
 from repro.analysis.announcement import ExponentialBackoffSchedule
 from repro.sim.events import EventHandle, EventScheduler
-from repro.sim.rng import derived_stream
 from repro.sim.types import Duration
 
 
@@ -73,7 +72,7 @@ class Announcer:
 
     def __init__(self, scheduler: EventScheduler, send: Callable[[], None],
                  strategy: AnnouncementStrategy,
-                 rng: Optional[np.random.Generator] = None,
+                 rng: np.random.Generator,
                  jitter_fraction: float = 0.1) -> None:
         if not 0.0 <= jitter_fraction < 1.0:
             raise ValueError(f"jitter_fraction outside [0, 1): "
@@ -81,9 +80,7 @@ class Announcer:
         self.scheduler = scheduler
         self.send = send
         self.strategy = strategy
-        self.rng = rng if rng is not None else derived_stream(
-            "sap.announcer"
-        )
+        self.rng = rng
         self.jitter_fraction = jitter_fraction
         self.announcements_sent = 0
         self._pending: Optional[EventHandle] = None

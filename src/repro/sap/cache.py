@@ -43,7 +43,6 @@ class CacheEntry:
             indexes entries by it, so only the cache assigns it.
         first_heard: when the announcement was first received.
         last_heard: most recent reception.
-        times_heard: number of receptions.
     """
 
     message: SapMessage
@@ -51,7 +50,6 @@ class CacheEntry:
     address_index: Optional[SlotIndex] = None
     first_heard: SimTime = 0.0
     last_heard: SimTime = 0.0
-    times_heard: int = 1
 
     @property
     def ttl(self) -> Ttl:
@@ -70,22 +68,23 @@ class SessionCache:
     Every entry with a mapped address is also counted, at its address
     and its TTL, in ``view``: the allocator's view of the directory
     that owns the cache, which counts its own sessions there too.  An
-    entry is counted when it is inserted or late-filled and uncounted
-    when it is removed, so allocating reads the counts and never
-    visits an entry.
+    entry is counted when it is inserted and uncounted when it is
+    removed, so allocating reads the counts and never visits an entry.
 
     Args:
         view: the counts to keep; its space must hold every address
             ``address_of`` maps to.
+        address_of: maps a new entry's description to its address.
         timeout: seconds without an announcement before an entry dies.
     """
 
-    def __init__(self, view: OccupancyView,
+    def __init__(self, view: OccupancyView, address_of: AddressOf,
                  timeout: Duration = DEFAULT_TIMEOUT) -> None:
         if timeout <= 0:
             raise ValueError(f"timeout must be positive: {timeout}")
         self.timeout = timeout
         self._view = view
+        self._address_of = address_of
         self._entries: Dict[CacheKey, CacheEntry] = {}
         self._by_address: Dict[SlotIndex, List[CacheKey]] = {}
         self._by_session: Dict[SessionKey, List[CacheKey]] = {}
@@ -93,9 +92,8 @@ class SessionCache:
     def __len__(self) -> int:
         return len(self._entries)
 
-    def observe(self, message: SapMessage, now: SimTime,
-                address_of: Optional[AddressOf] = None
-                ) -> Optional[CacheEntry]:
+    def observe(self, message: SapMessage,
+                now: SimTime) -> Optional[CacheEntry]:
         """Record a received SAP message.
 
         Deletions remove the matching entry.  A *modified*
@@ -107,10 +105,8 @@ class SessionCache:
         unparseable announcements).
 
         The SDP is parsed once per miss, and ``address_of`` maps the
-        entry's address from that parse.  A hit parses nothing,
-        except when its entry still has no address: then the new
-        payload is parsed and mapped, as a hash-colliding announcement
-        may carry one.
+        entry's address from that parse.  A hit is a refresh of the
+        same announcement: it stamps ``last_heard`` and reads nothing.
         """
         key = message.key()
         if message.msg_type is SapMessageType.DELETE:
@@ -119,9 +115,6 @@ class SessionCache:
         entry = self._entries.get(key)
         if entry is not None:
             entry.last_heard = now
-            entry.times_heard += 1
-            if entry.address_index is None and address_of is not None:
-                self._late_fill(key, entry, message.payload, address_of)
             return entry
         try:
             description = SessionDescription.parse(message.payload)
@@ -131,34 +124,12 @@ class SessionCache:
         entry = CacheEntry(
             message=message,
             description=description,
-            address_index=(None if address_of is None
-                           else address_of(description)),
+            address_index=self._address_of(description),
             first_heard=now,
             last_heard=now,
         )
         self._insert(key, entry)
         return entry
-
-    def _late_fill(self, key: CacheKey, entry: CacheEntry, payload: str,
-                   address_of: AddressOf) -> None:
-        """Map the address of an entry cached without one.
-
-        The key joins its address bucket at its ``_entries`` position,
-        not at the end.  That costs a scan of the cache, at most once
-        per entry: an entry with an address is never filled again.
-        """
-        try:
-            address = address_of(SessionDescription.parse(payload))
-        except ValueError:
-            return
-        if address is None:
-            return
-        entry.address_index = address
-        members = set(self._by_address.get(address, ()))
-        members.add(key)
-        self._by_address[address] = [k for k in self._entries
-                                     if k in members]
-        self._view.add(address, entry.ttl, 1)
 
     def _insert(self, key: CacheKey, entry: CacheEntry) -> None:
         """Add a new entry, appending its key to both indexes and, if

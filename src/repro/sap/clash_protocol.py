@@ -28,7 +28,6 @@ import numpy as np
 from repro.sap.cache import CacheEntry
 from repro.sap.response_timer import ExponentialDelayTimer, ResponseDelayTimer
 from repro.sim.events import EventHandle, EventScheduler
-from repro.sim.rng import derived_stream
 
 
 def default_timer_factory(rng: np.random.Generator) -> ResponseDelayTimer:
@@ -75,13 +74,11 @@ class ClashHandler:
     a defence.
     """
 
-    def __init__(self, directory, policy: Optional[ClashPolicy] = None,
-                 rng: Optional[np.random.Generator] = None) -> None:
+    def __init__(self, directory, policy: ClashPolicy,
+                 rng: np.random.Generator) -> None:
         self.directory = directory
-        self.policy = policy or ClashPolicy()
-        self.rng = rng if rng is not None else derived_stream(
-            "sap.clash_protocol"
-        )
+        self.policy = policy
+        self.rng = rng
         self.timer = self.policy.timer_factory(self.rng)
         self._pending: Dict[Tuple[Tuple[int, int], Tuple[int, int]],
                             PendingDefence] = {}
@@ -214,12 +211,3 @@ class ClashHandler:
             return
         self.defences_sent += 1
         self.directory.proxy_defend(old)
-
-    def cancel_all(self) -> int:
-        """Cancel every pending defence (returns how many)."""
-        count = 0
-        for pending in self._pending.values():
-            pending.handle.cancel()
-            count += 1
-        self._pending.clear()
-        return count

@@ -29,7 +29,7 @@ from repro.sap.announcer import (
 )
 from repro.sap.cache import SessionCache
 from repro.sap.clash_protocol import ClashHandler, ClashPolicy
-from repro.sap.messages import SapMessage, SapMessageType
+from repro.sap.messages import SapMessage
 from repro.sap.sdp import MediaStream, SessionDescription
 from repro.sim.events import EventHandle, EventScheduler
 from repro.sim.network import NetworkModel, Packet
@@ -99,8 +99,7 @@ class OwnSession:
     def withdrawal(self) -> bytes:
         """A SAP deletion of the current announcement's payload."""
         message = self._current()
-        return SapMessage(SapMessageType.DELETE, message.origin,
-                          message.msg_id_hash, message.payload).encode()
+        return SapMessage.delete(message.origin, message.payload).encode()
 
 
 class SessionDirectory:
@@ -156,7 +155,7 @@ class SessionDirectory:
         self._view = OccupancyView(
             np.zeros(address_space.size, dtype=np.int32),
             np.zeros(MAX_TTL + 1, dtype=np.int32))
-        self.cache = SessionCache(self._view)
+        self.cache = SessionCache(self._view, self._address_of)
         self.rng = rng if rng is not None else np.random.default_rng(node)
         self._own: Dict[Tuple[int, int], OwnSession] = {}
         #: Own sessions by address.  Each bucket keeps ``_own`` order,
@@ -405,8 +404,7 @@ class SessionDirectory:
         if self._drop_self_origin(message):
             return
         self.announcements_received += 1
-        entry = self.cache.observe(message, self.scheduler.now,
-                                   address_of=self._address_of)
+        entry = self.cache.observe(message, self.scheduler.now)
         if entry is not None and self.clash_handler is not None:
             self.clash_handler.on_announcement(entry)
 

@@ -151,7 +151,6 @@ class LearnedZone:
     announcement: ZoneAnnouncement
     first_heard: float
     last_heard: float
-    times_heard: int = 1
 
 
 class ZoneListener:
@@ -180,7 +179,6 @@ class ZoneListener:
             self.learned[key] = LearnedZone(announcement, now, now)
         else:
             entry.last_heard = now
-            entry.times_heard += 1
         if not self._member_of(announcement):
             self.leaks_detected.append(announcement)
 

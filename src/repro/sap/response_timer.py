@@ -10,37 +10,26 @@ the key result behind figs. 18 and 19.
 from __future__ import annotations
 
 import abc
-from typing import Optional
 
 import numpy as np
 
-from repro.analysis.response_bounds import (
-    exponential_delay_array,
-    exponential_delay_sample,
-)
-from repro.sim.rng import derived_stream
+from repro.analysis.response_bounds import exponential_delay_sample
 
 
 class ResponseDelayTimer(abc.ABC):
     """Samples the random delay before sending a suppressed response."""
 
     def __init__(self, d1: float, d2: float,
-                 rng: Optional[np.random.Generator] = None) -> None:
+                 rng: np.random.Generator) -> None:
         if d1 < 0 or d2 < d1:
             raise ValueError(f"need 0 <= D1 <= D2, got {d1}, {d2}")
         self.d1 = d1
         self.d2 = d2
-        self.rng = rng if rng is not None else derived_stream(
-            "sap.response_timer"
-        )
+        self.rng = rng
 
     @abc.abstractmethod
     def sample(self) -> float:
         """One random delay in [D1, D2]."""
-
-    def sample_many(self, count: int) -> np.ndarray:
-        """``count`` independent delays (vectorised where possible)."""
-        return np.array([self.sample() for __ in range(count)])
 
 
 class UniformDelayTimer(ResponseDelayTimer):
@@ -48,9 +37,6 @@ class UniformDelayTimer(ResponseDelayTimer):
 
     def sample(self) -> float:
         return float(self.rng.uniform(self.d1, self.d2))
-
-    def sample_many(self, count: int) -> np.ndarray:
-        return self.rng.uniform(self.d1, self.d2, size=count)
 
 
 class ExponentialDelayTimer(ResponseDelayTimer):
@@ -62,7 +48,7 @@ class ExponentialDelayTimer(ResponseDelayTimer):
     """
 
     def __init__(self, d1: float, d2: float, rtt: float = 0.2,
-                 rng: Optional[np.random.Generator] = None) -> None:
+                 *, rng: np.random.Generator) -> None:
         super().__init__(d1, d2, rng)
         if rtt <= 0:
             raise ValueError(f"rtt must be positive: {rtt}")
@@ -71,7 +57,3 @@ class ExponentialDelayTimer(ResponseDelayTimer):
     def sample(self) -> float:
         x = float(self.rng.random())
         return exponential_delay_sample(x, self.d1, self.d2, self.rtt)
-
-    def sample_many(self, count: int) -> np.ndarray:
-        xs = self.rng.random(count)
-        return exponential_delay_array(xs, self.d1, self.d2, self.rtt)

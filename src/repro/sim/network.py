@@ -108,10 +108,6 @@ class NetworkModel:
         """Remove the partition; delivery returns to normal."""
         self._partition = None
 
-    @property
-    def partitioned(self) -> bool:
-        return self._partition is not None
-
     def listen(self, node: int, callback: DeliveryCallback) -> None:
         """Register a delivery callback for ``node``.
 

@@ -49,16 +49,3 @@ class RandomStreams:
     def __repr__(self) -> str:
         return f"RandomStreams(seed={self.seed}, open={len(self._streams)})"
 
-
-def derived_stream(name: str, seed: int = 0) -> np.random.Generator:
-    """A deterministic fallback Generator for components built bare.
-
-    Stochastic components take an injected ``np.random.Generator``;
-    when a caller omits it, they must still be replayable, so the
-    fallback is derived from a :class:`RandomStreams` with a stable
-    per-component stream name rather than from OS entropy.  Two bare
-    constructions of the same component therefore produce *identical*
-    sequences — deterministic by design; pass an explicit ``rng`` to
-    decorrelate instances.
-    """
-    return RandomStreams(seed=seed).get(name)

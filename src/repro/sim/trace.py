@@ -91,9 +91,6 @@ class Tracer:
         return "\n".join(record.format()
                          for record in self.records(**filters))
 
-    def clear(self) -> None:
-        self._records.clear()
-
     def __len__(self) -> int:
         return len(self._records)
 

@@ -12,10 +12,9 @@ from repro.topology.doar import DoarParams, generate_doar
 from repro.topology.hopcount import HopCountStats, hop_count_distribution
 from repro.topology.mapfile import dump_map, load_map, parse_map, save_map
 from repro.topology.mbone import MboneParams, generate_mbone
-from repro.topology.mcollect import CollectionReport, McollectProbe
+from repro.topology.mcollect import McollectProbe
 
 __all__ = [
-    "CollectionReport",
     "DoarParams",
     "HopCountStats",
     "Link",

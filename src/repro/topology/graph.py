@@ -57,14 +57,6 @@ class Link:
         if self.delay < 0:
             raise ValueError(f"negative delay {self.delay}")
 
-    def other(self, node: int) -> int:
-        """Return the endpoint that is not ``node``."""
-        if node == self.u:
-            return self.v
-        if node == self.v:
-            return self.u
-        raise ValueError(f"node {node} is not an endpoint of {self}")
-
 
 class Topology:
     """A multicast internetwork of nodes and attribute-carrying links."""

@@ -19,24 +19,11 @@ map's known incompleteness.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Dict, List, Optional, Set
+from typing import Dict, List, Set
 
 import numpy as np
 
-from repro.sim.rng import derived_stream
 from repro.topology.graph import Topology
-
-
-@dataclass
-class CollectionReport:
-    """What the walk saw vs the ground truth."""
-
-    ground_truth_nodes: int
-    responding_nodes: int
-    mapped_nodes: int
-    mapped_links: int
-    coverage: float
 
 
 class McollectProbe:
@@ -51,7 +38,7 @@ class McollectProbe:
 
     def __init__(self, topology: Topology,
                  unreachable_fraction: float = 0.0,
-                 rng: Optional[np.random.Generator] = None) -> None:
+                 *, rng: np.random.Generator) -> None:
         if not 0.0 <= unreachable_fraction < 1.0:
             raise ValueError(
                 f"unreachable_fraction must be in [0, 1): "
@@ -59,10 +46,7 @@ class McollectProbe:
             )
         self.topology = topology
         self.unreachable_fraction = unreachable_fraction
-        self.rng = rng if rng is not None else derived_stream(
-            "topology.mcollect"
-        )
-        self._silent: Optional[Set[int]] = None
+        self.rng = rng
 
     def _choose_silent(self, monitor: int) -> Set[int]:
         silent: Set[int] = set()
@@ -82,14 +66,14 @@ class McollectProbe:
         invisible.  Finally, disconnected fragments are dropped, as the
         paper did.
         """
-        self._silent = self._choose_silent(monitor)
+        silent = self._choose_silent(monitor)
         discovered: Set[int] = {monitor}
         queried: Set[int] = set()
         frontier: List[int] = [monitor]
         links: Dict[tuple, tuple] = {}
         while frontier:
             node = frontier.pop()
-            if node in queried or node in self._silent:
+            if node in queried or node in silent:
                 continue
             queried.add(node)
             for neighbor in self.topology.neighbors(node):
@@ -113,15 +97,3 @@ class McollectProbe:
             partial.add_link(mapping[u], mapping[v], metric=metric,
                              threshold=threshold, delay=delay)
         return partial.largest_connected_subgraph()
-
-    def report(self, monitor: int = 0) -> CollectionReport:
-        """Collect and summarise coverage."""
-        collected = self.collect(monitor)
-        responding = self.topology.num_nodes - len(self._silent or ())
-        return CollectionReport(
-            ground_truth_nodes=self.topology.num_nodes,
-            responding_nodes=responding,
-            mapped_nodes=collected.num_nodes,
-            mapped_links=collected.num_links,
-            coverage=collected.num_nodes / self.topology.num_nodes,
-        )

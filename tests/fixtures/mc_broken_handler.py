@@ -5,7 +5,7 @@ cross-check rules can be exercised against a handler with known
 defects (the rules key off the class name, so the machine contract
 follows ``ClashHandler`` into this fixture):
 
-* ``_fire_defence`` and ``cancel_all`` were deleted → MC301.
+* ``_fire_defence`` was deleted → MC301.
 * ``on_announcement`` allocates (not in its allowed set) and arms a
   timer for an undeclared target → MC302 twice.
 * ``on_timeout`` is handler-shaped but undeclared → MC303.

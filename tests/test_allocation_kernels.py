@@ -54,7 +54,6 @@ class TestInformedPick:
         assert (result.address, result.forced) == (address, forced)
         assert result.informed is not forced
         assert result.band == 3
-        assert allocator.forced_allocations == int(forced)
         assert (allocator.rng.bit_generator.state
                 == reference_rng.bit_generator.state)
         return result
@@ -86,7 +85,7 @@ class TestScopesOverlap:
     def test_every_ds1_scope_pair(self, mbone60_scope_map):
         scope_map = mbone60_scope_map
         scopes = [(source, ttl) for source in range(scope_map.num_nodes)
-                  for ttl in DS1.distinct()]
+                  for ttl in sorted(set(DS1.values))]
         reach = np.array([scope_map.reachable(s, t) for s, t in scopes])
         expected = (reach[:, None, :] & reach[None, :, :]).any(axis=2)
         overlap = np.array([[scope_map.scopes_overlap(sa, ta, sb, tb)

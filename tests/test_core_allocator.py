@@ -98,10 +98,10 @@ class TestNthFreeAddress:
 
 
 class TestAllocatorBase:
-    def test_invalid_space_rejected(self):
+    def test_invalid_space_rejected(self, rng):
         from repro.core.random_alloc import RandomAllocator
         with pytest.raises(ValueError):
-            RandomAllocator(0)
+            RandomAllocator(0, rng)
 
     def test_invalid_ttl_rejected(self, rng):
         from repro.core.random_alloc import RandomAllocator

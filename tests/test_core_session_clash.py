@@ -2,10 +2,7 @@
 
 import pytest
 
-from repro.core.clash import (
-    find_clashing_pairs,
-    sessions_clash,
-)
+from repro.core.clash import find_clashing_pairs
 from repro.core.session import Session
 
 
@@ -31,31 +28,37 @@ class TestSession:
             Session(address=-1, ttl=15, source=0)
 
 
+def clash(a, b, scope_map):
+    """Whether the two sessions clash, as ``find_clashing_pairs``
+    finds it."""
+    return find_clashing_pairs([a, b], scope_map) == [(0, 1)]
+
+
 class TestClashDetection:
     """Uses the chain fixture: need[0]=[0,2,18,18,68]."""
 
     def test_same_address_overlapping_scopes_clash(self, chain_scope_map):
         a = Session(address=7, ttl=18, source=0)
         b = Session(address=7, ttl=18, source=3)
-        assert sessions_clash(a, b, chain_scope_map)
+        assert clash(a, b, chain_scope_map)
 
     def test_different_address_never_clashes(self, chain_scope_map):
         a = Session(address=7, ttl=18, source=0)
         b = Session(address=8, ttl=18, source=0)
-        assert not sessions_clash(a, b, chain_scope_map)
+        assert not clash(a, b, chain_scope_map)
 
     def test_disjoint_scopes_no_clash(self, chain_scope_map):
         # 0@ttl2 reaches {0,1}; 4@ttl64 reaches {4} only.
         a = Session(address=7, ttl=2, source=0)
         b = Session(address=7, ttl=64, source=4)
-        assert not sessions_clash(a, b, chain_scope_map)
+        assert not clash(a, b, chain_scope_map)
 
     def test_asymmetric_invasion_clash(self, chain_scope_map):
         """The TTL-scoping hazard: 4@65 floods everywhere, clashing
         with a local session it can never hear about."""
         local = Session(address=7, ttl=2, source=0)
         invader = Session(address=7, ttl=65, source=4)
-        assert sessions_clash(local, invader, chain_scope_map)
+        assert clash(local, invader, chain_scope_map)
         # ...even though the local announcement never reaches node 4:
         assert not chain_scope_map.can_hear(4, 0, 2)
 

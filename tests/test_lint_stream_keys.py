@@ -4,9 +4,10 @@ generator, and stream keys neither collide nor change between runs.
 Three rules hold the §7 contract between them: SIM101 flags an
 unseeded or process-global numpy generator anywhere in the tree,
 SIM115 a stream key built from a value that differs between runs, and
-SIM116 two call sites deriving the same constant key and seed.  SIM116
-compares sites across files, so these tests lint several sources as
-one tree.  Each detection case has a clean twin.
+SIM116 two call sites deriving the same constant key.  A stream is
+named by ``streams.get(key)`` on a ``RandomStreams``.  SIM116 compares
+sites across files, so these tests lint several sources as one tree.
+Each detection case has a clean twin.
 """
 
 import ast
@@ -29,7 +30,7 @@ CLI_PATH = "src/repro/cli.py"
 
 PRELUDE = (
     "import numpy as np\n"
-    "from repro.sim.rng import derived_stream\n"
+    "from repro.sim.rng import RandomStreams\n"
 )
 
 #: The rules that took over from the retired whole-program analysis.
@@ -114,10 +115,10 @@ def test_seeded_generator_is_clean():
 
 def test_stream_key_collision_fires_sim116():
     findings = lint_cli(
-        "def component_a():\n"
-        "    return derived_stream('shared.key').random()\n"
-        "def component_b():\n"
-        "    return derived_stream('shared.key').random()\n"
+        "def component_a(streams):\n"
+        "    return streams.get('shared.key').random()\n"
+        "def component_b(streams):\n"
+        "    return streams.get('shared.key').random()\n"
     )
     assert [(f.code, f.line) for f in findings] == [
         ("SIM116", 4), ("SIM116", 6)]
@@ -126,34 +127,22 @@ def test_stream_key_collision_fires_sim116():
 
 def test_distinct_stream_keys_are_clean():
     findings = lint_cli(
-        "def component_a():\n"
-        "    return derived_stream('mod.a').random()\n"
-        "def component_b():\n"
-        "    return derived_stream('mod.b').random()\n"
-    )
-    assert codes(findings) == []
-
-
-def test_distinct_seeds_are_clean():
-    # The key of a derived_stream is its name and its seed.
-    findings = lint_cli(
-        "def component_a():\n"
-        "    return derived_stream('mod.a', 1).random()\n"
-        "def component_b():\n"
-        "    return derived_stream('mod.a', seed=2).random()\n"
+        "def component_a(streams):\n"
+        "    return streams.get('mod.a').random()\n"
+        "def component_b(streams):\n"
+        "    return streams.get('mod.b').random()\n"
     )
     assert codes(findings) == []
 
 
 def test_scenario_fuzz_key_reused_cross_site_fires_sim116():
     findings = lint_cli(
-        "def site_a():\n"
-        "    return derived_stream('scenario/fuzz/run-0').random()\n",
+        "def site_a(streams):\n"
+        "    return streams.get('scenario/fuzz/run-0').random()\n",
         extra_sources=[(
             "src/repro/scenario/mut.py",
-            "from repro.sim.rng import derived_stream\n"
-            "def site_b():\n"
-            "    return derived_stream('scenario/fuzz/run-0')"
+            "def site_b(streams):\n"
+            "    return streams.get('scenario/fuzz/run-0')"
             ".random()\n",
         )],
     )
@@ -180,43 +169,13 @@ def test_harnesses_sharing_a_workload_key_fire_sim116():
     ]
 
 
-def test_init_fallback_keys_are_compared_too():
-    # A key set in an ``rng if rng is not None else derived_stream(K)``
-    # fallback collides like any other: the announcer reusing the
-    # allocator's key would give both the same draws.
-    path, text = real("src/repro/sap/announcer.py")
-    assert '"sap.announcer"' in text
-    findings = lint_sources(
-        [real("src/repro/core/allocator.py"),
-         (path, text.replace('"sap.announcer"', '"core.allocator"'))],
-        rules=get_static_rules(select=["stream-key-collision"]),
-    )
-    assert [(f.path, f.line) for f in findings] == [
-        ("src/repro/core/allocator.py",
-         key_line("src/repro/core/allocator.py", "core.allocator")),
-        ("src/repro/sap/announcer.py",
-         key_line("src/repro/sap/announcer.py", "sap.announcer")),
-    ]
-
-
-def test_instance_streams_and_derived_streams_are_separate_keys():
-    findings = lint_cli(
-        "from repro.sim.rng import RandomStreams\n"
-        "def component_a(streams: RandomStreams):\n"
-        "    return streams.get('net.loss').random()\n"
-        "def component_b():\n"
-        "    return derived_stream('net.loss').random()\n"
-    )
-    assert codes(findings) == []
-
-
 # --- SIM115: tainted stream key -------------------------------------
 
 def test_wallclock_in_stream_key_fires_sim115():
     findings = lint_cli(
         "import time\n"
-        "def component():\n"
-        "    return derived_stream(f'run-{time.time()}').random()\n"
+        "def component(streams):\n"
+        "    return streams.get(f'run-{time.time()}').random()\n"
     )
     assert codes(findings) == ["SIM115"]
 
@@ -240,8 +199,8 @@ def test_every_tainted_source_fires_sim115(imports, key):
 
 def test_spec_pure_formatted_key_is_clean():
     findings = lint_cli(
-        "def component(cell):\n"
-        "    return derived_stream(f'cell-{cell}').random()\n"
+        "def component(cell, streams):\n"
+        "    return streams.get(f'cell-{cell}').random()\n"
     )
     assert codes(findings) == []
 
@@ -251,10 +210,10 @@ def test_spec_pure_formatted_key_is_clean():
 def test_suppression_with_justification_silences_finding():
     pragma = "  # simlint: disable=stream-key-collision (test fixture)\n"
     body = (
-        "def component_a():\n"
-        "    return derived_stream('shared.key').random()" + pragma
-        + "def component_b():\n"
-        "    return derived_stream('shared.key').random()" + pragma
+        "def component_a(streams):\n"
+        "    return streams.get('shared.key').random()" + pragma
+        + "def component_b(streams):\n"
+        "    return streams.get('shared.key').random()" + pragma
     )
     assert codes(lint_cli(body)) == []
     unsuppressed = lint_cli(body.replace("simlint:", "no-lint:"))
@@ -303,8 +262,9 @@ def test_every_rng_suppression_has_a_justification():
 def test_cli_selects_and_ignores_the_tree_rule(tmp_path):
     for name in ("a.py", "b.py"):
         (tmp_path / name).write_text(
-            "from repro.sim.rng import derived_stream\n"
-            "rng = derived_stream('shared.key')\n"
+            "from repro.sim.rng import RandomStreams\n"
+            "streams = RandomStreams(0)\n"
+            "rng = streams.get('shared.key')\n"
         )
     selected = run_cli([str(tmp_path), "--select",
                         "stream-key-collision"])

@@ -103,10 +103,19 @@ class TestExplorationSurface:
     def test_first_fit_exhaustion_forces(self):
         harness = ProtocolHarness(get_scenario("smoke"))
         allocator = harness.directories[0].allocator
+        allocate = allocator.allocate
+        forced = []
+
+        def recording(ttl, visible):
+            result = allocate(ttl, visible)
+            forced.append(result.forced)
+            return result
+
+        allocator.allocate = recording
         harness.create(0, "second")
-        assert allocator.forced_allocations == 0
+        assert forced == [False]
         harness.create(0, "third")  # space of 2 is now exhausted
-        assert allocator.forced_allocations == 1
+        assert forced == [False, True]
 
 
 class TestControlledScheduler:

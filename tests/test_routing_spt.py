@@ -64,11 +64,6 @@ class TestShortestPathForest:
         forest = ShortestPathForest(diamond)
         assert forest.tree(0) is forest.tree(0)
 
-    def test_depth(self, diamond):
-        tree = ShortestPathForest(diamond).tree(0)
-        assert tree.depth(0) == 0
-        assert tree.depth(3) == 2
-
     def test_unreachable_path_raises(self):
         topo = Topology()
         topo.add_node()

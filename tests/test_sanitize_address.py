@@ -8,13 +8,18 @@ tests pin down that the legitimate protocol behaviour (including
 third-party proxy defence) stays silent.
 """
 
+from dataclasses import replace
+
 import numpy as np
 
 from repro.core.address_space import MulticastAddressSpace
+from repro.core.admin import AdminScopedAllocator
 from repro.core.allocator import AllocationResult, Allocator, OccupancyView
+from repro.core.hierarchy import HierarchicalAllocator, PrefixPool
 from repro.core.informed import InformedRandomAllocator
 from repro.core.session import Session
 from repro.experiments.world import AllocationWorld
+from repro.routing.admin_scoping import AdminScopeMap, ScopeZone
 from repro.sanitize import SanitizerContext
 from repro.sap.directory import SessionDirectory
 from repro.sap.messages import SapMessage
@@ -91,7 +96,8 @@ class EscapingAllocator(Allocator):
 class TestDoubleAllocate:
     def test_visible_address_reuse_records_san201(self):
         context = SanitizerContext(scenario="test")
-        allocator = context.watch_allocator(BlindAllocator(SPACE))
+        allocator = context.watch_allocator(
+            BlindAllocator(SPACE, np.random.default_rng(0)))
         visible = view_of([5, 9])
         result = allocator.allocate(127, visible)
         assert result.address == 5
@@ -114,7 +120,7 @@ class TestDoubleAllocate:
 
     def test_watch_allocator_is_idempotent(self):
         context = SanitizerContext(scenario="test")
-        allocator = BlindAllocator(SPACE)
+        allocator = BlindAllocator(SPACE, np.random.default_rng(0))
         context.watch_allocator(allocator)
         context.watch_allocator(allocator)  # must not double-wrap
         visible = view_of([3])
@@ -128,7 +134,8 @@ class TestDoubleAllocateOnWorldView:
 
     def test_visible_address_reuse_records_san201(self, chain_scope_map):
         context = SanitizerContext(scenario="test")
-        allocator = context.watch_allocator(BlindAllocator(SPACE))
+        allocator = context.watch_allocator(
+            BlindAllocator(SPACE, np.random.default_rng(0)))
         world = AllocationWorld(chain_scope_map, SPACE)
         world.add(Session(address=9, ttl=18, source=0))
         world.add(Session(address=5, ttl=2, source=0))
@@ -157,7 +164,8 @@ class TestDoubleAllocateOnWorldView:
 class TestAllocOutOfBounds:
     def test_escape_from_declared_range_records_san202(self):
         context = SanitizerContext(scenario="test")
-        allocator = context.watch_allocator(EscapingAllocator(SPACE))
+        allocator = context.watch_allocator(
+            EscapingAllocator(SPACE, np.random.default_rng(0)))
         allocator.allocate(127, view_of([]))
         assert codes(context) == ["SAN202"]
         assert context.violations[0].rule == "alloc-out-of-bounds"
@@ -171,6 +179,94 @@ class TestAllocOutOfBounds:
             result = allocator.allocate(127, view_of([]))
             assert 0 <= result.address < SPACE
         assert context.clean
+
+
+#: The zone of nodes 0 and 1 in a 4-node map; nodes 2 and 3 are unzoned.
+CAMPUS = ScopeZone("campus", frozenset({0, 1}), 16, 48)
+
+
+def campus_map():
+    return AdminScopeMap(4, [CAMPUS])
+
+
+def fill(allocator, used, count):
+    """Allocate ``count`` addresses, each into a view of ``used``, and
+    append each to ``used``; returns ``used``."""
+    for __ in range(count):
+        used.append(allocator.allocate(127, view_of(used)).address)
+    return used
+
+
+class ZoneEscapingAllocator(AdminScopedAllocator):
+    """Returns the first address past the top of its zone."""
+
+    def allocate(self, ttl, visible):
+        result = super().allocate(ttl, visible)
+        return replace(result, address=self.zone().range_hi)
+
+
+class PrefixEscapingAllocator(HierarchicalAllocator):
+    """Returns the first address past its one owned prefix."""
+
+    def allocate(self, ttl, visible):
+        result = super().allocate(ttl, visible)
+        (prefix,) = self.prefixes
+        return replace(result, address=self.pool.prefix_range(prefix)[1])
+
+
+class TestZoneAndPrefixRanges:
+    """SAN202 against the zone and prefix allocators' own
+    ``declared_ranges``: their allocations stay inside, and a step just
+    outside is caught."""
+
+    def test_zoned_node_stays_in_its_zone(self):
+        context = SanitizerContext(scenario="test")
+        allocator = context.watch_allocator(AdminScopedAllocator(
+            campus_map(), 0, SPACE, np.random.default_rng(3)))
+        # 40 picks in a 32-address zone: the last 8 are forced.
+        used = fill(allocator, [], 40)
+        assert all(CAMPUS.contains_address(address) for address in used)
+        assert len(set(used)) == CAMPUS.range_size
+        assert context.clean
+
+    def test_unzoned_node_uses_the_whole_space(self):
+        context = SanitizerContext(scenario="test")
+        allocator = context.watch_allocator(AdminScopedAllocator(
+            campus_map(), 3, SPACE, np.random.default_rng(3)))
+        used = fill(allocator, [], 40)
+        assert len(set(used)) == 40
+        assert not all(CAMPUS.contains_address(address) for address in used)
+        assert context.clean
+
+    def test_prefixes_hold_before_and_after_growth(self):
+        context = SanitizerContext(scenario="test")
+        allocator = context.watch_allocator(HierarchicalAllocator(
+            PrefixPool(SPACE, 8), rng=np.random.default_rng(3)))
+        used = fill(allocator, [], 4)
+        assert len(allocator.prefixes) == 1
+        assert context.clean
+        for __ in range(32):
+            allocator.ensure_capacity(len(used) + 1)
+            fill(allocator, used, 1)
+        assert len(allocator.prefixes) > 1
+        assert len(set(used)) == 36
+        assert context.clean
+
+    def test_escape_from_zone_records_san202(self):
+        context = SanitizerContext(scenario="test")
+        allocator = context.watch_allocator(ZoneEscapingAllocator(
+            campus_map(), 0, SPACE, np.random.default_rng(3)))
+        assert allocator.allocate(127, view_of([])).address == 48
+        assert codes(context) == ["SAN202"]
+
+    def test_escape_from_prefix_records_san202(self):
+        context = SanitizerContext(scenario="test")
+        allocator = context.watch_allocator(PrefixEscapingAllocator(
+            PrefixPool(SPACE, 8), rng=np.random.default_rng(3)))
+        address = allocator.allocate(127, view_of([])).address
+        (prefix,) = allocator.prefixes
+        assert address == allocator.pool.prefix_range(prefix)[1]
+        assert codes(context) == ["SAN202"]
 
 
 class TestFreeOfUnallocated:

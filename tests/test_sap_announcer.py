@@ -111,4 +111,4 @@ class TestAnnouncer:
         sched = EventScheduler()
         with pytest.raises(ValueError):
             Announcer(sched, lambda: None, FixedIntervalStrategy(1.0),
-                      jitter_fraction=1.5)
+                      np.random.default_rng(0), jitter_fraction=1.5)

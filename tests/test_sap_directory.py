@@ -384,8 +384,7 @@ class TestOwnSessionIndex:
                 name="theirs", session_id=session_id, ttl=ttl,
                 connection_address=TINY.index_to_ip(address))
             directory.cache.observe(
-                SapMessage.announce(9, theirs.format()), 0.0,
-                address_of=directory._address_of)
+                SapMessage.announce(9, theirs.format()), 0.0)
         ipr3 = PartitionMap(IPR3_EDGES)
         for step in steps:
             apply_own_step(directory, step)

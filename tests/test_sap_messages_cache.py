@@ -23,16 +23,23 @@ PAYLOAD = SessionDescription(
 #: The space a bare cache counts over here.
 CACHE_SPACE = 16
 
+#: A group outside the space.
+UNMAPPED = "239.255.0.1"
+
+
+def address_of(description):
+    """The mapper of a directory over a 16-address space: 224.2.128.N
+    is address N, and every other group lies outside the space."""
+    prefix, __, last = description.connection_address.rpartition(".")
+    if prefix == "224.2.128" and int(last) < CACHE_SPACE:
+        return int(last)
+    return None
+
 
 def new_cache(**kwargs):
     """A cache counting into a view of its own, as a directory's does."""
     return SessionCache(OccupancyView.from_pairs([], [], CACHE_SPACE),
-                        **kwargs)
-
-
-def at(index):
-    """An ``address_of`` mapper that puts every description at ``index``."""
-    return lambda description: index
+                        address_of, **kwargs)
 
 
 MAPS = (PartitionMap(IPR3_EDGES), PartitionMap(IPR7_EDGES),
@@ -149,7 +156,7 @@ class TestSessionCache:
     def test_observe_announcement(self):
         cache = new_cache()
         msg = SapMessage.announce(1, PAYLOAD)
-        entry = cache.observe(msg, now=5.0, address_of=at(9))
+        entry = cache.observe(msg, now=5.0)
         assert len(cache) == 1
         assert entry.first_heard == 5.0
         assert entry.address_index == 9
@@ -164,7 +171,6 @@ class TestSessionCache:
         assert len(cache) == 1
         assert entry.first_heard == 5.0
         assert entry.last_heard == 15.0
-        assert entry.times_heard == 2
 
     def test_delete_removes(self):
         cache = new_cache()
@@ -196,20 +202,19 @@ class TestSessionCache:
 
     def test_entries_for_address(self):
         cache = new_cache()
-        cache.observe(SapMessage.announce(1, PAYLOAD), now=0.0,
-                      address_of=at(9))
-        other = SessionDescription(name="other").format()
-        cache.observe(SapMessage.announce(2, other), now=0.0,
-                      address_of=at(4))
+        cache.observe(SapMessage.announce(1, PAYLOAD), now=0.0)
+        other = SessionDescription(name="other",
+                                   connection_address="224.2.128.4").format()
+        cache.observe(SapMessage.announce(2, other), now=0.0)
         hits = cache.entries_for_address(9)
         assert len(hits) == 1
         assert hits[0].description.name == "demo"
 
     def test_visible_set(self):
         cache = new_cache()
-        cache.observe(SapMessage.announce(1, PAYLOAD), now=0.0,
-                      address_of=at(9))
-        unmapped = SessionDescription(name="unmapped").format()
+        cache.observe(SapMessage.announce(1, PAYLOAD), now=0.0)
+        unmapped = SessionDescription(name="unmapped",
+                                      connection_address=UNMAPPED).format()
         cache.observe(SapMessage.announce(2, unmapped), now=0.0)
         vs = cache.visible_set()
         assert isinstance(vs, OccupancyView)
@@ -235,10 +240,8 @@ class TestSessionCache:
                                 session_id=7, version=2,
                                 connection_address="224.2.128.9",
                                 ttl=63)
-        cache.observe(SapMessage.announce(1, v1.format()), now=0.0,
-                      address_of=at(5))
-        cache.observe(SapMessage.announce(1, v2.format()), now=10.0,
-                      address_of=at(9))
+        cache.observe(SapMessage.announce(1, v1.format()), now=0.0)
+        cache.observe(SapMessage.announce(1, v2.format()), now=10.0)
         assert len(cache) == 1
         entry = cache.entries()[0]
         assert entry.description.version == 2
@@ -273,12 +276,7 @@ class TestSessionCache:
 # --------------------------------------------------------------------
 
 MAPPED = {"224.2.128.1": 1, "224.2.128.2": 2, "224.2.128.3": 3}
-UNMAPPED = "239.255.0.1"
 TIMEOUT = 6.0
-
-
-def address_of(description):
-    return MAPPED.get(description.connection_address)
 
 
 def sdp(origin_key, version, address):
@@ -311,10 +309,7 @@ class FullScanCache:
             self.rows.pop(key, None)
             return
         if key in self.rows:
-            row = self.rows[key]
-            row[3] = now
-            if row[0] is None:
-                row[0] = address_of(SessionDescription.parse(message.payload))
+            self.rows[key][3] = now
             return
         description = SessionDescription.parse(message.payload)
         stale = [other for other, row in self.rows.items()
@@ -371,8 +366,8 @@ def apply_step(cache, reference, step, now):
         messages.append(SapMessage.delete(picked.message.origin,
                                           picked.message.payload))
     elif kind == "collide" and picked is not None:
-        # Another payload under an existing key: a hit, which late-fills
-        # the entry's address if it had none.
+        # Another payload under an existing key: a hit, which stamps
+        # the entry's last-heard time and reads nothing of the payload.
         messages.append(SapMessage(SapMessageType.ANNOUNCE,
                                    *picked.message.key(),
                                    sdp(("c", 9), 1, arg[1])))
@@ -380,7 +375,7 @@ def apply_step(cache, reference, step, now):
         cache.expire(now)
         reference.expire(now)
     for message in messages:
-        cache.observe(message, now, address_of=address_of)
+        cache.observe(message, now)
         reference.observe(message, now)
 
 
@@ -403,21 +398,6 @@ class TestCacheIndexes:
                     == [id(e) for e in expected]
             assert_counts_match(cache.visible_set(),
                                 scanned_visible_pairs(entries))
-
-    def test_late_fill_keeps_scan_order(self):
-        cache = new_cache()
-        early = SapMessage.announce(1, sdp(("a", 1), 1, UNMAPPED))
-        cache.observe(early, 0.0, address_of=address_of)
-        cache.observe(SapMessage.announce(2, sdp(("a", 2), 1,
-                                                 "224.2.128.1")),
-                      1.0, address_of=address_of)
-        collision = SapMessage(SapMessageType.ANNOUNCE, *early.key(),
-                               sdp(("c", 9), 1, "224.2.128.1"))
-        entry = cache.observe(collision, 2.0, address_of=address_of)
-        assert entry.address_index == 1
-        assert entry.description.origin_key() == ("a", 1)
-        assert [e.message.origin for e in cache.entries_for_address(1)] \
-            == [1, 2]
 
 
 # --------------------------------------------------------------------

@@ -44,8 +44,11 @@ class TestZoneAnnouncer:
                                   interval=10.0)
         announcer.start()
         sched.run(until=35.0)
+        assert announcer.announcements_sent == 4
         entry = listener.learned[("west", 0)]
-        assert entry.times_heard == 4
+        # Each ZAM lands one 0.05 s transport delay after it is sent.
+        assert entry.first_heard == pytest.approx(0.05)
+        assert entry.last_heard == pytest.approx(30.05)
 
     def test_stop(self, zone_world):
         scope_map, sched, transport, west, __ = zone_world

@@ -96,32 +96,3 @@ class TestSpawnKeyDeterminism:
         }
         assert len(set(first_draws.values())) == 50
 
-
-class TestDerivedStream:
-    def test_deterministic_for_name(self):
-        from repro.sim.rng import derived_stream
-
-        assert np.allclose(derived_stream("sap.announcer").random(8),
-                           derived_stream("sap.announcer").random(8))
-
-    def test_distinct_names_distinct_sequences(self):
-        from repro.sim.rng import derived_stream
-
-        a = derived_stream("core.allocator").random(8)
-        b = derived_stream("topology.mcollect").random(8)
-        assert not np.allclose(a, b)
-
-    def test_matches_randomstreams_seed_zero(self):
-        from repro.sim.rng import derived_stream
-
-        expected = RandomStreams(seed=0).get("x").random(8)
-        assert np.allclose(derived_stream("x").random(8), expected)
-
-    def test_bare_components_are_replayable(self):
-        """The five formerly-unseeded components now fall back to
-        derived streams: two bare constructions draw identically."""
-        from repro.sap.response_timer import UniformDelayTimer
-
-        first = UniformDelayTimer(0.0, 1.0).sample_many(8)
-        second = UniformDelayTimer(0.0, 1.0).sample_many(8)
-        assert np.allclose(first, second)

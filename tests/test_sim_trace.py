@@ -64,13 +64,6 @@ class TestTracer:
         assert "n4" in text
         assert "address=9" in text
 
-    def test_clear(self):
-        sched = EventScheduler()
-        tracer = Tracer(sched)
-        tracer.emit("a", "x")
-        tracer.clear()
-        assert len(tracer) == 0
-
     def test_invalid_capacity(self):
         with pytest.raises(ValueError):
             Tracer(EventScheduler(), capacity=0)

@@ -10,8 +10,8 @@ from repro.topology.graph import DVMRP_INFINITY, Link, Topology
 class TestLink:
     def test_attributes(self):
         link = Link(0, 1, metric=3, threshold=64, delay=0.05)
-        assert link.other(0) == 1
-        assert link.other(1) == 0
+        assert (link.u, link.v) == (0, 1)
+        assert (link.metric, link.threshold, link.delay) == (3, 64, 0.05)
 
     def test_self_loop_rejected(self):
         with pytest.raises(ValueError):
@@ -32,10 +32,6 @@ class TestLink:
     def test_negative_delay_rejected(self):
         with pytest.raises(ValueError):
             Link(0, 1, delay=-0.1)
-
-    def test_other_rejects_non_endpoint(self):
-        with pytest.raises(ValueError):
-            Link(0, 1).other(5)
 
 
 class TestTopology:

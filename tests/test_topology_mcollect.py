@@ -31,10 +31,9 @@ class TestPartialCollection:
     def test_silent_mrouters_reduce_coverage(self, small_mbone):
         probe = McollectProbe(small_mbone, unreachable_fraction=0.3,
                               rng=np.random.default_rng(1))
-        report = probe.report(monitor=0)
-        assert report.mapped_nodes < report.ground_truth_nodes
-        assert 0.1 < report.coverage < 1.0
-        assert report.responding_nodes < report.ground_truth_nodes
+        collected = probe.collect(monitor=0)
+        assert collected.num_nodes < small_mbone.num_nodes
+        assert 0.1 < collected.num_nodes / small_mbone.num_nodes < 1.0
 
     def test_result_is_connected(self, small_mbone):
         """The paper's cleanup: disconnected subtrees removed."""
@@ -52,7 +51,8 @@ class TestPartialCollection:
             probe = McollectProbe(small_mbone,
                                   unreachable_fraction=fraction,
                                   rng=np.random.default_rng(7))
-            coverages.append(probe.report(monitor=0).coverage)
+            collected = probe.collect(monitor=0)
+            coverages.append(collected.num_nodes / small_mbone.num_nodes)
         assert coverages[0] == 1.0
         assert coverages[0] >= coverages[1] >= coverages[2]
 
@@ -66,8 +66,8 @@ class TestPartialCollection:
         chain.add_link(0, 1)
         chain.add_link(1, 2)
         chain.add_link(2, 3)
-        probe = McollectProbe(chain, unreachable_fraction=0.0)
-        probe.unreachable_fraction = 0.0
+        probe = McollectProbe(chain, unreachable_fraction=0.0,
+                              rng=np.random.default_rng(0))
         # Force node 2 silent.
         probe._choose_silent = lambda monitor: {2}
         collected = probe.collect(monitor=0)
@@ -77,4 +77,5 @@ class TestPartialCollection:
 
     def test_invalid_fraction(self, small_mbone):
         with pytest.raises(ValueError):
-            McollectProbe(small_mbone, unreachable_fraction=1.0)
+            McollectProbe(small_mbone, unreachable_fraction=1.0,
+                          rng=np.random.default_rng(0))
