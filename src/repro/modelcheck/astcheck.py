@@ -36,7 +36,7 @@ from __future__ import annotations
 
 import ast
 from dataclasses import dataclass, field
-from typing import Dict, Iterator, List, Optional, Set, Tuple
+from typing import Dict, Iterator, Optional, Set, Tuple
 
 from repro.lint.rules import Rule, RawFinding
 from repro.modelcheck.spec import (

@@ -16,13 +16,17 @@ Two weightings matter:
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict
+from typing import TYPE_CHECKING, Dict
 
 import numpy as np
-from scipy.sparse import csr_matrix
-from scipy.sparse.csgraph import dijkstra
 
 from repro.topology.graph import Topology
+
+# scipy is imported only where a CSR is built or Dijkstra runs, so a
+# process that routes no topology (the SAP stack on receiver maps)
+# never loads it.  No other module in the package imports scipy.
+if TYPE_CHECKING:
+    from scipy.sparse import csr_matrix
 
 #: scipy.csgraph's "no predecessor" sentinel.
 NO_PREDECESSOR = -9999
@@ -36,6 +40,8 @@ def topology_csr(topology: Topology, weight: str = "metric") -> csr_matrix:
     ``weight`` is one of ``"metric"``, ``"delay"`` or ``"hops"`` (every
     link costs 1).
     """
+    from scipy.sparse import csr_matrix
+
     if weight not in _WEIGHT_FIELDS:
         raise ValueError(f"unknown weight {weight!r}; use one of "
                          f"{_WEIGHT_FIELDS}")
@@ -97,6 +103,8 @@ class ShortestPathForest:
         """Shortest-path tree rooted at ``source`` (memoised)."""
         cached = self._trees.get(source)
         if cached is None:
+            from scipy.sparse.csgraph import dijkstra
+
             dist, pred = dijkstra(self._csr, indices=source,
                                   return_predecessors=True)
             cached = ShortestPathTree(source, dist, pred)
@@ -109,6 +117,8 @@ class ShortestPathForest:
 
     def all_trees(self) -> "AllPairsTrees":
         """Dijkstra from every node at once (uses scipy's C core)."""
+        from scipy.sparse.csgraph import dijkstra
+
         dist, pred = dijkstra(self._csr, return_predecessors=True)
         return AllPairsTrees(distance=dist, predecessor=pred)
 

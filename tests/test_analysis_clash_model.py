@@ -3,7 +3,6 @@
 import math
 
 import pytest
-from hypothesis import given, strategies as st
 
 from repro.analysis.clash_model import (
     allocations_before_half,

@@ -1,7 +1,5 @@
 """Eq. 2 / eq. 4 responder-bound tests (figs. 14 and 18)."""
 
-import math
-
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st

@@ -9,7 +9,6 @@ from repro.core.allocator import OccupancyView
 from repro.core.hybrid import HybridIprmaAllocator
 from repro.core.informed import InformedRandomAllocator
 from repro.core.iprma import StaticIprmaAllocator
-from repro.core.partitions import IPR7_EDGES, PartitionMap
 from repro.core.random_alloc import RandomAllocator
 
 PAPER_TTLS = (1, 15, 31, 47, 63, 127, 191)

@@ -8,7 +8,6 @@ from hypothesis import given, settings, strategies as st
 from repro.analysis.scaling import hierarchical_capacity
 from repro.core.address_space import MulticastAddressSpace
 from repro.core.informed import InformedRandomAllocator
-from repro.routing.scoping import ScopeMap
 from repro.sap.directory import SessionDirectory
 from repro.sap.messages import SapMessage
 from repro.sim.events import EventScheduler

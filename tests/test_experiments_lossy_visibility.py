@@ -8,8 +8,6 @@ from repro.experiments.lossy_visibility import (
     simulated_no_clash_probability,
 )
 
-import numpy as np
-
 
 class TestSimulateGeneration:
     def test_no_invisibility_never_clashes(self, rng):

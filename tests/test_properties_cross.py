@@ -13,7 +13,6 @@ bytes, and SDP parsing either round-trips or raises ValueError.
 """
 
 import numpy as np
-import pytest
 from hypothesis import given, settings, strategies as st
 
 from repro.core.adaptive import AdaptiveIprmaAllocator

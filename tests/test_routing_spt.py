@@ -1,14 +1,18 @@
 """Shortest-path tree / forest tests."""
 
+import json
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import numpy as np
 import pytest
 
-from repro.routing.spt import (
-    NO_PREDECESSOR,
-    ShortestPathForest,
-    topology_csr,
-)
+from repro.routing.spt import ShortestPathForest, topology_csr
 from repro.topology.graph import Topology
+
+SRC = Path(__file__).resolve().parent.parent / "src"
 
 
 @pytest.fixture
@@ -108,3 +112,51 @@ class TestShortestPathForest:
         # Hop depth differs from its transpose by at most tie-breaks,
         # but both directions must be positive and bounded.
         assert depths.max() < 64
+
+
+#: Imports the package and its tools, runs the steady churn harness
+#: over its 600 s horizon (partition, heal and retreats included), then
+#: routes a 40-node Mbone.  Prints the scipy modules loaded before
+#: routing, and whether Dijkstra's module is loaded after it.
+_SCIPY_PROBE = """
+import json
+import sys
+
+import repro
+import repro.experiments
+import repro.lint
+import repro.modelcheck
+import repro.sanitize
+import repro.sap
+import repro.sim
+from repro.obs.scenarios import build_steady
+
+scheduler, __ = build_steady(1998)
+scheduler.run(until=600.0)
+before = sorted(name for name in sys.modules
+                if name == "scipy" or name.startswith("scipy."))
+
+from repro.routing.scoping import ScopeMap
+from repro.topology.mbone import MboneParams, generate_mbone
+
+ScopeMap.from_topology(generate_mbone(MboneParams(total_nodes=40,
+                                                  seed=1998)))
+print(json.dumps({"before": before,
+                  "after": "scipy.sparse.csgraph" in sys.modules}))
+"""
+
+
+def test_scipy_loads_only_where_a_topology_is_routed():
+    """SAP harnesses run on receiver maps and never load scipy; the
+    first shortest-path forest does.  This process has imported scipy
+    already, so a fresh interpreter runs the probe."""
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        p for p in (str(SRC), env.get("PYTHONPATH", "")) if p)
+    result = subprocess.run([sys.executable, "-c", _SCIPY_PROBE],
+                            capture_output=True, text=True, env=env,
+                            check=False)
+    assert result.returncode == 0, result.stderr
+    loaded = json.loads(result.stdout)
+    assert loaded["before"] == []
+    assert loaded["after"] is True

@@ -5,7 +5,6 @@ import pytest
 from repro.routing.admin_scoping import AdminScopeMap, ScopeZone
 from repro.sap.mzap import (
     ZamTransport,
-    ZoneAnnouncement,
     ZoneAnnouncer,
     ZoneListener,
 )

@@ -1,6 +1,5 @@
 """Tests for sim.adapters and experiments.reporting."""
 
-import numpy as np
 import pytest
 
 from repro.experiments.reporting import format_table, print_series

@@ -1,6 +1,5 @@
 """Hop-count distribution tests (fig. 10 / §2.4.1 table)."""
 
-import numpy as np
 import pytest
 
 from repro.routing.scoping import ScopeMap

@@ -4,7 +4,6 @@ import numpy as np
 import pytest
 
 from repro.topology.mcollect import McollectProbe
-from repro.topology.mbone import MboneParams, generate_mbone
 
 
 class TestFullCollection:
