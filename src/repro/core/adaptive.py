@@ -68,6 +68,11 @@ class AdaptiveIprmaAllocator(Allocator):
         self.gap_fraction = gap_fraction
         self.occupancy = occupancy
         self.partition_map = PartitionMap(tuple(edges))
+        #: Addresses left free below each band.
+        self.gap = (int(gap_fraction * space_size)
+                    // self.partition_map.num_bands)
+        #: The lowest TTL of each band.
+        self._band_floor = (1,) + self.partition_map.edges
         self.name = f"AIPR ({gap_fraction:.0%} gap)"
 
     # Factories matching the paper's labels -----------------------------
@@ -102,7 +107,6 @@ class AdaptiveIprmaAllocator(Allocator):
         """
         counts = visible.band_counts(self.partition_map, min_ttl)
         num_bands = self.partition_map.num_bands
-        gap = int(self.gap_fraction * self.space_size) // num_bands
         ranges: List[Optional[Tuple[int, int]]] = [None] * num_bands
         position = self.space_size  # exclusive top of the next band
         for band in range(num_bands - 1, -1, -1):
@@ -110,25 +114,41 @@ class AdaptiveIprmaAllocator(Allocator):
             hi = max(1, position)
             lo = max(0, hi - size)
             ranges[band] = (lo, hi)
-            position = lo - gap
+            position = lo - self.gap
         return ranges  # type: ignore[return-value]
+
+    def _band_range(self, ttl: int,
+                    visible: AllocationView) -> Tuple[int, int, int]:
+        """The band serving ``ttl`` and its half-open range.
+
+        The range is ``band_geometry(visible, floor)[band]`` for the
+        band's lowest TTL ``floor`` (the deterministic rule: only
+        sessions of TTL >= floor count), in closed form.  The band's
+        top is the space less the size and gap of each band above it,
+        clamped to 1; its bottom is its top less its size, clamped to
+        0.  The clamps of the bands above change nothing: once a top is
+        clamped to 1 or a bottom to 0, every lower band's top is 1, as
+        the clamped closed form gives.
+        """
+        occupancy, gap = self.occupancy, self.gap
+        band = self.partition_map.band_of(ttl)
+        counts = visible.band_counts(self.partition_map,
+                                     self._band_floor[band])
+        top = self.space_size
+        for count in counts[band + 1:]:
+            top -= max(1, math.ceil(count / occupancy)) + gap
+        hi = max(1, top)
+        lo = max(0, hi - max(1, math.ceil(counts[band] / occupancy)))
+        return band, lo, hi
 
     def declared_ranges(self, ttl: int,
                         visible: AllocationView) -> List[Tuple[int, int]]:
         """The band serving ``ttl`` under the deterministic geometry."""
-        band = self.partition_map.band_of(ttl)
-        lowest_ttl, __ = self.partition_map.ttl_range(band)
-        geometry = self.band_geometry(visible, lowest_ttl)
-        return [geometry[band]]
+        __, lo, hi = self._band_range(ttl, visible)
+        return [(lo, hi)]
 
     def allocate(self, ttl: int,
                  visible: AllocationView) -> AllocationResult:
         self._check_ttl(ttl)
-        band = self.partition_map.band_of(ttl)
-        # Deterministic rule: geometry from sessions with TTL >= this
-        # band's lowest TTL only.  (Sessions in lower bands do not enter
-        # the placement of this band anyway because bands are laid out
-        # top-down, but restricting the view keeps the invariant
-        # explicit and testable.)
-        (lo, hi), = self.declared_ranges(ttl, visible)
-        return self._informed_pick(visible, lo, hi, band=band)
+        band, lo, hi = self._band_range(ttl, visible)
+        return self._informed_pick(visible, lo, hi, band)

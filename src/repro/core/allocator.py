@@ -12,8 +12,7 @@ harnesses of figs. 5/12/13 swap them freely.
 from __future__ import annotations
 
 import abc
-from dataclasses import dataclass
-from typing import List, Optional, Protocol, Tuple
+from typing import List, NamedTuple, Optional, Protocol, Tuple
 
 import numpy as np
 
@@ -109,9 +108,11 @@ class OccupancyView:
         self._ttl_counts[ttl] += delta
 
 
-@dataclass(frozen=True)
-class AllocationResult:
+class AllocationResult(NamedTuple):
     """Outcome of one allocation.
+
+    An immutable named tuple, cheap to build positionally;
+    ``result._replace(address=...)`` gives a changed copy.
 
     Attributes:
         address: the chosen address (index into the space).
@@ -183,12 +184,10 @@ class Allocator(abc.ABC):
         """
         free = visible.free_offsets(lo, hi)
         if len(free) == 0:
-            address = int(self.rng.integers(lo, hi))
-            return AllocationResult(address, band=band, informed=False,
-                                    forced=True)
+            return AllocationResult(int(self.rng.integers(lo, hi)), band,
+                                    False, True)
         r = int(self.rng.integers(0, len(free)))
-        return AllocationResult(lo + int(free[r]), band=band,
-                                informed=True, forced=False)
+        return AllocationResult(lo + int(free[r]), band, True, False)
 
 
 def nth_free_address(used_sorted: np.ndarray, r: Count, lo: SlotIndex,

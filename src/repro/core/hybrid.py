@@ -58,6 +58,8 @@ class HybridIprmaAllocator(Allocator):
         self.occupancy = occupancy
         self.partition_map = PartitionMap(tuple(edges))
         num_bands = self.partition_map.num_bands
+        #: The lowest TTL of each band.
+        self._band_floor = (1,) + self.partition_map.edges
         self.gap = int(gap_fraction * space_size) // num_bands
         width_budget = int(initial_span * space_size) - self.gap * num_bands
         self.initial_width = max(1, width_budget // num_bands)
@@ -86,17 +88,33 @@ class HybridIprmaAllocator(Allocator):
             prev_lo = lo
         return ranges  # type: ignore[return-value]
 
+    def _band_range(self, ttl: int,
+                    visible: AllocationView) -> Tuple[int, int, int]:
+        """The band serving ``ttl`` and its half-open range:
+        ``band_geometry(visible, floor)[band]`` for the band's lowest
+        TTL ``floor``, laid out top-down as far as that band only."""
+        occupancy, gap = self.occupancy, self.gap
+        initial_top, initial_width = self.initial_top, self.initial_width
+        band = self.partition_map.band_of(ttl)
+        counts = visible.band_counts(self.partition_map,
+                                     self._band_floor[band])
+        lo = self.space_size + gap
+        for above in range(len(counts) - 1, band - 1, -1):
+            needed = max(1, math.ceil(counts[above] / occupancy))
+            hi = max(1, min(initial_top[above], lo - gap))
+            if hi == initial_top[above]:
+                needed = max(needed, initial_width)
+            lo = max(0, hi - needed)
+        return band, lo, hi
+
     def declared_ranges(self, ttl: int,
                         visible: AllocationView) -> List[Tuple[int, int]]:
         """The band serving ``ttl`` under the hybrid geometry."""
-        band = self.partition_map.band_of(ttl)
-        lowest_ttl, __ = self.partition_map.ttl_range(band)
-        geometry = self.band_geometry(visible, lowest_ttl)
-        return [geometry[band]]
+        __, lo, hi = self._band_range(ttl, visible)
+        return [(lo, hi)]
 
     def allocate(self, ttl: int,
                  visible: AllocationView) -> AllocationResult:
         self._check_ttl(ttl)
-        band = self.partition_map.band_of(ttl)
-        (lo, hi), = self.declared_ranges(ttl, visible)
-        return self._informed_pick(visible, lo, hi, band=band)
+        band, lo, hi = self._band_range(ttl, visible)
+        return self._informed_pick(visible, lo, hi, band)

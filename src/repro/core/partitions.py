@@ -46,9 +46,10 @@ class PartitionMap:
 
     edges: Tuple[int, ...]
     _band_table: np.ndarray = field(init=False, repr=False, compare=False)
-    #: ``min_ttl`` -> the TTLs at which :meth:`fold_ttl_counts` starts
-    #: each band's sum, filled on first use.
-    _fold_starts: Dict[int, np.ndarray] = field(
+    #: ``min_ttl`` -> the zeros of the bands below it and the TTLs at
+    #: which :meth:`fold_ttl_counts` starts each other band's sum,
+    #: filled on first use.
+    _fold_starts: Dict[int, Tuple[List[int], np.ndarray]] = field(
         init=False, repr=False, compare=False, default_factory=dict)
 
     def __post_init__(self) -> None:
@@ -106,13 +107,15 @@ class PartitionMap:
             while the total of ``per_ttl`` fits it, and twice as fast
             as widening a strided column first.
         """
-        first = self.band_of(min_ttl)
-        starts = self._fold_starts.get(min_ttl)
-        if starts is None:
-            starts = np.array((min_ttl,) + self.edges[first:], dtype=np.intp)
-            self._fold_starts[min_ttl] = starts
-        totals = np.add.reduceat(per_ttl, starts, dtype=per_ttl.dtype)
-        return [0] * first + totals.tolist()
+        fold = self._fold_starts.get(min_ttl)
+        if fold is None:
+            first = self.band_of(min_ttl)
+            fold = ([0] * first,
+                    np.array((min_ttl,) + self.edges[first:], dtype=np.intp))
+            self._fold_starts[min_ttl] = fold
+        zeros, starts = fold
+        return zeros + np.add.reduceat(per_ttl, starts,
+                                       dtype=per_ttl.dtype).tolist()
 
 
 def margin_partition_map(margin: int = 2) -> PartitionMap:

@@ -50,8 +50,8 @@ def _allocate_clash_free(world: AllocationWorld, allocator: Allocator,
     Returns (session, clashed_first_try).
     """
     clashed_first = False
+    visible = world.visible_at(source)
     for attempt in range(MAX_REDRAWS):
-        visible = world.visible_at(source)
         result = allocator.allocate(ttl, visible)
         session = Session(address=result.address, ttl=ttl, source=source)
         if not world.clashes(session):

@@ -15,13 +15,14 @@ one per (TTL, node).  Adding or removing a session adds or subtracts
 its reach mask ``need[source] <= ttl`` on one row of each, and
 :meth:`AllocationWorld.visible_at` hands the allocator one node's
 column of both as an :class:`~repro.core.allocator.OccupancyView`.
-The view reads the live tables, so it holds only until the world
-changes.
+The view reads the live tables, so it follows every change to the
+world; each node has one such view, made the first time it is asked
+for.
 """
 
 from __future__ import annotations
 
-from typing import Dict, List
+from typing import Dict, List, Optional
 
 import numpy as np
 
@@ -54,6 +55,8 @@ class AllocationWorld:
         #: ``_ttl_counts[t, v]``: live sessions of TTL ``t`` heard at
         #: ``v``; TTL-major for the same reason.
         self._ttl_counts = np.zeros((MAX_TTL + 1, nodes), dtype=np.int16)
+        #: ``_views[v]``: node ``v``'s live view, once asked for.
+        self._views: List[Optional[OccupancyView]] = [None] * nodes
         self._sessions: List[Session] = []
         self._by_address: Dict[int, List[int]] = {}
 
@@ -120,9 +123,17 @@ class AllocationWorld:
     # Queries
     # ------------------------------------------------------------------
     def visible_at(self, node: int) -> OccupancyView:
-        """Sessions whose announcements reach ``node``."""
-        return OccupancyView(self._address_counts[:, node],
-                             self._ttl_counts[:, node])
+        """Sessions whose announcements reach ``node``.
+
+        The view is live: one per node, it answers for the world as it
+        is when asked, through every later ``add`` and ``remove_at``.
+        """
+        view = self._views[node]
+        if view is None:
+            view = OccupancyView(self._address_counts[:, node],
+                                 self._ttl_counts[:, node])
+            self._views[node] = view
+        return view
 
     def clashes(self, session: Session) -> bool:
         """Would ``session`` clash with any live session?

@@ -127,18 +127,22 @@ class ScopeMap:
         This is the clash condition: a receiver inside the intersection
         gets both sessions' traffic on the same group address.  Each
         scope is a cached bitset (bit per node), so the test is one
-        ``&`` of two ints.
+        ``&`` of two ints, read from the cache inline.
         """
-        return bool(self._bits(src_a, ttl_a) & self._bits(src_b, ttl_b))
+        reach_bits = self._reach_bits
+        bits_a = reach_bits.get((src_a, ttl_a))
+        if bits_a is None:
+            bits_a = self._pack_bits(src_a, ttl_a)
+        bits_b = reach_bits.get((src_b, ttl_b))
+        if bits_b is None:
+            bits_b = self._pack_bits(src_b, ttl_b)
+        return (bits_a & bits_b) != 0
 
-    def _bits(self, source: int, ttl: int) -> int:
-        """The (source, ttl) reach mask packed into an int, cached."""
-        key = (source, ttl)
-        bits = self._reach_bits.get(key)
-        if bits is None:
-            packed = np.packbits(self.need[source] <= ttl)
-            bits = int.from_bytes(packed.tobytes(), "big")
-            self._reach_bits[key] = bits
+    def _pack_bits(self, source: int, ttl: int) -> int:
+        """Pack the (source, ttl) reach mask into an int and cache it."""
+        packed = np.packbits(self.need[source] <= ttl)
+        bits = int.from_bytes(packed.tobytes(), "big")
+        self._reach_bits[source, ttl] = bits
         return bits
 
     def scope_size(self, source: int, ttl: int) -> int:

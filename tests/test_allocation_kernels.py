@@ -8,10 +8,14 @@ expression it replaced, including the random draws it makes, because
 the figure rows and the benchmark fingerprints rest on both.
 """
 
+import math
+
 import numpy as np
 import pytest
 
+from repro.core.adaptive import AdaptiveIprmaAllocator
 from repro.core.allocator import OccupancyView, nth_free_address
+from repro.core.hybrid import HybridIprmaAllocator
 from repro.core.informed import InformedRandomAllocator
 from repro.core.partitions import (
     IPR3_EDGES,
@@ -188,6 +192,75 @@ class TestVisibleAt:
             mask = scope_map.need[sources, node] <= ttls
             reference = PairsView(addresses[mask], ttls[mask])
             self._assert_same_view(world.visible_at(node), reference, step)
+
+
+def _adaptive_allocators(space_size, seed):
+    """AIPR-1..4, AIPR-1 over the 55 margin bands, and AIPR-H."""
+    allocators = [AdaptiveIprmaAllocator(
+        space_size, gap, rng=np.random.default_rng(seed))
+        for gap in (0.2, 0.5, 0.6, 0.7)]
+    allocators.append(AdaptiveIprmaAllocator(
+        space_size, edges=margin_partition_map(2).edges,
+        rng=np.random.default_rng(seed)))
+    allocators.append(HybridIprmaAllocator(
+        space_size, rng=np.random.default_rng(seed)))
+    return allocators
+
+
+class TestBandRange:
+    """AIPR and AIPR-H lay out only the band they allocate from; each
+    such range must be the one the whole-map layout gives that band."""
+
+    SPACES = (7, 16, 100, 400, 1600)
+
+    def _views(self, space_size, rng):
+        """Seeded views from empty to three times overfull."""
+        for sessions in (0, 1, space_size // 20, space_size // 2,
+                         space_size, 3 * space_size):
+            yield OccupancyView.from_pairs(
+                rng.integers(0, space_size, size=sessions),
+                rng.integers(1, 256, size=sessions), space_size)
+
+    def test_matches_the_whole_map_layout(self):
+        clamps = {(family, clamp): 0
+                  for family in ("AdaptiveIprmaAllocator",
+                                 "HybridIprmaAllocator")
+                  for clamp in ("top below one", "size over top")}
+        rng = np.random.default_rng(30)
+        for space_size in self.SPACES:
+            for seed, view in enumerate(self._views(space_size, rng)):
+                for ours, theirs in zip(_adaptive_allocators(space_size,
+                                                             seed),
+                                        _adaptive_allocators(space_size,
+                                                             seed)):
+                    self._check(ours, theirs, view, clamps)
+        # Both clamps of both layouts are reached, so the comparison
+        # covers them.
+        assert min(clamps.values()) > 0, clamps
+
+    def _check(self, ours, theirs, view, clamps):
+        partition_map = ours.partition_map
+        family = type(ours).__name__
+        geometries = []
+        for band in range(partition_map.num_bands):
+            lowest, __ = partition_map.ttl_range(band)
+            geometry = theirs.band_geometry(view, lowest)
+            geometries.append(geometry)
+            count = view.band_counts(partition_map, lowest)[band]
+            size = max(1, math.ceil(count / ours.occupancy))
+            if geometry[band][1] - size < 0:
+                clamps[family, "size over top"] += 1
+            if band + 1 < partition_map.num_bands and \
+                    geometry[band + 1][0] - ours.gap < 1:
+                clamps[family, "top below one"] += 1
+        for ttl in range(1, 256):
+            band = partition_map.band_of(ttl)
+            expected = geometries[band][band]
+            assert ours.declared_ranges(ttl, view) == [expected]
+            assert (ours.allocate(ttl, view)
+                    == theirs._informed_pick(view, *expected, band))
+        assert (ours.rng.bit_generator.state
+                == theirs.rng.bit_generator.state)
 
 
 class TestBandOf:

@@ -57,6 +57,44 @@ class TestAllocationWorld:
         assert world.clashes(Session(address=3, ttl=18, source=0))
         assert not world.clashes(Session(address=1, ttl=18, source=0))
 
+    def test_a_view_answers_for_the_world_as_it_is_now(
+            self, chain_scope_map):
+        world = AllocationWorld(chain_scope_map, SPACE)
+        view = world.visible_at(1)
+        assert used(view) == []
+        assert view.band_counts(IPR7, 1) == [0] * IPR7.num_bands
+        slot = world.add(Session(address=5, ttl=18, source=0))
+        world.add(Session(address=6, ttl=2, source=0))
+        # Handed out before both adds, the view sees them, and the
+        # node is handed that one view from then on.
+        assert world.visible_at(1) is view
+        assert used(view) == [5, 6]
+        assert len(view) == 2
+        assert view.band_counts(IPR7, 1) == [0, 1, 1, 0, 0, 0, 0]
+        assert view.free_offsets(4, 8).tolist() == [0, 3]
+        world.remove_at(slot)
+        assert used(view) == [6]
+        assert len(view) == 1
+        assert view.band_counts(IPR7, 1) == [0, 1, 0, 0, 0, 0, 0]
+        assert view.free_offsets(4, 8).tolist() == [0, 1, 3]
+
+    def test_worlds_over_one_scope_map_share_no_view(
+            self, chain_scope_map):
+        first = AllocationWorld(chain_scope_map, SPACE)
+        second = AllocationWorld(chain_scope_map, SPACE)
+        nodes = range(chain_scope_map.num_nodes)
+        views = ([first.visible_at(node) for node in nodes]
+                 + [second.visible_at(node) for node in nodes])
+        assert len({id(view) for view in views}) == len(views)
+        first.add(Session(address=5, ttl=255, source=0))
+        second.add(Session(address=9, ttl=2, source=0))
+        assert [used(first.visible_at(node)) for node in nodes] == [
+            [5]] * 5
+        assert [used(second.visible_at(node)) for node in nodes] == [
+            [9], [9], [], [], []]
+        assert [len(second.visible_at(node)) for node in nodes] == [
+            1, 1, 0, 0, 0]
+
     def test_remove_out_of_range(self, chain_scope_map):
         world = AllocationWorld(chain_scope_map, SPACE)
         with pytest.raises(IndexError):

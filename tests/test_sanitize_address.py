@@ -8,8 +8,6 @@ tests pin down that the legitimate protocol behaviour (including
 third-party proxy defence) stays silent.
 """
 
-from dataclasses import replace
-
 import numpy as np
 
 from repro.core.address_space import MulticastAddressSpace
@@ -202,7 +200,7 @@ class ZoneEscapingAllocator(AdminScopedAllocator):
 
     def allocate(self, ttl, visible):
         result = super().allocate(ttl, visible)
-        return replace(result, address=self.zone().range_hi)
+        return result._replace(address=self.zone().range_hi)
 
 
 class PrefixEscapingAllocator(HierarchicalAllocator):
@@ -211,7 +209,7 @@ class PrefixEscapingAllocator(HierarchicalAllocator):
     def allocate(self, ttl, visible):
         result = super().allocate(ttl, visible)
         (prefix,) = self.prefixes
-        return replace(result, address=self.pool.prefix_range(prefix)[1])
+        return result._replace(address=self.pool.prefix_range(prefix)[1])
 
 
 class TestZoneAndPrefixRanges:
